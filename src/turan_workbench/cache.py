@@ -4,7 +4,8 @@ One record per line; exact records are immutable and carry their witness
 document plus its hash.  Records are re-validated on read (edge count and
 detector check); a corrupt or invalid line is skipped with a warning, never
 silently repaired.  Readers tolerate a partial trailing line, so concurrent
-appends by separate processes are safe at line granularity.
+appends by separate processes are safe at line granularity, and a writer
+first ends a torn last line left by a crashed one.
 
 The cache path comes from the TURAN_WORKBENCH_CACHE environment variable
 when not given explicitly.
@@ -53,8 +54,15 @@ class ResultCache:
 
     def _append(self, record: dict) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(canonical_json(record))
+        data = canonical_json(record).encode("utf-8")
+        with open(self.path, "a+b") as fh:
+            if fh.seek(0, os.SEEK_END):
+                fh.seek(-1, os.SEEK_END)
+                if fh.read(1) != b"\n":
+                    # a crashed writer left a torn last line: end it, so the
+                    # new record is a line of its own
+                    data = b"\n" + data
+            fh.write(data)
 
     # -- zar records ----------------------------------------------------------
 

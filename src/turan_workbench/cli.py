@@ -24,7 +24,7 @@ from . import constructions, extremal, stability, zarankiewicz
 from .cache import ResultCache, witness_hash
 from .constructions import ConstructionError, ConstructionParams, TemplateSpec
 from .detectors import (Budget, BudgetExhausted, ForbiddenPattern, find_pattern)
-from .graphs import GraphInvariantError, PartitionedGraph, canonical_json, mask_of
+from .graphs import GraphInvariantError, PartitionedGraph, bits, canonical_json, mask_of
 
 EXIT_OK = 0
 EXIT_FOUND = 1
@@ -235,16 +235,16 @@ def _cmd_analyze(args, argv) -> int:
     spec = TemplateSpec.from_document(json.loads(Path(args.spec).read_text()))
     if args.verb == "classify":
         dec = stability.classify_atypical(g, spec, params)
-        _emit({"w_doubleprime": sorted_bits(dec.w_doubleprime),
-               "w_prime": [sorted_bits(m) for m in dec.w_prime],
-               "z_doubleprime": sorted_bits(dec.z_doubleprime),
-               "z_cross": [[sorted_bits(m) for m in row] for row in dec.z_cross],
-               "u_tilde": [sorted_bits(m) for m in dec.u_tilde],
-               "ambiguous": sorted_bits(dec.ambiguous)}, args.json)
+        _emit({"w_doubleprime": list(bits(dec.w_doubleprime)),
+               "w_prime": [list(bits(m)) for m in dec.w_prime],
+               "z_doubleprime": list(bits(dec.z_doubleprime)),
+               "z_cross": [[list(bits(m)) for m in row] for row in dec.z_cross],
+               "u_tilde": [list(bits(m)) for m in dec.u_tilde],
+               "ambiguous": list(bits(dec.ambiguous))}, args.json)
         return EXIT_OK
     if args.verb == "core":
         rep = stability.high_degree_core(g, spec.u_masks(), params)
-        _emit({"core": sorted_bits(rep.core), "hypothesis_met": rep.hypothesis_met,
+        _emit({"core": list(bits(rep.core)), "hypothesis_met": rep.hypothesis_met,
                "bound": str(rep.bound), "bound_holds": rep.bound_holds}, args.json)
         return EXIT_OK if rep.bound_holds in (True, None) else EXIT_FOUND
     # structure
@@ -254,22 +254,11 @@ def _cmd_analyze(args, argv) -> int:
     return EXIT_OK
 
 
-def sorted_bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 # ---------------------------------------------------------------------------
 # parser
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads (searches are deterministic; >=1)")
     p.add_argument("--budget", type=int, default=None,
                    help="node-expansion budget for searches")
     p.add_argument("--seed", type=int, default=0, help="64-bit seed")
@@ -359,9 +348,6 @@ def cli_dispatch(argv: Sequence[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    if args.threads < 1:
-        sys.stderr.write("--threads must be >= 1\n")
-        return EXIT_USAGE
     try:
         if args.cmd == "formulas":
             return _cmd_formulas(args, argv)

@@ -21,6 +21,14 @@ canonically least witness) and prunes with two supply bounds:
 
 On the dense blow-up constructions this proves freeness in roughly the time
 it takes to read the graph, which is what the acceptance suite needs.
+
+The engine's per-graph state (complement rows, part lookup, enumeration
+order) lives in a :class:`PackingContext`, built once; its ``run`` is the
+seeded DFS.  ``find_complete_multipartite`` builds a supply-bounded context
+per graph.  The branch-and-bound engines build one context without supply
+bounds per search and keep it equal to their graph by flipping single
+edges (one bit in each of two complement rows), then probe it with
+:func:`contains_uniform_pattern`.
 """
 
 from __future__ import annotations
@@ -191,32 +199,39 @@ def find_biclique(g: PartitionedGraph, t: int, s: "int | None" = None,
 # K_q(t) engine
 
 
-class _PackingSearch:
-    """Complement-packing DFS over raw adjacency rows.
+class PackingContext:
+    """Per-graph state of the complement-packing K_q(t) search.
 
-    ``rows`` may be a live list owned by a branch-and-bound caller; the
-    search only reads it.  ``part_masks`` enables the per-part pigeonhole
-    caps (empty tuple disables them).
+    Built once per graph from the universe, the host parts and the pattern's
+    class sizes; :meth:`run` is the seeded DFS on it.  Holds the complement
+    rows ``H`` (``H[v]``: the non-neighbours of v inside the universe), the
+    part lookup, the enumeration order and its suffix masks.  ``part_masks``
+    enables the per-part pigeonhole caps (empty tuple disables them).
 
-    The universe is split once into *regions*: non-adjacency components,
-    each further split into cross-part non-adjacency blobs when that
-    lowers the bound (any partition gives a sound bound, since a valid set
-    restricted to a region is still valid there).  Vertices are enumerated
-    region-by-region, scarcest supply first, so the tightest decisions are
-    made at the top of the tree.
+    Without supply bounds the context starts from ``rows`` (default: the
+    empty graph) and a branch-and-bound caller keeps it in sync with its own
+    graph through :meth:`flip`, one edge at a time, instead of building a
+    context per probe.  With ``use_supply`` the universe is split once into
+    *regions*: non-adjacency components, each further split into cross-part
+    non-adjacency blobs when that lowers the bound (any partition gives a
+    sound bound, since a valid set restricted to a region is still valid
+    there).  Vertices are enumerated region-by-region, scarcest supply
+    first, so the tightest decisions are made at the top of the tree.
+    Regions and supplies describe the graph as built, so a supply-bounded
+    context must not be flipped.
     """
 
-    def __init__(self, rows: Sequence[int], universe: int,
-                 part_masks: Sequence[int], class_sizes: Sequence[int],
-                 budget: Budget, use_supply: bool = True):
-        self.rows = rows
+    def __init__(self, universe: int, part_masks: Sequence[int],
+                 class_sizes: Sequence[int], rows: Sequence[int] = (),
+                 use_supply: bool = False, budget: Optional[Budget] = None):
+        n = universe.bit_length()
+        self.rows = rows = rows or [0] * n
         self.universe = universe
         self.class_sizes = tuple(sorted(class_sizes, reverse=True))
         self.max_size = self.class_sizes[0]
         self.total = sum(self.class_sizes)
         self.part_masks = [pm & universe for pm in part_masks if pm & universe]
         self.budget = budget
-        n = universe.bit_length()
         self.H = [universe & ~(rows[v] | (1 << v)) if (universe >> v) & 1 else 0
                   for v in range(n)]
         self.part_mask_of = [0] * n
@@ -256,6 +271,11 @@ class _PackingSearch:
         self.suffix: list[int] = [0] * (len(self.order) + 1)
         for i in range(len(self.order) - 1, -1, -1):
             self.suffix[i] = self.suffix[i + 1] | (1 << self.order[i])
+
+    def flip(self, u: int, v: int) -> None:
+        """Toggle the edge (u, v) of two universe vertices."""
+        self.H[u] ^= 1 << v
+        self.H[v] ^= 1 << u
 
     # -- complement components -------------------------------------------
 
@@ -454,7 +474,11 @@ class _PackingSearch:
 
     # -- main DFS -------------------------------------------------------------
 
-    def run(self, seed: Sequence[int] = ()) -> Optional[tuple[tuple[int, ...], ...]]:
+    def run(self, budget: Budget, seed: Sequence[int] = ()
+            ) -> Optional[tuple[tuple[int, ...], ...]]:
+        """Least copy of the pattern through every seed vertex (its classes,
+        sorted), or None; the DFS spends one unit of ``budget`` per node."""
+        self.budget = budget
         total = self.total
         if self.universe.bit_count() < total:
             return None
@@ -596,10 +620,11 @@ def find_complete_multipartite(g: PartitionedGraph, q: int, t: int,
     """First K_q(t) in the host, or None; raises BudgetExhausted on truncation."""
     if q < 1 or t < 1:
         raise ValueError("q and t must be >= 1")
-    search = _PackingSearch(g.rows(), g.universe_mask,
-                            [g.part_mask(i) for i in range(len(g.part_sizes))],
-                            (t,) * q, as_budget(budget))
-    classes = search.run()
+    bud = as_budget(budget)
+    ctx = PackingContext(g.universe_mask,
+                         [g.part_mask(i) for i in range(len(g.part_sizes))],
+                         (t,) * q, g.rows(), use_supply=True, budget=bud)
+    classes = ctx.run(bud)
     if classes is None:
         return None
     w = Witness(classes)
@@ -608,18 +633,14 @@ def find_complete_multipartite(g: PartitionedGraph, q: int, t: int,
     return w
 
 
-def contains_uniform_pattern(rows: Sequence[int], universe: int,
-                             part_masks: Sequence[int], q: int, t: int,
-                             budget: Budget, seed: Sequence[int] = (),
-                             use_supply: bool = False) -> bool:
-    """Containment test on raw rows, optionally forced through seed vertices.
+def contains_uniform_pattern(ctx: PackingContext, budget: Budget,
+                             seed: Sequence[int] = ()) -> bool:
+    """Whether the context's graph has a copy of its pattern through ``seed``.
 
     Used by the branch-and-bound engines after each edge inclusion: the graph
     was pattern-free before, so any new copy must contain both endpoints.
     """
-    search = _PackingSearch(rows, universe, part_masks, (t,) * q, budget,
-                            use_supply=use_supply)
-    return search.run(seed) is not None
+    return ctx.run(budget, seed) is not None
 
 
 def find_pattern(g: PartitionedGraph, pattern: ForbiddenPattern,

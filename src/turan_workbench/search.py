@@ -4,8 +4,11 @@ Branch and bound over the cross pairs of a k-partite host in canonical
 order (part pair, then local indices), include-branch first so dense
 incumbents are found early.  The include branch is feasible iff adding the
 pair creates no forbidden copy; since the current graph is pattern-free,
-any new copy must contain both endpoints, so feasibility is a containment
-test seeded with the new edge (see ``contains_uniform_pattern``).
+any new copy must contain both endpoints, so feasibility is a K_q(t) search
+seeded with the new edge (``contains_uniform_pattern``).  Every probe runs
+on one ``PackingContext`` built per search: the search flips the probed
+edge into it and out again, and keeps it flipped in while the include
+branch is open, so the context always holds the search's current graph.
 
 For K_2(t) (the multipartite Zarankiewicz case) three counting bounds
 prune the tree: per part-pair block the bipartite restriction obeys the
@@ -23,7 +26,8 @@ from dataclasses import dataclass
 from math import comb
 from typing import Sequence
 
-from .detectors import Budget, BudgetExhausted, as_budget, contains_uniform_pattern
+from .detectors import (Budget, BudgetExhausted, PackingContext, as_budget,
+                        contains_uniform_pattern)
 from .graphs import PartitionedGraph, bits
 
 
@@ -164,16 +168,7 @@ def maximize_free(part_sizes: Sequence[int], q: int, t: int,
     exact = True
     pattern_fits = q * t <= host.num_vertices
     used_block = [0] * nblocks
-
-    def probe(u: int, v: int) -> bool:
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-        try:
-            return contains_uniform_pattern(rows, universe, part_masks,
-                                            q, t, bud, seed=(u, v))
-        finally:
-            rows[u] &= ~(1 << v)
-            rows[v] &= ~(1 << u)
+    ctx = PackingContext(universe, part_masks, (t,) * q)
 
     def rec(idx: int, cur: int) -> None:
         nonlocal best, best_rows
@@ -192,14 +187,19 @@ def maximize_free(part_sizes: Sequence[int], q: int, t: int,
             return
         u, v = pairs[idx]
         b = block_of[idx]
-        if used_block[b] < block_kst[b] and (not pattern_fits or not probe(u, v)):
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-            used_block[b] += 1
-            rec(idx + 1, cur + 1)
-            used_block[b] -= 1
-            rows[u] &= ~(1 << v)
-            rows[v] &= ~(1 << u)
+        if used_block[b] < block_kst[b]:
+            # a budget exhaustion inside the probe abandons the search, so
+            # the context needs no restoring on that path
+            ctx.flip(u, v)
+            if not pattern_fits or not contains_uniform_pattern(ctx, bud, (u, v)):
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+                used_block[b] += 1
+                rec(idx + 1, cur + 1)
+                used_block[b] -= 1
+                rows[u] &= ~(1 << v)
+                rows[v] &= ~(1 << u)
+            ctx.flip(u, v)
         rec(idx + 1, cur)
 
     try:

@@ -24,7 +24,8 @@ from math import comb
 from typing import Optional, Sequence
 
 from . import search
-from .detectors import Budget, BudgetExhausted, as_budget, find_biclique
+from .detectors import (Budget, BudgetExhausted, PackingContext, as_budget,
+                        contains_uniform_pattern, find_biclique)
 from .graphs import PartitionedGraph, bits
 from .constructions import cayley_bipartite, largest_sidon_set
 
@@ -103,6 +104,8 @@ def _z_bipartite(m: int, n: int, t: int, budget: Budget) -> tuple[int, list[int]
     full = (1 << n) - 1
     if min(m, n) < t:
         return m * n, [full] * m, True
+    if t == 1:   # K_{1,1} is a single edge
+        return 0, [0] * m, True
     star_cap = (t - 1) * comb(n, t)
     # cost_table[q][e] = min star cost of e edges over q rows; bisect for bounds
     cost_table = [[search.min_star_cost(e, q, t) for e in range(q * n + 1)]
@@ -250,18 +253,16 @@ def _greedy_ktt_free(n: int, t: int, seed: int, budget: Budget) -> PartitionedGr
     rng.shuffle(pairs)
     host = PartitionedGraph([n, n])
     rows = [0] * (2 * n)
-    universe = host.universe_mask
-    part_masks = [host.part_mask(0), host.part_mask(1)]
-    from .detectors import contains_uniform_pattern
+    ctx = PackingContext(host.universe_mask, [host.part_mask(0), host.part_mask(1)],
+                         (t, t))
 
     def try_add(u: int, v: int) -> bool:
+        ctx.flip(u, v)
+        if contains_uniform_pattern(ctx, budget, (u, v)):
+            ctx.flip(u, v)
+            return False
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-        if contains_uniform_pattern(rows, universe, part_masks, 2, t,
-                                    budget, seed=(u, v)):
-            rows[u] &= ~(1 << v)
-            rows[v] &= ~(1 << u)
-            return False
         return True
 
     rejected = []

@@ -131,6 +131,11 @@ def test_zar_and_gaps_cli(tmp_path, capsys):
     assert code == EXIT_OK and json.loads(text)["e3_asserted"]
 
 
+def test_zar_exact_t1_cli(capsys):
+    code, text = run(capsys, "zar", "exact", "--sizes", "3,2", "--t", "1", "--json")
+    assert code == EXIT_OK and json.loads(text)["value"] == 0
+
+
 def test_ex_cli(tmp_path, capsys):
     code, text = run(capsys, "ex", "turan", "--n", "1", "--k", "4", "--r", "2",
                      "--cache", str(tmp_path / "c.jsonl"), "--json")
@@ -209,3 +214,18 @@ def test_cache_rejects_tampered_witness(tmp_path):
         warnings.simplefilter("always")
         assert cache.get_zar(ZarKey.of((2, 2), 2)) is None
     assert any("invalid" in str(w.message) for w in caught)
+
+
+def test_cache_append_after_torn_tail(tmp_path):
+    # a crashed writer left a partial last line; the next record must still
+    # land on a line of its own and be readable
+    path = tmp_path / "cache.jsonl"
+    path.write_text('{"type": "zar", "sizes": [3')
+    cache = ResultCache(path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rec = z_exact(ZarKey.of((3, 3), 2), cache=cache)
+        hit = cache.get_zar(ZarKey.of((3, 3), 2))
+    assert hit is not None and hit.value == rec.value == 6
+    assert any("corrupt" in str(w.message) for w in caught)   # the torn line
+    assert path.read_text().count("\n") == 2

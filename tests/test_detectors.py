@@ -4,11 +4,12 @@ import pytest
 
 from naive_oracles import (naive_contains_biclique, naive_contains_kqt,
                            naive_contains_star)
-from turan_workbench.detectors import (BudgetExhausted, ForbiddenPattern,
-                                       Witness, find_biclique,
+from turan_workbench.detectors import (Budget, BudgetExhausted, ForbiddenPattern,
+                                       PackingContext, Witness, find_biclique,
                                        find_complete_multipartite, find_star,
                                        verify_witness)
 from turan_workbench.graphs import PartitionedGraph
+from turan_workbench.search import maximize_free
 
 
 def complete_graph(n):
@@ -143,3 +144,54 @@ def test_partitioned_hosts_against_naive():
                 continue
             assert (find_complete_multipartite(g, q, t) is not None) \
                 == naive_contains_kqt(g, q, t)
+
+
+def test_flipped_context_matches_fresh_build_and_naive():
+    # a context kept in sync by edge flips answers every seeded probe like a
+    # context built from scratch on the same graph (same witness, same nodes)
+    rng = random.Random(11)
+    for _ in range(30):
+        sizes = [rng.randint(1, 3) for _ in range(rng.randint(2, 4))]
+        host = PartitionedGraph(sizes)
+        n = host.num_vertices
+        part_masks = [host.part_mask(i) for i in range(len(sizes))]
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if host.part_of[u] != host.part_of[v]]
+        q, t = rng.choice([(2, 2), (3, 1), (3, 2), (4, 1), (2, 3)])
+        if q * t > n:
+            continue
+        ctx = PackingContext(host.universe_mask, part_masks, (t,) * q)
+        rows = [0] * n
+        edges = set()
+        free = True               # the empty graph has no K_q(t)
+        for _ in range(25):
+            u, v = rng.choice(pairs)
+            ctx.flip(u, v)
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
+            edges ^= {(u, v)}
+            fresh = PackingContext(host.universe_mask, part_masks, (t,) * q, rows)
+            for seed in ((u, v), (u,), ()):
+                b1, b2 = Budget(None), Budget(None)
+                got = ctx.run(b1, seed)
+                assert got == fresh.run(b2, seed) and b1.used == b2.used
+            has = naive_contains_kqt(PartitionedGraph(sizes, sorted(edges)), q, t)
+            assert (got is not None) == has      # got: the unseeded run
+            if (u, v) in edges and free:
+                # an edge added to a free graph: the seeded probe decides
+                assert (ctx.run(Budget(None), (u, v)) is not None) == has
+            free = not has
+
+
+@pytest.mark.parametrize("sizes, q, t, value, nodes", [
+    ((2, 2, 2, 2), 3, 1, 16, 90_235),
+    ((2, 2, 2, 2), 4, 1, 20, 25_790),
+    ((3, 3, 3), 3, 2, 24, 8_426),
+    ((2, 2, 2), 2, 2, 7, 1_450),
+])
+def test_maximize_free_pinned_values_and_nodes(sizes, q, t, value, nodes):
+    # node counts are deterministic: any drift in the probe DFS or in the
+    # branch and bound changes them
+    out = maximize_free(sizes, q, t)
+    assert (out.value, out.nodes, out.exact) == (value, nodes, True)
+    assert find_complete_multipartite(out.graph, q, t) is None

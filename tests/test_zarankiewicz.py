@@ -50,6 +50,14 @@ def test_z_exact_known_examples():
     assert kst_upper(6, 6, 2) >= 16
 
 
+def test_z_exact_t1_is_zero():
+    # K_{1,1} is a single edge: only the empty graph is free of it
+    for sizes in ((1, 1), (3, 2), (4, 4), (2, 2, 2)):
+        rec = z_exact(ZarKey.of(sizes, 1))
+        assert (rec.value, rec.status, rec.witness.edge_count()) == (0, "exact", 0)
+    assert naive_z(3, 2, 1) == 0
+
+
 def test_z_monotone_grid():
     vals = {}
     for n in range(1, 6):
