@@ -228,7 +228,8 @@ def _cmd_analyze(args, argv) -> int:
         epsilon=Fraction(args.epsilon) if args.epsilon else Fraction(1, 8))
     if args.verb == "closest-template":
         res = stability.closest_template(g, params)
-        _emit({"distance": res.distance, "gamma_close": res.gamma_close,
+        _emit({"distance": res.distance, "lower_bound": res.lower_bound,
+               "gap": res.gap, "gamma_close": res.gamma_close,
                "heuristic": res.heuristic, "spec": res.spec.to_document()},
               args.json)
         return EXIT_OK

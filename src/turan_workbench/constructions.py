@@ -212,6 +212,19 @@ def build_template(spec: TemplateSpec) -> PartitionedGraph:
 # Sidon sets and C4-free regular bipartite graphs
 
 
+def _sidon_differences(chosen: Sequence[int], diffs: set[int], x: int,
+                       n: int) -> Optional[list[int]]:
+    """The differences mod n that adding x to the B2 set ``chosen`` (whose
+    differences are ``diffs``) creates, or None if any of them repeats."""
+    new = []
+    for s in chosen:
+        for d in ((x - s) % n, (s - x) % n):
+            if d in diffs or d in new:
+                return None
+            new.append(d)
+    return new
+
+
 def sidon_set(n: int, t: int) -> tuple[int, ...]:
     """A t-element B2 set in Z_n: all pairwise differences distinct mod n.
 
@@ -229,22 +242,13 @@ def sidon_set(n: int, t: int) -> tuple[int, ...]:
         raise ConstructionError(f"need n >= 8t^2 = {8 * t * t}, got n={n}")
 
     chosen = [0]
-    diffs = set()
-
-    def admissible(x: int) -> Optional[list[int]]:
-        new = []
-        for s in chosen:
-            for d in ((x - s) % n, (s - x) % n):
-                if d in diffs or d in new:
-                    return None
-                new.append(d)
-        return new
+    diffs: set[int] = set()
 
     def extend(start: int) -> bool:
         if len(chosen) == t:
             return True
         for x in range(start, n):
-            new = admissible(x)
+            new = _sidon_differences(chosen, diffs, x, n)
             if new is None:
                 continue
             chosen.append(x)
@@ -289,17 +293,8 @@ def largest_sidon_set(n: int, node_cap: int = 2_000_000) -> tuple[int, ...]:
         if len(chosen) + (n - start) <= len(best):
             return
         for x in range(start, n):
-            new = []
-            bad = False
-            for s in chosen:
-                for d in ((x - s) % n, (s - x) % n):
-                    if d in diffs or d in new:
-                        bad = True
-                        break
-                    new.append(d)
-                if bad:
-                    break
-            if bad:
+            new = _sidon_differences(chosen, diffs, x, n)
+            if new is None:
                 continue
             chosen.append(x)
             diffs.update(new)

@@ -388,48 +388,77 @@ class PackingContext:
         return ub
 
     def _supply_exact(self, mask: int, floor: int) -> int:
-        """Exact max valid subset of a small mask via its own DFS."""
+        """Exact max valid subset of a small mask via its own DFS.
+
+        Returns max(floor, that maximum) capped at |mask|.  A host part is
+        independent, so the vertices a valid set takes from one part share a
+        non-adjacency component: at most t of them.  The DFS therefore stops
+        extending once (vertices chosen) + (sum over parts of min(vertices
+        left in the part, t - vertices chosen from it)) cannot beat the best,
+        and skips a vertex whose part already has t chosen; vertices outside
+        every part count as parts of their own.  The cap only prunes, so the
+        value is the one the uncapped DFS returns.
+        """
         t = self.max_size
         best = min(floor, mask.bit_count())
         verts = list(bits(mask))
         H = self.H
         budget = self.budget
+        # part index of each position; left[i][p] = vertices of part p at
+        # positions >= i; taken[p] = chosen vertices of part p
+        parts: dict[int, int] = {}
+        part_of = [parts.setdefault(self.part_mask_of[v] or 1 << v, len(parts))
+                   for v in verts]
+        left = [[0] * len(parts) for _ in range(len(verts) + 1)]
+        for i in range(len(verts) - 1, -1, -1):
+            row = left[i]
+            row[:] = left[i + 1]
+            row[part_of[i]] += 1
+        taken = [0] * len(parts)
 
-        def rec(idx: int, chosen: list[int], comps: list[tuple[int, int]]) -> None:
+        def rec(idx: int, size: int, smask: int,
+                comps: list[tuple[int, int]]) -> None:
             nonlocal best
             budget.spend()
-            if len(chosen) > best:
-                best = len(chosen)
-            if len(chosen) + (len(verts) - idx) <= best:
-                return
+            if size > best:
+                best = size
+            # cap: how many more vertices positions >= i can still add
+            cap = 0
+            for p, rem in enumerate(left[idx]):
+                room = t - taken[p]
+                cap += rem if rem < room else room
             for i in range(idx, len(verts)):
+                if size + cap <= best:
+                    return
+                p = part_of[i]
+                room = t - taken[p]
+                if left[i][p] <= room:
+                    cap -= 1    # the part's term after position i
+                if not room:
+                    continue    # v would join its part's full component
                 v = verts[i]
-                hv = H[v]
-                merged = 1
-                touched = []
-                ok = True
-                for ci, (cm, csz) in enumerate(comps):
-                    if hv & cm:
-                        merged += csz
-                        if merged > t:
-                            ok = False
-                            break
-                        touched.append(ci)
-                if not ok:
-                    continue
-                newmask = 1 << v
-                newcomps = []
-                for ci, c in enumerate(comps):
-                    if ci in touched:
-                        newmask |= c[0]
-                    else:
-                        newcomps.append(c)
-                newcomps.append((newmask, merged))
-                chosen.append(v)
-                rec(i + 1, chosen, newcomps)
-                chosen.pop()
+                bit = 1 << v
+                hv = H[v] & smask
+                if hv:
+                    merged = 1
+                    newmask = bit
+                    newcomps = []
+                    for cm, csz in comps:
+                        if hv & cm:
+                            merged += csz
+                            newmask |= cm
+                        else:
+                            newcomps.append((cm, csz))
+                    if merged > t:
+                        continue
+                    newcomps.append((newmask, merged))
+                else:
+                    newcomps = comps + [(bit, 1)]
+                taken[p] += 1
+                rec(i + 1, size + 1, smask | bit, newcomps)
+                taken[p] -= 1
 
-        rec(0, [], [])
+        rec(0, 0, 0, [])
         return best
 
     def _part_cap(self, sub: int, t: int) -> int:

@@ -12,7 +12,13 @@ the returned TemplateSpec records the resulting piece sizes and the result
 carries the full vertex->class map of the minimizer.  When at most one
 cluster is split (b <= 1) the per-vertex costs are independent and the
 greedy assignment is provably optimal per shape; for b >= 2 a swap local
-search refines it and the result is flagged heuristic.
+search refines it and the result is flagged heuristic.  A swap moves one
+vertex, so the search prices it by that vertex's own disagreements (a delta
+cost) instead of recomputing the whole distance.  Every result also carries
+a lower bound over the family and its gap to the distance.  A class takes at
+most one piece, so leftover vertices of different clusters never share a
+class; the bound is then attained by the greedy, and the gap is 0 (the
+result is certified optimal) even where it is flagged heuristic.
 
 Classification thresholds are epsilon*n comparisons done in exact rational
 arithmetic.  A vertex satisfying several membership conditions at once is
@@ -152,7 +158,13 @@ class ClosestTemplateResult:
     class_of: tuple[int, ...]      # vertex -> class map of the minimizer
     distance: int
     gamma_close: bool
-    heuristic: bool
+    heuristic: bool                # b >= 2: the swap search ran
+    lower_bound: int               # no template of the family is closer
+
+    @property
+    def gap(self) -> int:
+        """distance - lower_bound; 0 certifies the minimizer optimal."""
+        return self.distance - self.lower_bound
 
 
 def _assignment_distance(g: PartitionedGraph, class_of: Sequence[int], r: int) -> int:
@@ -168,35 +180,64 @@ def _assignment_distance(g: PartitionedGraph, class_of: Sequence[int], r: int) -
     return total // 2
 
 
+def _vertex_cost(row: int, outside: int, class_mask: int) -> int:
+    """Disagreements at a vertex (neighbour row ``row``, vertices outside its
+    part ``outside``) when it sits in the class with mask ``class_mask``."""
+    return (row ^ (outside & ~class_mask)).bit_count()
+
+
 def closest_template(g: PartitionedGraph, params: AnalysisParams,
                      local_search_passes: int = 10) -> ClosestTemplateResult:
-    """Template of the family minimizing |E(G) triangle E(T)|.
+    """Template of the family minimizing |E(G) triangle E(T)|, with a lower bound.
 
     Exhaustive over shapes; per shape the leftover vertices are assigned to
     allowed classes greedily by independent disagreement against the whole
-    clusters, then refined by a swap local search until fixpoint.
+    clusters, then refined by a swap local search until fixpoint.  A swap
+    moves one vertex, so its effect on the distance is the difference of
+    that vertex's two ``_vertex_cost`` values.  A shape's distance is its
+    whole-cluster disagreements plus those at the leftover vertices; the
+    winner's distance is recomputed in full as a check.
+
+    ``lower_bound`` is the least, over the shapes and their allowances, of
+    the disagreements among whole-cluster vertices, plus the non-edges
+    between leftover vertices of two different clusters, plus each leftover
+    vertex's greedy cost (its least disagreement count against the whole
+    clusters).  Pairs inside one leftover cluster are non-edges of G and of
+    every template, and a class takes at most one piece, so two leftover
+    vertices of different clusters are in different classes, hence adjacent,
+    in every template of the shape: no template of the family is closer.
+    ``gap`` = distance - lower_bound; gap 0 certifies the result optimal.
     """
     r, k, n = params.r, params.k, params.n
     if g.part_sizes != (n,) * k:
         raise ConstructionError("closest_template needs k parts of size n")
     a, b = divmod(k, r)
-    best: Optional[ClosestTemplateResult] = None
+    best = None                    # (distance, class_of, groups, leftover)
+    lower: Optional[int] = None
     for leftover in combinations(range(k), b):
         rest = [c for c in range(k) if c not in leftover]
         for groups in _group_partitions(rest, a):
             groups = sorted(groups)
+            shape = _Shape(g, groups, leftover, r)
             for allowance in _allowances(list(leftover), r):
-                class_of = _fit_assignment(g, groups, allowance, r, n,
-                                           local_search_passes if b >= 2 else 0)
-                dist = _assignment_distance(g, class_of, r)
-                if best is None or dist < best.distance:
-                    spec = _spec_from_assignment(r, k, n, groups, leftover, class_of)
-                    best = ClosestTemplateResult(
-                        spec, tuple(class_of), dist,
-                        gamma_close=Fraction(dist) <= params.gamma * n * n,
-                        heuristic=b >= 2)
-    assert best is not None
-    return best
+                class_of, free_cost, free_dist = shape.fit(
+                    allowance, local_search_passes if b >= 2 else 0)
+                bound = shape.fixed_cost + shape.cross_cost + free_cost
+                if lower is None or bound < lower:
+                    lower = bound
+                dist = shape.fixed_cost + free_dist
+                if best is None or dist < best[0]:
+                    best = (dist, class_of, groups, leftover)
+    assert best is not None and lower is not None
+    dist, class_of, groups, leftover = best
+    if dist != _assignment_distance(g, class_of, r):
+        raise AssertionError(f"internal error: shape distance {dist} is not "
+                             f"the assignment's distance")
+    return ClosestTemplateResult(
+        _spec_from_assignment(r, k, n, groups, leftover, class_of),
+        tuple(class_of), dist,
+        gamma_close=Fraction(dist) <= params.gamma * n * n,
+        heuristic=b >= 2, lower_bound=lower)
 
 
 def _allowances(leftover: list[int], r: int) -> Iterator[dict[int, tuple[int, ...]]]:
@@ -221,51 +262,104 @@ def _allowances(leftover: list[int], r: int) -> Iterator[dict[int, tuple[int, ..
     yield from rec(0, {q: [] for q in leftover})
 
 
-def _fit_assignment(g: PartitionedGraph, groups: list[tuple[int, ...]],
-                    allowance: dict[int, tuple[int, ...]], r: int, n: int,
-                    passes: int) -> list[int]:
-    class_of = [0] * g.num_vertices
-    fixed_masks = [0] * r
-    for cls_idx, grp in enumerate(groups):
-        for c in grp:
-            fixed_masks[cls_idx] |= g.part_mask(c)
-            for v in g.part_vertices(c):
-                class_of[v] = cls_idx
-    all_fixed = 0
-    for m in fixed_masks:
-        all_fixed |= m
-    free_vertices = [v for q in allowance for v in g.part_vertices(q)]
-    # greedy: cost of class c counts disagreements against fixed vertices only
-    for v in free_vertices:
-        row = g.neighbors(v)
-        bestc, bestcost = None, None
-        for c in allowance[g.part_of[v]]:
-            inside = (row & fixed_masks[c]).bit_count()
-            outside_missing = (all_fixed & ~fixed_masks[c] & ~row).bit_count()
-            cost = inside + outside_missing
-            if bestcost is None or cost < bestcost:
-                bestc, bestcost = c, cost
-        class_of[v] = bestc
-    # swap local search over the full distance (only needed when b >= 2)
-    for _ in range(passes):
-        improved = False
-        base = _assignment_distance(g, class_of, r)
-        for v in free_vertices:
-            cur = class_of[v]
-            for c in allowance[g.part_of[v]]:
-                if c == cur:
-                    continue
-                class_of[v] = c
-                d = _assignment_distance(g, class_of, r)
-                if d < base:
-                    base = d
-                    cur = c
-                    improved = True
-                else:
-                    class_of[v] = cur
-        if not improved:
-            break
-    return class_of
+class _Shape:
+    """The whole-cluster side of a template shape (which clusters are
+    leftover, how the rest group into classes), shared by its allowances.
+
+    Holds the class masks of the whole ("fixed") clusters, the disagreements
+    among fixed vertices, the non-edges between leftover ("free") vertices of
+    different clusters, and each free vertex's disagreements with the fixed
+    vertices for every class.
+    """
+
+    def __init__(self, g: PartitionedGraph, groups: Sequence[tuple[int, ...]],
+                 leftover: Sequence[int], r: int):
+        self.g = g
+        self.fixed_masks = fixed_masks = [0] * r
+        self.base = [0] * g.num_vertices
+        for cls_idx, grp in enumerate(groups):
+            for c in grp:
+                fixed_masks[cls_idx] |= g.part_mask(c)
+                for v in g.part_vertices(c):
+                    self.base[v] = cls_idx
+        all_fixed = 0
+        for m in fixed_masks:
+            all_fixed |= m
+        self.all_fixed = all_fixed
+        twice = 0
+        for m in fixed_masks:
+            trow = all_fixed & ~m
+            for v in bits(m):
+                twice += ((g.neighbors(v) & all_fixed) ^ trow).bit_count()
+        self.fixed_cost = twice // 2
+        self.cross_cost = sum(
+            g.part_sizes[q] * g.part_sizes[p]
+            - sum((g.neighbors(v) & g.part_mask(p)).bit_count()
+                  for v in g.part_vertices(q))
+            for q, p in combinations(leftover, 2))
+        # against[v][c]: same-class edges plus missing cross-class edges
+        # between free v in class c and the fixed vertices
+        self.against = {}
+        for q in leftover:
+            for v in g.part_vertices(q):
+                row = g.neighbors(v)
+                self.against[v] = [(row & m).bit_count()
+                                   + (all_fixed & ~m & ~row).bit_count()
+                                   for m in fixed_masks]
+
+    def fit(self, allowance: dict[int, tuple[int, ...]], passes: int
+            ) -> tuple[list[int], int, int]:
+        """Class map for one allowance, the free part of its lower bound, and
+        the disagreements on pairs with a free end under that map.
+
+        Each free vertex first takes its cheapest allowed class against the
+        fixed vertices (the bound term is the sum of those costs).  The swap
+        search (``passes`` rounds, only needed when b >= 2) keeps one mask per
+        class and moves a vertex iff that lowers its ``_vertex_cost``, which
+        is exactly when the move lowers the full distance.
+        """
+        g = self.g
+        class_of = list(self.base)
+        class_masks = list(self.fixed_masks)
+        free_cost = 0
+        moves = []
+        for q, allowed in allowance.items():
+            outside = g.universe_mask & ~g.part_mask(q)
+            for v in g.part_vertices(q):
+                costs = self.against[v]
+                bestc = allowed[0]
+                for c in allowed[1:]:
+                    if costs[c] < costs[bestc]:
+                        bestc = c
+                class_of[v] = bestc
+                class_masks[bestc] |= 1 << v
+                free_cost += costs[bestc]
+                moves.append((v, g.neighbors(v), outside, allowed))
+        for _ in range(passes):
+            improved = False
+            for v, row, outside, allowed in moves:
+                cur = class_of[v]
+                cur_cost = _vertex_cost(row, outside, class_masks[cur])
+                for c in allowed:
+                    if c == cur:
+                        continue
+                    cost = _vertex_cost(row, outside, class_masks[c])
+                    if cost < cur_cost:
+                        class_masks[cur] ^= 1 << v
+                        class_masks[c] |= 1 << v
+                        cur, cur_cost = c, cost
+                        improved = True
+                class_of[v] = cur
+            if not improved:
+                break
+        # the free vertices' costs count each free-fixed pair once and each
+        # free-free pair twice
+        twice_free = against_fixed = 0
+        for v, row, outside, _ in moves:
+            wrong = row ^ (outside & ~class_masks[class_of[v]])
+            twice_free += wrong.bit_count()
+            against_fixed += (wrong & self.all_fixed).bit_count()
+        return class_of, free_cost, (twice_free + against_fixed) // 2
 
 
 def _spec_from_assignment(r: int, k: int, n: int, groups: list[tuple[int, ...]],

@@ -175,6 +175,7 @@ def test_criterion_07_stability_round_trip():
     configs = [(2, 3, 12), (2, 4, 10)]
     rhos = [Fraction(0), Fraction(1, 64), Fraction(1, 32)]
     failures = []
+    certified = runs = 0
     for (r, k, n) in configs:
         params = AnalysisParams(r, k, n, 2)
         specs = list(enumerate_templates(r, k, n, size_grid=range(1, n + 1)))
@@ -199,9 +200,14 @@ def test_criterion_07_stability_round_trip():
                     failures.append((r, k, n, seed, str(rho), res.distance))
                 if rho == 0 and res.distance != 0:
                     failures.append((r, k, n, seed, "rho=0", res.distance))
+                if not 0 <= res.lower_bound <= res.distance:
+                    failures.append((r, k, n, seed, "bound", res.lower_bound))
+                runs += 1
+                certified += res.gap == 0
     ok = not failures
     report(7, ok, "planted-template recovery over 100 seeds x 2 configs x "
                   f"3 flip rates: distance <= planted flips, exact at rho=0; "
+                  f"certified optimal (gap 0): {certified}/{runs}; "
                   f"failures={failures[:5]}")
     assert ok
 

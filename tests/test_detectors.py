@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -19,6 +20,43 @@ def complete_graph(n):
 def random_graph(rng, n, p):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return PartitionedGraph([1] * n, edges)
+
+
+def random_partite(rng, sizes, p):
+    host = PartitionedGraph(sizes)
+    return PartitionedGraph(sizes, [
+        (u, v) for u in range(host.num_vertices) for v in range(u + 1, host.num_vertices)
+        if host.part_of[u] != host.part_of[v] and rng.random() < p])
+
+
+def max_valid_subset(g, mask, t):
+    """Brute force: largest subset of mask whose non-adjacency components
+    all have at most t vertices."""
+    verts = [v for v in range(g.num_vertices) if (mask >> v) & 1]
+    best = 0
+    for sub in range(1 << len(verts)):
+        chosen = [verts[i] for i in range(len(verts)) if (sub >> i) & 1]
+        if len(chosen) <= best:
+            continue
+        seen = set()
+        ok = True
+        for s in chosen:
+            if s in seen:
+                continue
+            comp, stack = {s}, [s]
+            while stack:
+                u = stack.pop()
+                for w in chosen:
+                    if w not in comp and w != u and not (g.neighbors(u) >> w) & 1:
+                        comp.add(w)
+                        stack.append(w)
+            seen |= comp
+            if len(comp) > t:
+                ok = False
+                break
+        if ok:
+            best = len(chosen)
+    return best
 
 
 def test_find_star_examples():
@@ -195,3 +233,44 @@ def test_maximize_free_pinned_values_and_nodes(sizes, q, t, value, nodes):
     out = maximize_free(sizes, q, t)
     assert (out.value, out.nodes, out.exact) == (value, nodes, True)
     assert find_complete_multipartite(out.graph, q, t) is None
+
+
+def test_supply_exact_matches_brute_force():
+    # the part-capped supply DFS returns the exact maximum (or the floor)
+    rng = random.Random(31)
+    for _ in range(60):
+        sizes = [rng.randint(1, 4) for _ in range(rng.randint(2, 5))]
+        if rng.random() < 0.3:
+            sizes = [1] * rng.randint(3, 12)    # no nontrivial parts
+        g = random_partite(rng, sizes, rng.choice([0.3, 0.5, 0.7]))
+        part_masks = [g.part_mask(i) for i in range(len(sizes))]
+        mask = 0
+        for v in range(g.num_vertices):
+            if rng.random() < 0.85:
+                mask |= 1 << v
+        mask = mask or g.universe_mask
+        while mask.bit_count() > 12:
+            mask &= mask - 1
+        for t in (1, 2, 3):
+            for parts in (part_masks, ()):
+                ctx = PackingContext(g.universe_mask, parts, (t, t), g.rows(),
+                                     budget=Budget(None))
+                exact = max_valid_subset(g, mask, t)
+                assert ctx._supply_exact(mask, 0) == exact
+                assert ctx._supply_exact(mask, t) == max(exact, min(t, mask.bit_count()))
+
+
+def test_find_complete_multipartite_pinned_witnesses():
+    # witnesses of a seeded k-partite panel, pinned from the uncapped supply DFS
+    rng = random.Random(23)
+    found = []
+    for _ in range(120):
+        sizes = [rng.randint(2, 7) for _ in range(rng.randint(3, 5))]
+        q, t = rng.choice([(3, 1), (2, 2), (3, 2), (2, 3), (4, 2)])
+        g = random_partite(rng, sizes, rng.choice([0.4, 0.6, 0.8]))
+        w = find_complete_multipartite(g, q, t)
+        if w is not None:
+            assert verify_witness(g, ForbiddenPattern.complete_multipartite(q, t), w)
+        found.append(w.classes if w else None)
+    assert sum(w is None for w in found) == 31
+    assert hashlib.sha256(repr(found).encode()).hexdigest()[:16] == "8017ccf7db8fd752"

@@ -1,15 +1,44 @@
+import hashlib
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
 from turan_workbench.constructions import TemplateSpec, build_template, turan_count
 from turan_workbench.detectors import find_complete_multipartite
 from turan_workbench.graphs import PartitionedGraph
-from turan_workbench.stability import (AnalysisParams, classify_atypical,
+from turan_workbench.stability import (AnalysisParams, _allowances,
+                                       _assignment_distance, _group_partitions,
+                                       _Shape, _vertex_cost,
+                                       classify_atypical,
                                        closest_template, enumerate_templates,
                                        high_degree_core, min_degree_audit,
                                        stable_partition_check, structure_report)
+
+
+def planted_template(rng, r, k, n):
+    """A template with seeded leftover splits and n*n//16 seeded edge flips."""
+    a, b = divmod(k, r)
+    owners = list(range(b)) + [rng.randrange(b + 1) for _ in range(r - b)]
+    rng.shuffle(owners)
+    splits = []
+    for j in range(b):
+        mine = [c for c in range(r) if owners[c] == j]
+        cuts = sorted(rng.sample(range(1, n), len(mine) - 1))
+        sizes = [hi - lo for lo, hi in zip([0] + cuts, cuts + [n])]
+        splits.append(list(zip(mine, sizes)))
+    edges = set(build_template(TemplateSpec.standard(r, k, n, splits)).edges())
+    flips = set()
+    while len(flips) < n * n // 16:
+        u, v = rng.randrange(k * n), rng.randrange(k * n)
+        if u // n != v // n:
+            flips.add((min(u, v), max(u, v)))
+    return PartitionedGraph([n] * k, sorted(edges ^ flips))
+
+
+def digest(values):
+    return hashlib.sha256(repr(values).encode()).hexdigest()[:16]
 
 
 def test_params_hierarchy():
@@ -203,7 +232,7 @@ def test_closest_template_identity_exhaustive_small_grid():
                 params = AnalysisParams(r, k, n, 2, epsilon=Fraction(1, 2))
                 for spec in enumerate_templates(r, k, n):
                     res = closest_template(build_template(spec), params)
-                    assert res.distance == 0, (r, k, n, spec)
+                    assert (res.distance, res.gap) == (0, 0), (r, k, n, spec)
 
 
 def test_classify_partition_invariants_on_unambiguous_inputs():
@@ -246,3 +275,127 @@ def test_classify_partition_invariants_on_unambiguous_inputs():
             universe_cover |= m
         assert universe_cover == g.universe_mask
     assert checked >= 30
+
+
+def test_vertex_cost_delta_matches_full_distance():
+    # moving one vertex changes the distance by the difference of its costs
+    rng = random.Random(8)
+    for r, k, n in ((3, 5, 4), (4, 7, 3), (2, 3, 5)):
+        g = planted_template(rng, r, k, n)
+        for _ in range(40):
+            class_of = [rng.randrange(r) for _ in range(g.num_vertices)]
+            masks = [0] * r
+            for v, c in enumerate(class_of):
+                masks[c] |= 1 << v
+            v, c = rng.randrange(g.num_vertices), rng.randrange(r)
+            row = g.neighbors(v)
+            outside = g.universe_mask & ~g.part_mask(g.part_of[v])
+            delta = (_vertex_cost(row, outside, masks[c])
+                     - _vertex_cost(row, outside, masks[class_of[v]]))
+            before = _assignment_distance(g, class_of, r)
+            class_of[v] = c
+            assert _assignment_distance(g, class_of, r) - before == delta
+
+
+def test_swap_search_matches_full_distance_reference():
+    # the delta-cost swap search makes the same moves, in the same order, as
+    # a search that recomputes the full distance for every trial move, and
+    # its shape distance is the full distance of its class map
+    rng = random.Random(4)
+    for r, k, n in ((3, 5, 3), (4, 6, 3), (4, 7, 2)):
+        a, b = divmod(k, r)
+        for _ in range(4):
+            host = PartitionedGraph([n] * k)
+            g = PartitionedGraph([n] * k, [
+                (u, v) for u in range(k * n) for v in range(u + 1, k * n)
+                if host.part_of[u] != host.part_of[v] and rng.random() < 0.5])
+            leftover = tuple(sorted(rng.sample(range(k), b)))
+            rest = [c for c in range(k) if c not in leftover]
+            shape = _Shape(g, sorted(next(_group_partitions(rest, a))), leftover, r)
+            for allowance in _allowances(list(leftover), r):
+                class_of = shape.fit(allowance, 0)[0]
+                free = [v for q in allowance for v in g.part_vertices(q)]
+                for _ in range(10):
+                    improved = False
+                    base = _assignment_distance(g, class_of, r)
+                    for v in free:
+                        cur = class_of[v]
+                        for c in allowance[g.part_of[v]]:
+                            if c == cur:
+                                continue
+                            class_of[v] = c
+                            d = _assignment_distance(g, class_of, r)
+                            if d < base:
+                                base, cur, improved = d, c, True
+                            else:
+                                class_of[v] = cur
+                    if not improved:
+                        break
+                got, _, free_dist = shape.fit(allowance, 10)
+                assert got == class_of
+                assert shape.fixed_cost + free_dist == base
+
+
+@pytest.mark.parametrize("seed, shape, distance, class_digest", [
+    (1, (3, 5, 16), 16, "95c88d39fae3fb5f"),
+    (2, (4, 6, 12), 9, "b89764c9ae9683ee"),
+    (3, (4, 7, 10), 6, "561bc01b43cfa5ae"),
+])
+def test_closest_template_pinned_planted(seed, shape, distance, class_digest):
+    # distances and class maps pinned from the full-distance swap search
+    r, k, n = shape
+    g = planted_template(random.Random(seed), r, k, n)
+    res = closest_template(g, AnalysisParams(r, k, n, 2))
+    assert (res.distance, digest(res.class_of)) == (distance, class_digest)
+    assert res.heuristic
+    assert (res.lower_bound, res.gap) == (distance, 0)
+
+
+def test_closest_template_gap_zero_on_split_templates():
+    # templates with two or more split clusters (b >= 2)
+    for r, k, n in ((3, 5, 3), (4, 6, 1)):
+        for spec in enumerate_templates(r, k, n):
+            res = closest_template(build_template(spec), AnalysisParams(r, k, n, 2))
+            assert (res.distance, res.lower_bound, res.gap) == (0, 0, 0)
+    spec = TemplateSpec.standard(4, 7, 5, splits=[[(0, 2), (2, 3)], [(1, 5)], [(3, 5)]])
+    res = closest_template(build_template(spec), AnalysisParams(4, 7, 5, 2))
+    assert (res.distance, res.gap, res.heuristic) == (0, 0, True)
+
+
+def test_closest_template_lower_bound_below_brute_force():
+    # lower_bound <= the exact optimum over every vertex-level template
+    # (k=5, r=3: one whole cluster per class, two split clusters) <= distance,
+    # and the bound is tight: leftover vertices of different clusters never
+    # share a class, so the greedy is optimal per shape and the gap is 0
+    rng = random.Random(12)
+    r, k, n = 3, 5, 2
+    params = AnalysisParams(r, k, n, 2)
+    for _ in range(12):
+        g = planted_template(rng, r, k, n)
+        host = PartitionedGraph([n] * k)
+        extra = [(u, v) for u in range(k * n) for v in range(u + 1, k * n)
+                 if host.part_of[u] != host.part_of[v] and rng.random() < 0.3]
+        g = PartitionedGraph([n] * k, sorted(set(g.edges()) ^ set(extra)))
+        best = None
+        for leftover in combinations(range(k), 2):
+            rest = [c for c in range(k) if c not in leftover]
+            free = [v for q in leftover for v in range(q * n, (q + 1) * n)]
+            for classes in product(range(r), repeat=len(free)):
+                used = [set(classes[:n]), set(classes[n:])]
+                if used[0] & used[1]:
+                    continue
+                class_of = [0] * (k * n)
+                for i, q in enumerate(rest):
+                    for v in range(q * n, (q + 1) * n):
+                        class_of[v] = i
+                for v, c in zip(free, classes):
+                    class_of[v] = c
+                d = _assignment_distance(g, class_of, r)
+                best = d if best is None else min(best, d)
+        res = closest_template(g, params)
+        assert 0 <= res.lower_bound <= best <= res.distance
+        assert res.gap == 0
+    for _ in range(10):
+        g = planted_template(rng, 2, 3, 4)
+        res = closest_template(g, AnalysisParams(2, 3, 4, 2))
+        assert not res.heuristic and res.gap == 0
