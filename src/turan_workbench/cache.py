@@ -1,11 +1,24 @@
 """Append-only JSON-lines result cache shared by the zar and ex records.
 
 One record per line; exact records are immutable and carry their witness
-document plus its hash.  Records are re-validated on read (edge count and
-detector check); a corrupt or invalid line is skipped with a warning, never
-silently repaired.  Readers tolerate a partial trailing line, so concurrent
-appends by separate processes are safe at line granularity, and a writer
-first ends a torn last line left by a crashed one.
+document plus its hash.  A corrupt or invalid line is skipped with a
+warning, never silently repaired.  Readers tolerate a partial trailing line,
+so concurrent appends by separate processes are safe at line granularity,
+and a writer first ends a torn last line left by a crashed one.
+
+Both record types follow one schema (type tag, key fields, record
+constructor), so there is one lookup path and one append path.  Lookups are
+served from one index per cache file per process, keyed by
+(type, sizes, q, t); the last valid line for a key wins.  The index is tied
+to the file's bytes, not to its mtime, which is too coarse to see a rewrite
+of the same size within one clock tick.  Every lookup reads the file: if its
+bytes are unchanged the lookup is a dict hit; if the indexed bytes are a
+prefix of the new ones (an append) only the new lines are parsed; any other
+change rebuilds the index.  Each distinct line is parsed once per process,
+and checked once per process (witness hash, then the record's own ``check``:
+edge count and detector) before it is first returned.  Verdicts are keyed by
+the line's exact bytes, so a record is only ever returned from bytes that
+were verified.
 
 The cache path comes from the TURAN_WORKBENCH_CACHE environment variable
 when not given explicitly.
@@ -13,13 +26,17 @@ when not given explicitly.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import os
+import threading
 import warnings
 from pathlib import Path
 
+from .extremal import ExInstance, ExRecord
 from .graphs import PartitionedGraph, canonical_json
+from .zarankiewicz import OracleError, ZarKey, ZarRecord
 
 ENV_VAR = "TURAN_WORKBENCH_CACHE"
 DEFAULT_FILENAME = "turan_workbench_cache.jsonl"
@@ -33,28 +50,181 @@ def default_cache_path() -> Path:
     return Path(os.environ.get(ENV_VAR, DEFAULT_FILENAME))
 
 
+class _Schema:
+    """How one record type maps to a cache line and back.
+
+    ``fields`` are the key fields after the part sizes.  A key is built as
+    ``key_cls(sizes, *fields)`` and a record as ``record_cls(key, value,
+    witness, status)``; the record holds its key in the attribute
+    ``key_attr``.  (A plain class: a dataclass would cost the import more.)
+    """
+
+    __slots__ = ("tag", "fields", "key_cls", "record_cls", "key_attr")
+
+    def __init__(self, tag: str, fields: tuple[str, ...], key_cls: type,
+                 record_cls: type, key_attr: str):
+        self.tag, self.fields, self.key_attr = tag, fields, key_attr
+        self.key_cls, self.record_cls = key_cls, record_cls
+
+    def index_key(self, key) -> tuple:
+        return (self.tag, key.part_sizes) + tuple(getattr(key, f) for f in self.fields)
+
+    def document(self, rec) -> dict:
+        key = getattr(rec, self.key_attr)
+        doc = {"type": self.tag, "sizes": list(key.part_sizes)}
+        doc.update((f, getattr(key, f)) for f in self.fields)
+        doc.update(value=rec.value, status=rec.status,
+                   witness=rec.witness.to_document(),
+                   witness_sha256=witness_hash(rec.witness))
+        return doc
+
+    def record(self, doc: dict):
+        """The record a parsed line holds, checked; raises if it is invalid."""
+        witness = PartitionedGraph.from_document(doc["witness"])
+        if witness_hash(witness) != doc.get("witness_sha256"):
+            raise OracleError("witness hash mismatch")
+        key = self.key_cls(tuple(doc["sizes"]), *(doc[f] for f in self.fields))
+        rec = self.record_cls(key, doc["value"], witness, doc["status"])
+        rec.check()
+        return rec
+
+
+_SCHEMAS = {s.tag: s for s in (
+    _Schema("zar", ("t",), ZarKey, ZarRecord, "key"),
+    _Schema("ex", ("q", "t"), ExInstance, ExRecord, "instance"),
+)}
+
+_CORRUPT = object()     # index key of a line that is not a JSON object
+
+
+def _line_key(line: bytes):
+    """The index key of a non-blank line, None if no lookup can use it, or
+    ``_CORRUPT``."""
+    try:
+        doc = json.loads(line)
+    except ValueError:
+        return _CORRUPT
+    if not isinstance(doc, dict):
+        return _CORRUPT
+    schema = _SCHEMAS.get(doc.get("type"))
+    if schema is None or doc.get("status") != "exact":
+        return None
+    try:
+        key = ((schema.tag, tuple(doc.get("sizes", ())))
+               + tuple(doc.get(f) for f in schema.fields))
+        hash(key)
+    except TypeError:   # sizes not a list, or a field that is no scalar
+        return None
+    return key
+
+
+# Per-process state, shared by every ResultCache of the process and guarded
+# by _LOCK: the memos are keyed by a line's exact bytes, the indexes by the
+# cache file's absolute path.
+_LOCK = threading.Lock()
+_KEYS: dict[bytes, object] = {}       # line -> _line_key(line)
+_CHECKED: dict[bytes, object] = {}    # line -> its checked record, or why it is invalid
+_INDEXES: dict[str, "_Index"] = {}
+
+
+def _memo_key(line: bytes):
+    key = _KEYS.get(line, _KEYS)
+    if key is _KEYS:
+        key = _KEYS[line] = _line_key(line)
+    return key
+
+
+def _checked(schema: _Schema, line: bytes):
+    """The record on ``line``, checked once per distinct line content, or a
+    string saying why the line is invalid."""
+    result = _CHECKED.get(line)
+    if result is None:
+        try:
+            result = schema.record(json.loads(line))
+        except Exception as exc:   # noqa: BLE001 - any bad line is skipped
+            result = str(exc)
+        _CHECKED[line] = result
+    return result
+
+
+class _Index:
+    """The lookup index of one cache file, built from the bytes last read.
+
+    Only lines ended by a newline are indexed; a trailing fragment (a line
+    still being written, or torn by a crashed writer) is looked at on each
+    lookup instead.
+    """
+
+    def __init__(self) -> None:
+        self.data = b""     # the file's bytes when last read
+        self.end = 0        # offset just past the last newline of data
+        self.lines = 0      # lines in data[:end]
+        self.entries: dict[tuple, list[tuple[int, bytes]]] = {}   # key -> (lineno, line)
+        self.corrupt: list[int] = []
+
+    def refresh(self, data: bytes) -> None:
+        if data == self.data:
+            return
+        if not data.startswith(self.data[:self.end]):
+            self.__init__()         # rewritten, not appended to: start over
+        end = data.rfind(b"\n") + 1
+        for line in data[self.end:end].split(b"\n")[:-1]:
+            self.lines += 1
+            if line.strip():
+                key = _memo_key(line)
+                if key is _CORRUPT:
+                    self.corrupt.append(self.lines)
+                elif key is not None:
+                    self.entries.setdefault(key, []).append((self.lines, line))
+        self.data, self.end = data, end
+
+    def lines_for(self, key: tuple) -> list[tuple[int, "bytes | None"]]:
+        """(lineno, line) of the candidate lines for ``key`` and (lineno,
+        None) of the corrupt lines, in file order."""
+        items = [(n, None) for n in self.corrupt] + self.entries.get(key, [])
+        tail = self.data[self.end:]
+        if tail.strip():
+            tail_key = _memo_key(tail)
+            if tail_key is _CORRUPT:
+                items.append((self.lines + 1, None))
+            elif tail_key == key:
+                items.append((self.lines + 1, tail))
+        items.sort(key=lambda item: item[0])
+        return items
+
+
 class ResultCache:
     def __init__(self, path: "str | Path | None" = None):
         self.path = Path(path) if path is not None else default_cache_path()
 
-    # -- generic line handling ---------------------------------------------
-
-    def _lines(self):
-        if not self.path.exists():
-            return
-        with open(self.path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    yield lineno, json.loads(line)
-                except json.JSONDecodeError:
+    def _get(self, schema: _Schema, key):
+        with _LOCK:
+            try:
+                data = self.path.read_bytes()
+            except FileNotFoundError:
+                data = b""
+            where = os.path.abspath(self.path)
+            index = _INDEXES.get(where)
+            if index is None:
+                index = _INDEXES[where] = _Index()
+            index.refresh(data)
+            best = None
+            for lineno, line in index.lines_for(schema.index_key(key)):
+                if line is None:
                     warnings.warn(f"{self.path}:{lineno}: corrupt cache line skipped")
+                    continue
+                result = _checked(schema, line)
+                if isinstance(result, str):
+                    warnings.warn(f"{self.path}:{lineno}: invalid {schema.tag} "
+                                  f"record skipped ({result})")
+                    continue
+                best = result
+        # a copy, so a caller that changes its record cannot change the memo
+        return copy.copy(best)
 
-    def _append(self, record: dict) -> None:
+    def _put(self, schema: _Schema, rec) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        data = canonical_json(record).encode("utf-8")
+        data = canonical_json(schema.document(rec)).encode("utf-8")
         with open(self.path, "a+b") as fh:
             if fh.seek(0, os.SEEK_END):
                 fh.seek(-1, os.SEEK_END)
@@ -64,75 +234,14 @@ class ResultCache:
                     data = b"\n" + data
             fh.write(data)
 
-    # -- zar records ----------------------------------------------------------
-
     def get_zar(self, key):
-        from .zarankiewicz import OracleError, ZarKey, ZarRecord
-        best = None
-        for lineno, doc in self._lines():
-            if doc.get("type") != "zar":
-                continue
-            if (tuple(doc.get("sizes", ())) != key.part_sizes
-                    or doc.get("t") != key.t or doc.get("status") != "exact"):
-                continue
-            try:
-                witness = PartitionedGraph.from_document(doc["witness"])
-                if witness_hash(witness) != doc.get("witness_sha256"):
-                    raise OracleError("witness hash mismatch")
-                rec = ZarRecord(ZarKey(tuple(doc["sizes"]), doc["t"]),
-                                doc["value"], witness, doc["status"])
-                rec.check()
-            except Exception as exc:   # noqa: BLE001 - any bad line is skipped
-                warnings.warn(f"{self.path}:{lineno}: invalid zar record skipped ({exc})")
-                continue
-            best = rec
-        return best
+        return self._get(_SCHEMAS["zar"], key)
 
     def put_zar(self, rec) -> None:
-        self._append({
-            "type": "zar",
-            "sizes": list(rec.key.part_sizes),
-            "t": rec.key.t,
-            "value": rec.value,
-            "status": rec.status,
-            "witness": rec.witness.to_document(),
-            "witness_sha256": witness_hash(rec.witness),
-        })
-
-    # -- ex records -------------------------------------------------------------
+        self._put(_SCHEMAS["zar"], rec)
 
     def get_ex(self, inst):
-        from .extremal import ExInstance, ExRecord
-        from .zarankiewicz import OracleError
-        best = None
-        for lineno, doc in self._lines():
-            if doc.get("type") != "ex":
-                continue
-            if (tuple(doc.get("sizes", ())) != inst.part_sizes
-                    or doc.get("q") != inst.q or doc.get("t") != inst.t
-                    or doc.get("status") != "exact"):
-                continue
-            try:
-                witness = PartitionedGraph.from_document(doc["witness"])
-                if witness_hash(witness) != doc.get("witness_sha256"):
-                    raise OracleError("witness hash mismatch")
-                rec = ExRecord(ExInstance(tuple(doc["sizes"]), doc["q"], doc["t"]),
-                               doc["value"], witness, doc["status"])
-                rec.check()
-            except Exception as exc:   # noqa: BLE001
-                warnings.warn(f"{self.path}:{lineno}: invalid ex record skipped ({exc})")
-                continue
-            best = rec
-        return best
+        return self._get(_SCHEMAS["ex"], inst)
 
     def put_ex(self, rec) -> None:
-        self._append({
-            "type": "ex",
-            "sizes": list(rec.instance.part_sizes),
-            "q": rec.instance.q,
-            "t": rec.instance.t,
-            "value": rec.value,
-            "status": rec.status,
-            "witness": rec.witness.to_document(),
-            "witness_sha256": witness_hash(rec.witness),
-        })
+        self._put(_SCHEMAS["ex"], rec)

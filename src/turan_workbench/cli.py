@@ -12,6 +12,7 @@ procedures take an explicit seed with a fixed default).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -314,11 +315,6 @@ def build_parser() -> _Parser:
     p.add_argument("--max", type=int, default=4)
     _add_common(p)
 
-    p = sub.add_parser("gaps")
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--max", type=int, default=4)
-    _add_common(p)
-
     p = sub.add_parser("ex")
     p.add_argument("excmd", choices=["exact", "turan", "compare"])
     p.add_argument("--sizes")
@@ -343,10 +339,16 @@ def build_parser() -> _Parser:
     return top
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    """The parser every cli_dispatch call of the process uses, built on the
+    first call; parsing keeps no state in it."""
+    return build_parser()
+
+
 def cli_dispatch(argv: Sequence[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
@@ -357,10 +359,6 @@ def cli_dispatch(argv: Sequence[str]) -> int:
         if args.cmd == "check-free":
             return _cmd_check_free(args, argv)
         if args.cmd == "zar":
-            return _cmd_zar(args, argv)
-        if args.cmd == "gaps":
-            args.zcmd = "gaps"
-            args.cache = getattr(args, "cache", None)
             return _cmd_zar(args, argv)
         if args.cmd == "ex":
             return _cmd_ex(args, argv)

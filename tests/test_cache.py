@@ -1,0 +1,137 @@
+"""The result cache's per-process index: tied to the file's bytes, checked
+once per distinct line, and fed by other processes' appends."""
+
+import multiprocessing
+import os
+import warnings
+
+from turan_workbench.cache import ResultCache
+from turan_workbench.extremal import ExInstance, ExRecord, ex_exact
+from turan_workbench.zarankiewicz import ZarKey, ZarRecord, z_exact
+
+JOIN_TIMEOUT_S = 60
+
+
+def _append_zar_records(path, keys, barrier=None):
+    """Compute z for each key, then append the records (after the barrier,
+    when one is given, so that two writers append at the same time)."""
+    records = [z_exact(ZarKey.of(sizes, t)) for sizes, t in keys]
+    if barrier is not None:
+        barrier.wait(JOIN_TIMEOUT_S)
+    store = ResultCache(path)
+    for rec in records:
+        store.put_zar(rec)
+
+
+def _run_writers(*jobs):
+    ctx = multiprocessing.get_context("spawn")
+    procs = [ctx.Process(target=_append_zar_records, args=job) for job in jobs]
+    for p in procs:
+        p.start()
+    for p in procs:
+        p.join(JOIN_TIMEOUT_S)
+    for p in procs:
+        assert not p.is_alive() and p.exitcode == 0
+        p.close()
+
+
+def _lookup(store, key):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        hit = store.get_zar(key)
+    return hit, [str(w.message) for w in caught]
+
+
+def test_same_size_rewrite_is_not_served_from_a_stale_index(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    store = ResultCache(path)
+    key = ZarKey.of((2, 2), 2)
+    z_exact(key, cache=store)
+    good = path.read_bytes()
+    hit, _ = _lookup(store, key)
+    assert hit is not None and hit.value == 3
+    # the same length and the same mtime: only the bytes tell the files apart
+    stat = path.stat()
+    bad = good.replace(b'"value":3', b'"value":4')
+    assert len(bad) == len(good) and bad != good
+    path.write_bytes(bad)
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    hit, messages = _lookup(store, key)
+    assert hit is None
+    assert any("invalid" in m for m in messages)
+    path.write_bytes(good)
+    hit, messages = _lookup(store, key)
+    assert hit is not None and hit.value == 3 and not messages
+
+
+def test_each_distinct_line_is_checked_once(tmp_path, monkeypatch):
+    checks = []
+    for cls in (ZarRecord, ExRecord):
+        def counted(self, real=cls.check):
+            checks.append(self)
+            real(self)
+        monkeypatch.setattr(cls, "check", counted)
+    path = tmp_path / "cache.jsonl"
+    z_exact(ZarKey.of((3, 3), 2), cache=ResultCache(path))
+    ex_exact(ExInstance((1, 1, 1), 3, 1), cache=ResultCache(path))
+    checks.clear()      # the searches check what they compute
+    for _ in range(3):
+        store = ResultCache(path)   # a new object, as each CLI command makes
+        assert store.get_zar(ZarKey.of((3, 3), 2)).value == 6
+        assert store.get_ex(ExInstance((1, 1, 1), 3, 1)).value == 2
+    assert len(checks) == 2
+    # the same bytes again after a rewrite still need no second check
+    path.write_bytes(path.read_bytes())
+    assert ResultCache(path).get_zar(ZarKey.of((3, 3), 2)).value == 6
+    assert len(checks) == 2
+
+
+def test_returned_record_does_not_alias_the_memo(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    z_exact(ZarKey.of((2, 2), 2), cache=ResultCache(path))
+    hit = ResultCache(path).get_zar(ZarKey.of((2, 2), 2))
+    hit.value = 99
+    assert ResultCache(path).get_zar(ZarKey.of((2, 2), 2)).value == 3
+
+
+def test_two_processes_append_at_once(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    keys_a = [((m, n), 2) for n in range(1, 6) for m in range(n, 6)]
+    keys_b = [((m, n), 3) for n in range(1, 6) for m in range(n, 6)]
+    barrier = multiprocessing.get_context("spawn").Barrier(2)
+    _run_writers((str(path), keys_a, barrier), (str(path), keys_b, barrier))
+    assert path.read_bytes().count(b"\n") == len(keys_a) + len(keys_b)
+    store = ResultCache(path)
+    for sizes, t in keys_a + keys_b:
+        key = ZarKey.of(sizes, t)
+        hit, messages = _lookup(store, key)
+        assert hit is not None and not messages
+        assert hit.value == z_exact(key).value
+
+
+def test_indexed_cache_sees_another_process_append(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    store = ResultCache(path)
+    z_exact(ZarKey.of((3, 3), 2), cache=store)
+    assert store.get_zar(ZarKey.of((3, 3), 2)).value == 6
+    assert store.get_zar(ZarKey.of((4, 4), 2)) is None     # indexed, and a miss
+    _run_writers((str(path), [((4, 4), 2)]))
+    hit, messages = _lookup(store, ZarKey.of((4, 4), 2))
+    assert hit is not None and hit.value == 9 and not messages
+    assert store.get_zar(ZarKey.of((3, 3), 2)).value == 6
+
+
+def test_torn_tail_is_looked_at_until_a_writer_ends_it(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    store = ResultCache(path)
+    z_exact(ZarKey.of((2, 2), 2), cache=store)
+    line = path.read_bytes()
+    path.write_bytes(line + line[:-1])      # a second copy, its newline not yet written
+    hit, messages = _lookup(store, ZarKey.of((2, 2), 2))
+    assert hit is not None and not messages
+    path.write_bytes(line + line[:20])      # torn
+    hit, messages = _lookup(store, ZarKey.of((2, 2), 2))
+    assert hit is not None and any("corrupt" in m for m in messages)
+    path.write_bytes(line * 2)              # the writer finished the line
+    hit, messages = _lookup(store, ZarKey.of((2, 2), 2))
+    assert hit is not None and not messages

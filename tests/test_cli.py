@@ -31,6 +31,33 @@ def test_usage_error_exit_code(capsys):
     assert cli_dispatch(["zar", "exact", "--t", "0", "--sizes", "2,2"]) == EXIT_USAGE
 
 
+def test_parser_reuse_keeps_commands_apart(tmp_path, capsys):
+    # every cli_dispatch call of a process parses with one shared parser; an
+    # option given to one command must not carry over to the next
+    k23 = tmp_path / "k23.json"
+    save_graph(PartitionedGraph([2, 3], [(u, v) for u in range(2) for v in range(2, 5)]), k23)
+    code, text = run(capsys, "check-free", str(k23), "--pattern", "ktt", "--s", "2",
+                     "--t", "3", "--json")
+    assert code == EXIT_FOUND and json.loads(text)["verdict"] == "witness"   # K_{2,3}
+    code, text = run(capsys, "check-free", str(k23), "--pattern", "ktt", "--t", "3",
+                     "--json")
+    assert code == EXIT_OK and json.loads(text)["verdict"] == "free"        # no K_{3,3}
+    # a usage error leaves the shared parser fit for the next command
+    assert cli_dispatch(["zar", "exact", "--sizes"]) == EXIT_USAGE
+    assert cli_dispatch(["check-free", str(k23), "--pattern", "nope", "--t", "3"]) == EXIT_USAGE
+    capsys.readouterr()
+    code, out = run(capsys, "formulas", "turan", "--r", "3", "--k", "5")
+    assert code == EXIT_OK and out.strip() == "8"
+    code, text = run(capsys, "check-free", str(k23), "--pattern", "ktt", "--s", "2",
+                     "--t", "3", "--json")
+    assert code == EXIT_FOUND
+
+
+def test_top_level_gaps_is_gone(capsys):
+    # the report is `zar gaps`; the duplicate top-level command was removed
+    assert cli_dispatch(["gaps", "--t", "2", "--max", "3"]) == EXIT_USAGE
+
+
 def test_graph_round_trip(tmp_path):
     g = PartitionedGraph([2, 2], [(0, 2), (1, 3)])
     p = tmp_path / "g.json"
@@ -126,7 +153,7 @@ def test_zar_and_gaps_cli(tmp_path, capsys):
     assert code == EXIT_OK and json.loads(text)["value"] == 9
     code, text = run(capsys, "zar", "lower", "--n", "7", "--t", "2", "--json")
     assert json.loads(text)["value"] == 21
-    code, text = run(capsys, "gaps", "--t", "2", "--max", "3",
+    code, text = run(capsys, "zar", "gaps", "--t", "2", "--max", "3",
                      "--cache", str(tmp_path / "c.jsonl"), "--json")
     assert code == EXIT_OK and json.loads(text)["e3_asserted"]
 
