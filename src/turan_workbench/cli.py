@@ -87,6 +87,13 @@ def _sizes(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
 
+def _need(args, *names: str) -> None:
+    """Reject a subcommand given without an option it needs (exit 3)."""
+    missing = [f"--{name}" for name in names if getattr(args, name) is None]
+    if missing:
+        raise ValueError(f"missing required option(s): {' '.join(missing)}")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -109,6 +116,7 @@ def _cmd_construct(args, argv) -> int:
     inputs = {}
     params: dict = {"kind": args.kind}
     if args.kind == "template":
+        _need(args, "r", "k")
         splits = json.loads(args.splits) if args.splits else ()
         spec = TemplateSpec.standard(args.r, args.k, args.n, splits)
         g = constructions.build_template(spec)
@@ -117,6 +125,7 @@ def _cmd_construct(args, argv) -> int:
         g = constructions.regular_c4free_bipartite(args.n, args.t)
         params.update({"n": args.n, "t": args.t})
     elif args.kind in ("basic", "improved"):
+        _need(args, "class1", "r", "k")
         class1 = load_graph(args.class1)
         inputs[args.class1] = _sha256_file(args.class1)
         cp = ConstructionParams(args.n, args.r, args.k, args.t)
@@ -127,6 +136,7 @@ def _cmd_construct(args, argv) -> int:
                        "class1_sha256": witness_hash(class1),
                        "class1_edges": class1.edge_count()})
     else:   # stack
+        _need(args, "a")
         cache = ResultCache(args.cache) if args.cache else None
         base = zarankiewicz.z_exact(
             zarankiewicz.ZarKey.of((args.n,) * args.a, args.t),
@@ -156,8 +166,7 @@ def _cmd_check_free(args, argv) -> int:
     elif args.pattern == "ktt":
         pat = ForbiddenPattern.biclique(args.s if args.s else args.t, args.t)
     else:
-        if args.q is None:
-            raise SystemExit(EXIT_USAGE)
+        _need(args, "q")
         pat = ForbiddenPattern.complete_multipartite(args.q, args.t)
     budget = Budget(args.budget)
     try:
@@ -177,6 +186,7 @@ def _cmd_zar(args, argv) -> int:
     cache = ResultCache(args.cache) if args.cache else ResultCache()
     budget = Budget(args.budget)
     if args.zcmd == "exact":
+        _need(args, "sizes")
         rec = zarankiewicz.z_exact(zarankiewicz.ZarKey.of(_sizes(args.sizes), args.t),
                                    budget=budget, cache=cache)
         _emit({"sizes": list(rec.key.part_sizes), "t": rec.key.t,
@@ -184,6 +194,7 @@ def _cmd_zar(args, argv) -> int:
                "witness_sha256": witness_hash(rec.witness)}, args.json)
         return EXIT_OK if rec.status == "exact" else EXIT_BUDGET
     if args.zcmd == "lower":
+        _need(args, "n")
         rec = zarankiewicz.z_lower_construction(args.n, args.t, seed=args.seed or 0,
                                                 budget=budget)
         _emit({"n": args.n, "t": args.t, "value": rec.value,
@@ -199,6 +210,7 @@ def _cmd_ex(args, argv) -> int:
     cache = ResultCache(args.cache) if args.cache else ResultCache()
     budget = Budget(args.budget)
     if args.excmd == "exact":
+        _need(args, "sizes", "q")
         inst = extremal.ExInstance(_sizes(args.sizes), args.q, args.t)
         rec = extremal.ex_exact(inst, budget=budget, cache=cache)
         _emit({"sizes": list(inst.part_sizes), "q": inst.q, "t": inst.t,
@@ -206,11 +218,13 @@ def _cmd_ex(args, argv) -> int:
                "witness_sha256": witness_hash(rec.witness)}, args.json)
         return EXIT_OK if rec.status == "exact" else EXIT_BUDGET
     if args.excmd == "turan":
+        _need(args, "n", "k", "r")
         rep = extremal.verify_turan_identity(args.n, args.k, args.r,
                                              budget=budget, cache=cache)
         rep.pop("witness")
         _emit(rep, args.json)
         return EXIT_OK if rep["holds"] else EXIT_FOUND
+    _need(args, "n", "r", "k")
     rep = extremal.compare_with_g(args.n, args.r, args.k, args.t,
                                   budget=budget, cache=cache)
     _emit(rep, args.json)
@@ -234,6 +248,7 @@ def _cmd_analyze(args, argv) -> int:
                "heuristic": res.heuristic, "spec": res.spec.to_document()},
               args.json)
         return EXIT_OK
+    _need(args, "spec")
     spec = TemplateSpec.from_document(json.loads(Path(args.spec).read_text()))
     if args.verb == "classify":
         dec = stability.classify_atypical(g, spec, params)

@@ -2,13 +2,18 @@
 
 The bipartite search branches over left-vertex neighbourhood rows in
 lexicographically non-increasing order (left vertices are interchangeable,
-so this loses no graphs), maintains K_{t,t} feasibility through common-
-neighbourhood intersections of (t-1)-subsets of earlier rows, and prunes
-with the remaining star budget: a K_{t,t}-free bipartite graph satisfies
-sum_v C(d_v, t) <= (t-1) C(n, t), and for a fixed edge count the left side
-minimizes that sum with degrees as equal as possible.  ``kst_upper`` is the
-same convexity bound solved for the edge count (an explicit, checkable form
-of the Kovari--Sos--Turan inequality), taken in both orientations.
+so this loses no graphs) and prunes with the remaining star budget: a
+K_{t,t}-free bipartite graph satisfies sum_v C(d_v, t) <= (t-1) C(n, t), and
+for a fixed edge count the left side minimizes that sum with degrees as equal
+as possible.  That bound depends on a candidate row only through its
+popcount, so each node bounds whole popcount classes at once and walks only
+the rows of the admissible ones.  K_{t,t} feasibility is kept as, for every
+column t-subset, the number of chosen rows containing it: a row fits iff it
+contains no saturated subset (one in t-1 chosen rows), a single AND.  The
+per-(n, t) tables behind both (t-subsets of each row, rows by popcount) are
+built once per process.  ``kst_upper`` is the same convexity bound solved for
+the edge count (an explicit, checkable form of the Kovari--Sos--Turan
+inequality), taken in both orientations.
 
 Multipartite instances (three or more parts) are exactly ex(n_1..n_a; K_2(t))
 and delegate to the shared cross-pair branch and bound.
@@ -19,7 +24,10 @@ count) before the record is trusted, including on cache load.
 
 from __future__ import annotations
 
+import functools
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain, combinations
 from math import comb
 from typing import Optional, Sequence
 
@@ -93,20 +101,100 @@ def kst_upper(m: int, n: int, t: int) -> int:
 # exact bipartite search
 
 
+class _RowTables:
+    """Read-only tables of the row engine for rows over n columns and a given t.
+
+    Column t-subset i is the i-th of ``combinations(range(n), t)``.
+    ``tsub[c]`` has bit i set when row c contains t-subset i, ``popcount[c]``
+    is the row's degree, and ``by_popcount[p]`` lists the rows of popcount p
+    in ascending order.
+    """
+
+    __slots__ = ("tsub", "popcount", "by_popcount")
+
+    def __init__(self, n: int, t: int):
+        full = (1 << n) - 1
+        tsub = [0] * (full + 1)
+        for i, cols in enumerate(combinations(range(n), t)):
+            s = sum(1 << j for j in cols)
+            sup = s
+            while sup <= full:            # every superset of s, ascending
+                tsub[sup] |= 1 << i
+                sup = (sup + 1) | s
+        self.tsub = tuple(tsub)
+        self.popcount = tuple(c.bit_count() for c in range(full + 1))
+        by_popcount: list[list[int]] = [[] for _ in range(n + 1)]
+        for c in range(full + 1):
+            by_popcount[self.popcount[c]].append(c)
+        self.by_popcount = tuple(tuple(rows) for rows in by_popcount)
+
+
+@functools.cache
+def _row_tables(n: int, t: int) -> _RowTables:
+    """The tables every row search over (n, t) in the process uses, built on
+    the first call, so that small queries do not rebuild them."""
+    return _RowTables(n, t)
+
+
+class _TSubsetCounts:
+    """How many chosen rows contain each column t-subset (t >= 2).
+
+    The counts are kept as t-1 bit planes: bit i of ``planes[k]`` is set when
+    at least k+1 chosen rows contain t-subset i.  ``planes[-1]`` is therefore
+    the saturated mask, the subsets already in t-1 chosen rows.  A row fits
+    iff it contains no saturated subset, which is the K_{t,t}-freeness
+    condition: no t-1 chosen rows share t columns with it.
+    """
+
+    __slots__ = ("tsub", "planes")
+
+    def __init__(self, tables: _RowTables, t: int):
+        self.tsub = tables.tsub
+        self.planes = [0] * (t - 1)
+
+    def fits(self, c: int) -> bool:
+        return not self.tsub[c] & self.planes[-1]
+
+    def push(self, c: int) -> None:
+        """Count row c, which must fit."""
+        planes = self.planes
+        s = self.tsub[c]
+        for k in range(len(planes) - 1, 0, -1):
+            planes[k] |= planes[k - 1] & s
+        planes[0] |= s
+
+    def pop(self, c: int) -> None:
+        """Uncount row c, which must have been pushed."""
+        planes = self.planes
+        s = self.tsub[c]
+        top = len(planes) - 1
+        for k in range(top):
+            planes[k] &= ~(s & ~planes[k + 1])   # counts that were exactly k+1
+        planes[top] &= ~s
+
+
 def _z_bipartite(m: int, n: int, t: int, budget: Budget) -> tuple[int, list[int], bool]:
     """Max edges of a K_{t,t}-free bipartite graph with m rows over n columns.
 
     Returns (value, row masks, exact).  Assumes m >= n (canonical key order).
-    """
-    from bisect import bisect_right
-    from itertools import combinations
 
+    Rows are chosen in non-increasing order.  The star-budget bound on a
+    candidate row depends only on its popcount, so each node works out the
+    admissible popcounts once (memoized on rows left, stars left and the gap
+    to the incumbent) and walks only the rows of those popcounts, re-testing
+    a candidate's bound only after the incumbent improved inside the loop.
+    Feasibility is one AND against the saturated column t-subsets
+    (``_TSubsetCounts``); the per-(n, t) tables come from ``_row_tables``.
+    """
     full = (1 << n) - 1
     if min(m, n) < t:
         return m * n, [full] * m, True
     if t == 1:   # K_{1,1} is a single edge
         return 0, [0] * m, True
+    tables = _row_tables(n, t)
+    tsub, popcount, by_popcount = tables.tsub, tables.popcount, tables.by_popcount
     star_cap = (t - 1) * comb(n, t)
+    cost_of = [comb(p, t) for p in range(n + 1)]
     # cost_table[q][e] = min star cost of e edges over q rows; bisect for bounds
     cost_table = [[search.min_star_cost(e, q, t) for e in range(q * n + 1)]
                   for q in range(m + 1)]
@@ -116,41 +204,41 @@ def _z_bipartite(m: int, n: int, t: int, budget: Budget) -> tuple[int, list[int]
             return -1
         return bisect_right(cost_table[q], cap) - 1
 
-    def push(chosen: list[int], inters: list[int], c: int) -> int:
-        """Append row c; extend the (t-1)-subset intersection list."""
-        if t == 2:
-            inters.append(c)
-            added = 1
-        else:
-            base = len(inters)
-            for sub in combinations(chosen, t - 2):
-                im = c
-                for r in sub:
-                    im &= r
-                inters.append(im)
-            added = len(inters) - base
-        chosen.append(c)
-        return added
+    # (rows_left, stars_left, best - cur) -> (admissible flag per popcount,
+    # ascending rows of the admissible popcounts)
+    classes: dict[tuple[int, int, int], tuple[list[bool], list[int]]] = {}
 
-    # greedy incumbent: best rows first, feasibility-checked
-    order = sorted(range(full + 1), key=lambda c: (-c.bit_count(), -c))
-    g_chosen: list[int] = []
-    g_inters: list[int] = []
+    def popcount_classes(rows_left: int, stars_left: int, gap: int):
+        key = (rows_left, stars_left, gap)
+        entry = classes.get(key)
+        if entry is None:
+            ok = [p + max_edges(rows_left - 1, stars_left - cost_of[p]) > gap
+                  for p in range(n + 1)]
+            rows = sorted(chain.from_iterable(
+                by_popcount[p] for p in range(n + 1) if ok[p]))
+            entry = classes[key] = (ok, rows)
+        return entry
+
+    # greedy incumbent: best rows first (popcount, then value, descending)
+    greedy = _TSubsetCounts(tables, t)
+    best_rows: list[int] = []
     for _ in range(m):
-        for c in order:
-            if all((c & im).bit_count() <= t - 1 for im in g_inters):
-                push(g_chosen, g_inters, c)
-                break
-    best = sum(r.bit_count() for r in g_chosen)
-    best_rows = list(g_chosen)
+        c = next(c for p in range(n, -1, -1) for c in reversed(by_popcount[p])
+                 if greedy.fits(c))               # row 0 always fits
+        greedy.push(c)
+        best_rows.append(c)
+    best = sum(popcount[c] for c in best_rows)
     exact = True
 
     chosen: list[int] = []
-    inters: list[int] = []
+    counts = _TSubsetCounts(tables, t)
+    planes = counts.planes
+    spend = budget.spend
+    push, pop = counts.push, counts.pop
 
     def rec(prev: int, cur: int, stars_left: int) -> None:
         nonlocal best, best_rows
-        budget.spend()
+        spend()
         rows_left = m - len(chosen)
         if rows_left == 0:
             if cur > best:
@@ -159,22 +247,27 @@ def _z_bipartite(m: int, n: int, t: int, budget: Budget) -> tuple[int, list[int]
             return
         if cur + max_edges(rows_left, stars_left) <= best:
             return
-        for c in range(prev, -1, -1):
-            pc = c.bit_count()
-            cost = comb(pc, t)
-            if cur + pc + max_edges(rows_left - 1, stars_left - cost) <= best:
+        ok, rows = popcount_classes(rows_left, stars_left, best - cur)
+        saturated = planes[-1]
+        seen_best = best
+        for c in reversed(rows[:bisect_right(rows, prev)]):
+            pc = popcount[c]
+            if best != seen_best:        # the incumbent moved: re-test the bound
+                seen_best = best
+                ok = popcount_classes(rows_left, stars_left, best - cur)[0]
+            if not ok[pc] or tsub[c] & saturated:
                 continue
-            if any((c & im).bit_count() > t - 1 for im in inters):
-                continue
-            added = push(chosen, inters, c)
-            rec(c, cur + pc, stars_left - cost)
+            push(c)
+            chosen.append(c)
+            rec(c, cur + pc, stars_left - cost_of[pc])
             chosen.pop()
-            del inters[len(inters) - added:]
+            pop(c)
 
     try:
         rec(full, 0, star_cap)
     except BudgetExhausted:
         exact = False
+    del rec   # rec refers to itself; drop the cycle so the memo is freed now
     return best, best_rows + [0] * (m - len(best_rows)), exact
 
 

@@ -31,6 +31,27 @@ def test_usage_error_exit_code(capsys):
     assert cli_dispatch(["zar", "exact", "--t", "0", "--sizes", "2,2"]) == EXIT_USAGE
 
 
+def test_missing_option_is_a_usage_error(tmp_path, capsys):
+    # options that only some verbs need are optional to the parser; leaving
+    # one out must give exit 3 and an error line, not an exception
+    g = tmp_path / "g.json"
+    save_graph(PartitionedGraph([2, 2], [(0, 2)]), g)
+    out = str(tmp_path / "out.json")
+    for argv in (["check-free", str(g), "--pattern", "kqt", "--t", "2"],
+                 ["zar", "exact", "--t", "2"],
+                 ["ex", "exact", "--q", "2"],
+                 ["zar", "lower", "--t", "2"],
+                 ["ex", "turan", "--k", "3"],
+                 ["ex", "compare", "--n", "2"],
+                 ["construct", "template", "--n", "4", "--out", out],
+                 ["construct", "improved", "--n", "4", "--out", out],
+                 ["construct", "stack", "--n", "2", "--out", out],
+                 ["analyze", "core", str(g), "--r", "2"]):
+        assert cli_dispatch(argv) == EXIT_USAGE, argv
+        assert capsys.readouterr().err.startswith("error: missing required option"), argv
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_parser_reuse_keeps_commands_apart(tmp_path, capsys):
     # every cli_dispatch call of a process parses with one shared parser; an
     # option given to one command must not carry over to the next

@@ -185,3 +185,78 @@ def test_multipartite_z_against_naive():
     assert z_exact(ZarKey.of((2, 2, 2), 2)).value == naive_ex((2, 2, 2), 2, 2) == 7
     assert z_exact(ZarKey.of((2, 2, 2), 3)).value == naive_ex((2, 2, 2), 2, 3)
     assert z_exact(ZarKey.of((2, 2, 1), 2)).value == naive_ex((2, 2, 1), 2, 2)
+
+
+# (m, n, t) -> value, search nodes and, where given, the witness rows of the
+# row engine; a faster engine must make the same decisions in the same order
+ROW_ENGINE_PINS = {
+    (7, 7, 2): (21, 57466, [112, 76, 67, 42, 37, 25, 22]),
+    (6, 6, 3): (26, 6992, [62, 61, 51, 43, 23, 15]),
+    (7, 6, 4): (36, 1954, None),
+    (7, 7, 5): (44, 1542, None),
+    (8, 7, 2): (22, 51758, None),
+    (8, 6, 3): (32, 40374, None),
+    (7, 7, 4): (42, 137910, [126, 125, 123, 119, 111, 95, 63]),
+}
+
+
+@pytest.mark.parametrize("m,n,t", sorted(ROW_ENGINE_PINS))
+def test_row_engine_pinned_outputs(m, n, t):
+    from turan_workbench.detectors import Budget
+    from turan_workbench.zarankiewicz import _z_bipartite
+    value, nodes, rows = ROW_ENGINE_PINS[(m, n, t)]
+    budget = Budget(None)
+    got_value, got_rows, exact = _z_bipartite(m, n, t, budget)
+    assert (got_value, budget.used, exact) == (value, nodes, True)
+    if rows is not None:
+        assert got_rows == rows
+
+
+def test_z2_diagonal_matches_oeis_a001197():
+    assert [z_exact(ZarKey.of((n, n), 2)).value for n in range(1, 8)] == \
+        [1, 3, 6, 9, 12, 16, 21]
+
+
+def test_tsubset_counts_against_brute_force():
+    import random
+    from itertools import combinations
+    from turan_workbench.zarankiewicz import _row_tables, _TSubsetCounts
+
+    def fits_brute(chosen, c, t):
+        # some t rows among chosen + [c], c included, share >= t columns
+        for group in combinations(chosen, t - 1):
+            common = c
+            for r in group:
+                common &= r
+            if common.bit_count() >= t:
+                return False
+        return True
+
+    rng = random.Random(20240501)
+    for n in range(2, 8):
+        for t in (2, 3, 4):
+            if t > n:
+                continue
+            tables = _row_tables(n, t)
+            for _ in range(12):
+                counts = _TSubsetCounts(tables, t)
+                chosen = []
+                for _ in range(rng.randrange(1, 15)):
+                    c = rng.randrange(1 << n) | rng.randrange(1 << n)   # dense rows
+                    assert counts.fits(c) == fits_brute(chosen, c, t), (n, t, chosen, c)
+                    if not counts.fits(c):
+                        continue
+                    before = list(counts.planes)
+                    counts.push(c)
+                    after = list(counts.planes)
+                    counts.pop(c)
+                    assert counts.planes == before
+                    counts.push(c)
+                    assert counts.planes == after
+                    chosen.append(c)
+                    # plane k holds the subsets in more than k chosen rows
+                    for i, cols in enumerate(combinations(range(n), t)):
+                        s = sum(1 << j for j in cols)
+                        held = sum(1 for r in chosen if r & s == s)
+                        assert [p >> i & 1 for p in counts.planes] == \
+                            [int(held > k) for k in range(t - 1)]
