@@ -2,9 +2,10 @@
 
 One record per line; exact records are immutable and carry their witness
 document plus its hash.  A corrupt or invalid line is skipped with a
-warning, never silently repaired.  Readers tolerate a partial trailing line,
-so concurrent appends by separate processes are safe at line granularity,
-and a writer first ends a torn last line left by a crashed one.
+warning, never silently repaired.  Readers tolerate a partial trailing line.
+A writer holds an exclusive ``flock`` on the file while it appends its line
+in one write, so concurrent appends by separate processes never interleave,
+and it first ends a torn last line left by a crashed writer.
 
 Both record types follow one schema (type tag, key fields, record
 constructor), so there is one lookup path and one append path.  Lookups are
@@ -27,6 +28,7 @@ when not given explicitly.
 from __future__ import annotations
 
 import copy
+import fcntl
 import hashlib
 import json
 import os
@@ -43,7 +45,12 @@ DEFAULT_FILENAME = "turan_workbench_cache.jsonl"
 
 
 def witness_hash(g: PartitionedGraph) -> str:
-    return hashlib.sha256(g.canonical_json().encode()).hexdigest()
+    """SHA-256 of the witness's canonical JSON.  A witness equal to one the
+    cache has verified on a line is answered with that line's hash."""
+    digest = _VERIFIED_HASHES.get(g)
+    if digest is None:
+        digest = hashlib.sha256(g.canonical_json().encode()).hexdigest()
+    return digest
 
 
 def default_cache_path() -> Path:
@@ -81,11 +88,13 @@ class _Schema:
     def record(self, doc: dict):
         """The record a parsed line holds, checked; raises if it is invalid."""
         witness = PartitionedGraph.from_document(doc["witness"])
-        if witness_hash(witness) != doc.get("witness_sha256"):
+        digest = witness_hash(witness)
+        if digest != doc.get("witness_sha256"):
             raise OracleError("witness hash mismatch")
         key = self.key_cls(tuple(doc["sizes"]), *(doc[f] for f in self.fields))
         rec = self.record_cls(key, doc["value"], witness, doc["status"])
         rec.check()
+        _VERIFIED_HASHES[witness] = digest
         return rec
 
 
@@ -124,6 +133,9 @@ def _line_key(line: bytes):
 _LOCK = threading.Lock()
 _KEYS: dict[bytes, object] = {}       # line -> _line_key(line)
 _CHECKED: dict[bytes, object] = {}    # line -> its checked record, or why it is invalid
+# witness -> the hash verified on its line; keyed by graph value, so an equal
+# graph gets the same (correct) hash
+_VERIFIED_HASHES: dict[PartitionedGraph, str] = {}
 _INDEXES: dict[str, "_Index"] = {}
 
 
@@ -225,14 +237,17 @@ class ResultCache:
     def _put(self, schema: _Schema, rec) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         data = canonical_json(schema.document(rec)).encode("utf-8")
-        with open(self.path, "a+b") as fh:
+        with open(self.path, "a+b", buffering=0) as fh:
+            # the lock makes the torn-tail test and the append one step for
+            # every writer, so no writer sees another's line half written
+            fcntl.flock(fh, fcntl.LOCK_EX)
             if fh.seek(0, os.SEEK_END):
                 fh.seek(-1, os.SEEK_END)
                 if fh.read(1) != b"\n":
                     # a crashed writer left a torn last line: end it, so the
                     # new record is a line of its own
                     data = b"\n" + data
-            fh.write(data)
+            fh.write(data)      # one write call; closing the file unlocks it
 
     def get_zar(self, key):
         return self._get(_SCHEMAS["zar"], key)

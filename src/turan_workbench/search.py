@@ -10,6 +10,24 @@ on one ``PackingContext`` built per search: the search flips the probed
 edge into it and out again, and keeps it flipped in while the include
 branch is open, so the context always holds the search's current graph.
 
+Vertices of one host part are interchangeable, so the search skips every
+graph that swapping two consecutive vertices of a part makes lex-larger
+(lex-leader constraints, as in Codish, Miller, Prosser and Stuckey,
+"Breaking symmetries in graph representation", IJCAI 2013).  For each
+vertex x whose predecessor x-1 lies in the same part, ``tied[x]`` holds
+while the rows of x-1 and x agree on every pair decided so far.  The
+include branch of (u, v) is skipped when ``tied[u]`` holds and (u-1, v) is
+absent, or ``tied[v]`` holds and (u, v-1) is absent; the exclude branch
+ends a tie whose predecessor has the edge; both are restored on backtrack.
+This is exactly the lex-leader constraint for the transposition (x-1 x) on
+the pair vector, include (1) before exclude (0): the transposition only
+swaps (x-1, w) with (x, w), in the canonical order (x-1, w) is always
+decided before (x, w), and both rows meet their columns w in the same
+increasing order, so the swapped vector is lex-smaller or equal iff row
+x-1 >= row x over the columns in that order.  The lex-max member of every
+orbit satisfies all these constraints, so every value is unchanged; only
+which optimal witness is found first may differ.
+
 For K_2(t) (the multipartite Zarankiewicz case) three counting bounds
 prune the tree: per part-pair block the bipartite restriction obeys the
 Kovari--Sos--Turan convexity bound, the whole vertex set obeys the
@@ -169,6 +187,10 @@ def maximize_free(part_sizes: Sequence[int], q: int, t: int,
     pattern_fits = q * t <= host.num_vertices
     used_block = [0] * nblocks
     ctx = PackingContext(universe, part_masks, (t,) * q)
+    # tied[x]: x - 1 lies in x's part and their rows agree on every pair
+    # decided so far (see the module docstring)
+    tied = [x > 0 and host.part_of[x - 1] == host.part_of[x]
+            for x in range(host.num_vertices)]
 
     def rec(idx: int, cur: int) -> None:
         nonlocal best, best_rows
@@ -187,7 +209,12 @@ def maximize_free(part_sizes: Sequence[int], q: int, t: int,
             return
         u, v = pairs[idx]
         b = block_of[idx]
-        if used_block[b] < block_kst[b]:
+        # tie_u: u is tied and its predecessor has the edge (u - 1, v); a tied
+        # vertex may take the pair only then (likewise v with (u, v - 1))
+        tie_u = tied[u] and rows[u - 1] >> v & 1
+        tie_v = tied[v] and rows[v - 1] >> u & 1
+        if (used_block[b] < block_kst[b] and (tie_u or not tied[u])
+                and (tie_v or not tied[v])):
             # a budget exhaustion inside the probe abandons the search, so
             # the context needs no restoring on that path
             ctx.flip(u, v)
@@ -200,7 +227,16 @@ def maximize_free(part_sizes: Sequence[int], q: int, t: int,
                 rows[u] &= ~(1 << v)
                 rows[v] &= ~(1 << u)
             ctx.flip(u, v)
+        # excluding the pair ends a tie whose predecessor has the edge
+        if tie_u:
+            tied[u] = False
+        if tie_v:
+            tied[v] = False
         rec(idx + 1, cur)
+        if tie_u:
+            tied[u] = True
+        if tie_v:
+            tied[v] = True
 
     try:
         rec(0, 0)

@@ -37,7 +37,7 @@ from .detectors import (Budget, BudgetExhausted, PackingContext, as_budget,
 from .graphs import PartitionedGraph, bits
 from .constructions import cayley_bipartite, largest_sidon_set
 
-DEFAULT_PRODUCT_LIMIT = 4096   # exact-mode guard for multipartite instances
+DEFAULT_PRODUCT_LIMIT = 4096   # exact-mode guard: part-size product, and 2^n rows
 
 
 class OracleError(ValueError):
@@ -298,6 +298,12 @@ def z_exact(key: ZarKey, budget: "int | Budget | None" = None,
     if prod > product_limit:
         raise OracleError(
             f"instance {sizes} exceeds the exact-mode size guard ({product_limit})")
+    # the row engine's tables cover all 2^n rows of the smaller side before
+    # the budget is consulted
+    if len(sizes) == 2 and 1 << sizes[1] > product_limit:
+        raise OracleError(
+            f"instance {sizes}: 2^{sizes[1]} rows exceed the exact-mode size "
+            f"guard ({product_limit})")
     bud = as_budget(budget)
     if len(sizes) == 2:
         m, n = sizes

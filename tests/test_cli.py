@@ -29,6 +29,9 @@ def test_formulas(capsys):
 def test_usage_error_exit_code(capsys):
     assert cli_dispatch(["nonsense"]) == EXIT_USAGE
     assert cli_dispatch(["zar", "exact", "--t", "0", "--sizes", "2,2"]) == EXIT_USAGE
+    # past the exact-mode guard on the bipartite row count
+    assert cli_dispatch(["zar", "exact", "--sizes", "64,64", "--t", "2",
+                         "--budget", "1"]) == EXIT_USAGE
 
 
 def test_missing_option_is_a_usage_error(tmp_path, capsys):
@@ -191,6 +194,26 @@ def test_ex_cli(tmp_path, capsys):
     code, text = run(capsys, "ex", "exact", "--sizes", "2,2", "--q", "2",
                      "--t", "2", "--cache", str(tmp_path / "c.jsonl"), "--json")
     assert json.loads(text)["value"] == 3
+
+
+def test_cache_hits_reuse_the_verified_witness_hash(tmp_path, capsys, monkeypatch):
+    # a hit prints the witness_sha256 the cache verified on its line, byte for
+    # byte what the miss printed, without serialising the witness again
+    cache = str(tmp_path / "c.jsonl")
+    commands = [["zar", "exact", "--sizes", "3,3", "--t", "2"],
+                ["ex", "exact", "--sizes", "2,2,1", "--q", "3", "--t", "1"]]
+    first = [run(capsys, *argv, "--cache", cache, "--json") for argv in commands]
+    for argv in commands:       # the first lookup of each line verifies it
+        run(capsys, *argv, "--cache", cache, "--json")
+    serialised = []
+    real = PartitionedGraph.canonical_json
+    monkeypatch.setattr(PartitionedGraph, "canonical_json",
+                        lambda g: serialised.append(g) or real(g))
+    again = [run(capsys, *argv, "--cache", cache, "--json") for argv in commands]
+    assert again == first and all(code == EXIT_OK for code, _ in again)
+    assert serialised == []
+    assert json.loads(again[0][1])["witness_sha256"] == json.loads(
+        (tmp_path / "c.jsonl").read_text().splitlines()[0])["witness_sha256"]
 
 
 def test_analyze_cli(tmp_path, capsys):

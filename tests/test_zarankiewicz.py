@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from naive_oracles import naive_z
@@ -146,6 +148,16 @@ def test_gap_checks_e3():
 def test_exact_mode_guard():
     with pytest.raises(OracleError):
         z_exact(ZarKey.of((100, 100), 2))
+    # (64, 64) passes the product guard, but the row engine is exponential in
+    # the smaller side before it spends any budget: refuse it at once
+    start = time.perf_counter()
+    with pytest.raises(OracleError):
+        z_exact(ZarKey.of((64, 64), 2), budget=1)
+    with pytest.raises(OracleError):
+        z_exact(ZarKey.of((40, 13), 2), budget=1)
+    assert time.perf_counter() - start < 0.1
+    # 2^12 rows are allowed
+    assert z_exact(ZarKey.of((12, 12), 2), budget=1).status == "lower_bound_only"
 
 
 def test_budget_exhaustion_degrades_to_lower_bound():
