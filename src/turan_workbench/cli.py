@@ -164,7 +164,7 @@ def _cmd_check_free(args, argv) -> int:
     if args.pattern == "star":
         pat = ForbiddenPattern.star(args.t)
     elif args.pattern == "ktt":
-        pat = ForbiddenPattern.biclique(args.s if args.s else args.t, args.t)
+        pat = ForbiddenPattern.biclique(args.t if args.s is None else args.s, args.t)
     else:
         _need(args, "q")
         pat = ForbiddenPattern.complete_multipartite(args.q, args.t)
@@ -177,8 +177,8 @@ def _cmd_check_free(args, argv) -> int:
     if w is None:
         _emit({"verdict": "free", "nodes": budget.used}, args.json)
         return EXIT_OK
-    _emit({"verdict": "witness", "classes": [list(c) for c in w.classes]},
-          args.json)
+    _emit({"verdict": "witness", "classes": [list(c) for c in w.classes],
+           "nodes": budget.used}, args.json)
     return EXIT_FOUND
 
 
@@ -275,8 +275,15 @@ def _cmd_analyze(args, argv) -> int:
 # parser
 
 
+def _budget_arg(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0: {value}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget", type=int, default=None,
+    p.add_argument("--budget", type=_budget_arg, default=None,
                    help="node-expansion budget for searches")
     p.add_argument("--seed", type=int, default=0, help="64-bit seed")
     p.add_argument("--json", action="store_true", help="canonical JSON output")

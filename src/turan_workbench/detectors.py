@@ -10,17 +10,25 @@ freeness silently.
 The K_q(t) engine works on the complement: a copy exists iff some qt-vertex
 set S has non-adjacency components of size <= t that pack into q groups of t
 (vertices in different groups must be adjacent, and every non-adjacent pair
-must share a group).  The DFS adds vertices in ascending order (deterministic,
-canonically least witness) and prunes with two supply bounds:
+must share a group).  The DFS adds vertices in a fixed order and returns the
+first set that packs, so its witness is the least one in that order; sound
+pruning never changes it.  It prunes with two kinds of bound:
 
 * per host part: a part is independent, so a copy meets it in one class
   (at most max-class-size vertices);
-* per non-adjacency component of the host: an exact-ish upper bound on how
-  many vertices any valid set can take from the component, computed by a
-  cheap structural ladder (see ``_supply``) and memoized.
+* per region: when the host's complement splits into several non-adjacency
+  components, or into several cross-part non-adjacency blobs, the regions
+  are its components, each split into its blobs when that lowers the bound,
+  and each region gets a supply -- an upper bound on how many vertices
+  any valid set can take from it, computed by a cheap structural ladder
+  (see ``_supply``) and memoized.  Regions are enumerated scarcest supply
+  first, each in ascending vertex order.
 
-On the dense blow-up constructions this proves freeness in roughly the time
-it takes to read the graph, which is what the acceptance suite needs.
+A graph whose complement is one component and one blob (a random graph,
+typically) gets no supplies: its one region's supply is a relaxation of the
+question itself, and the DFS over the same vertices answers that directly.
+It is enumerated in ascending order.  The blow-up constructions split into
+many regions, and their supplies prove freeness at or near the root.
 
 The engine's per-graph state (complement rows, part lookup, enumeration
 order) lives in a :class:`PackingContext`, built once; its ``run`` is the
@@ -34,6 +42,7 @@ edges (one bit in each of two complement rows), then probe it with
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -211,7 +220,10 @@ class PackingContext:
     Without supply bounds the context starts from ``rows`` (default: the
     empty graph) and a branch-and-bound caller keeps it in sync with its own
     graph through :meth:`flip`, one edge at a time, instead of building a
-    context per probe.  With ``use_supply`` the universe is split once into
+    context per probe.  With ``use_supply`` the complement's components are
+    computed first.  If the universe is one component and one cross-part
+    blob, the context is built as without supplies (one region, ascending
+    order, no in-DFS refine).  Otherwise the universe is split once into
     *regions*: non-adjacency components, each further split into cross-part
     non-adjacency blobs when that lowers the bound (any partition gives a
     sound bound, since a valid set restricted to a region is still valid
@@ -238,39 +250,50 @@ class PackingContext:
         for pm in self.part_masks:
             for v in bits(pm):
                 self.part_mask_of[v] = pm
-        self.use_supply = use_supply
+        # per-part caps in the DFS bound: a part of at most max_size vertices
+        # never binds, so those vertices (and any outside every part) are
+        # counted by one popcount
+        self.big_parts = [pm for pm in self.part_masks if pm.bit_count() > self.max_size]
+        self.small_mask = universe
+        for pm in self.big_parts:
+            self.small_mask &= ~pm
         self._supply_memo: dict[int, int] = {}
+        self.regions = [universe]
+        self.region_supply = [universe.bit_count()]
         if use_supply:
-            regions: list[int] = []
-            for comp in self._components(universe, cross_part_only=False):
-                comp_bound = self._supply(comp)
-                blobs = self._components(comp, cross_part_only=True)
-                if len(blobs) > 1:
-                    blob_bounds = [self._supply(b) for b in blobs]
-                    if sum(blob_bounds) < comp_bound:
-                        regions.extend(blobs)
-                        continue
-                regions.append(comp)
-            self.regions = regions
-            self.region_supply = [self._supply(rg) for rg in regions]
-        else:
-            self.regions = [universe]
-            self.region_supply = [universe.bit_count()]
-        # enumeration order: most-constrained regions first (fewest vertices
-        # per unit of supply), so conflicts surface at the top of the tree
-        from fractions import Fraction
-        ranked = sorted(range(len(self.regions)),
-                        key=lambda i: (Fraction(self.regions[i].bit_count(),
-                                                max(self.region_supply[i], 1)),
-                                       self.regions[i].bit_count(),
-                                       self.regions[i] & -self.regions[i]))
+            comps = self._components(universe, cross_part_only=False)
+            if len(comps) > 1 or len(self._components(universe, True)) > 1:
+                self._build_regions(comps)
+            else:
+                use_supply = False   # one region: its supply only relaxes the DFS
+        self.use_supply = use_supply
         self.order: list[int] = []
-        for i in ranked:
-            self.order.extend(bits(self.regions[i]))
+        for rg in self.regions:
+            self.order.extend(bits(rg))
         # suffix[i] = vertices at enumeration positions >= i
         self.suffix: list[int] = [0] * (len(self.order) + 1)
         for i in range(len(self.order) - 1, -1, -1):
             self.suffix[i] = self.suffix[i + 1] | (1 << self.order[i])
+
+    def _build_regions(self, comps: list[int]) -> None:
+        """Split the universe into regions with their supplies, ranked for
+        enumeration: most-constrained regions first (fewest vertices per
+        unit of supply), so conflicts surface at the top of the tree."""
+        regions: list[int] = []
+        for comp in comps:
+            comp_bound = self._supply(comp)
+            blobs = self._components(comp, cross_part_only=True)
+            if len(blobs) > 1:
+                blob_bounds = [self._supply(b) for b in blobs]
+                if sum(blob_bounds) < comp_bound:
+                    regions.extend(blobs)
+                    continue
+            regions.append(comp)
+        supply = {rg: self._supply(rg) for rg in regions}
+        regions.sort(key=lambda rg: (Fraction(rg.bit_count(), max(supply[rg], 1)),
+                                     rg.bit_count(), rg & -rg))
+        self.regions = regions
+        self.region_supply = [supply[rg] for rg in regions]
 
     def flip(self, u: int, v: int) -> None:
         """Toggle the edge (u, v) of two universe vertices."""
@@ -461,17 +484,6 @@ class PackingContext:
         rec(0, 0, 0, [])
         return best
 
-    def _part_cap(self, sub: int, t: int) -> int:
-        """Per-part pigeonhole cap of a mask (at most t per host part)."""
-        if not self.part_masks:
-            return sub.bit_count()
-        cap = 0
-        for pm in self.part_masks:
-            inter = sub & pm
-            if inter:
-                cap += min(inter.bit_count(), t)
-        return cap
-
     # -- packing ------------------------------------------------------------
 
     def _pack(self, comps: list[tuple[int, int]]) -> Optional[list[list[int]]]:
@@ -572,15 +584,26 @@ class PackingContext:
         avail = above | smask
         subs_a = []
         subs_b = []
+        small = self.small_mask
+        big = self.big_parts
         for rg, sup in zip(self.regions, self.region_supply):
+            # per region: min(supply, at most t vertices per host part)
             sub_a = avail & rg
             sub_b = free & rg
             subs_a.append(sub_a)
             subs_b.append(sub_b)
             if sub_a:
-                bound_a += min(sub_a.bit_count(), sup, self._part_cap(sub_a, t))
+                cap = (sub_a & small).bit_count()
+                for pm in big:
+                    c = (sub_a & pm).bit_count()
+                    cap += c if c < t else t
+                bound_a += cap if cap < sup else sup
             if sub_b:
-                bound_b += min(sub_b.bit_count(), sup, self._part_cap(sub_b, t))
+                cap = (sub_b & small).bit_count()
+                for pm in big:
+                    c = (sub_b & pm).bit_count()
+                    cap += c if c < t else t
+                bound_b += cap if cap < sup else sup
         total = self.total
         if bound_a < total or bound_b < total:
             return None

@@ -119,7 +119,31 @@ def test_construct_and_check_free(tmp_path, capsys):
     code, out_text = run(capsys, "check-free", str(octa), "--pattern", "kqt",
                          "--q", "3", "--t", "2", "--json")
     assert code == EXIT_FOUND
-    assert json.loads(out_text)["verdict"] == "witness"
+    doc = json.loads(out_text)
+    assert doc["verdict"] == "witness" and doc["classes"] == [[0, 1], [2, 3], [4, 5]]
+    # every answer says how many search nodes it took, a witness too
+    assert isinstance(doc["nodes"], int) and doc["nodes"] >= 1
+
+
+def test_zero_sizes_and_negative_budget_are_usage_errors(tmp_path, capsys):
+    # --s 0 must not fall back to K_{t,t}, and a negative budget is rejected
+    # before any search starts, by every command
+    k23 = tmp_path / "k23.json"
+    save_graph(PartitionedGraph([2, 3], [(u, v) for u in range(2) for v in range(2, 5)]), k23)
+    for argv in (["check-free", str(k23), "--pattern", "ktt", "--s", "0", "--t", "2"],
+                 ["check-free", str(k23), "--pattern", "ktt", "--t", "0"],
+                 ["check-free", str(k23), "--pattern", "kqt", "--q", "2", "--t", "1",
+                  "--budget", "-1"],
+                 ["zar", "exact", "--sizes", "2,2", "--t", "2", "--budget", "-1"],
+                 ["ex", "exact", "--sizes", "2,2", "--q", "2", "--t", "1",
+                  "--budget", "-5"]):
+        assert cli_dispatch(argv) == EXIT_USAGE, argv
+    assert capsys.readouterr().out == ""
+    # a zero budget is valid: the search stops at its first node
+    code, text = run(capsys, "check-free", str(k23), "--pattern", "kqt", "--q", "2",
+                     "--t", "1", "--budget", "0", "--json")
+    assert code == EXIT_BUDGET and json.loads(text) == {"nodes": 1,
+                                                        "verdict": "budget-exceeded"}
 
 
 def test_check_free_budget_exit(tmp_path, capsys):

@@ -5,12 +5,15 @@ import pytest
 
 from naive_oracles import (naive_contains_biclique, naive_contains_kqt,
                            naive_contains_star)
+from turan_workbench.constructions import (ConstructionParams, basic_construction,
+                                           improved_construction)
 from turan_workbench.detectors import (Budget, BudgetExhausted, ForbiddenPattern,
                                        PackingContext, Witness, find_biclique,
                                        find_complete_multipartite, find_star,
                                        verify_witness)
 from turan_workbench.graphs import PartitionedGraph
 from turan_workbench.search import maximize_free
+from turan_workbench.zarankiewicz import z_lower_construction
 
 
 def complete_graph(n):
@@ -276,3 +279,54 @@ def test_find_complete_multipartite_pinned_witnesses():
         found.append(w.classes if w else None)
     assert sum(w is None for w in found) == 31
     assert hashlib.sha256(repr(found).encode()).hexdigest()[:16] == "8017ccf7db8fd752"
+
+
+def random_share(rng, sizes, share):
+    """A k-partite graph on exactly round(share * cross pairs) random edges."""
+    host = PartitionedGraph(sizes)
+    pairs = [(u, v) for u in range(host.num_vertices) for v in range(u + 1, host.num_vertices)
+             if host.part_of[u] != host.part_of[v]]
+    return PartitionedGraph(sizes, sorted(rng.sample(pairs, round(share * len(pairs)))))
+
+
+def test_find_complete_multipartite_pinned_single_region_panel():
+    # graphs shaped like the benchmark's random check-free panel, and random
+    # k-partite hosts with t in {1, 2, 3}; 52 of the 84 have one connected
+    # complement, so they run without supply bounds.  Witnesses are pinned
+    # from the detector that still built supplies for them, and the verdicts
+    # of the graphs on at most 24 vertices are checked against the naive oracle.
+    rng = random.Random(53)
+    panel = [(random_share(rng, (6, 6, 6, 6), 0.45), 3, 2) for _ in range(12)]
+    panel += [(random_share(rng, (8, 8, 8, 8), 0.36), 3, 2) for _ in range(12)]
+    for _ in range(60):
+        sizes = [rng.randint(2, 5) for _ in range(rng.randint(3, 5))]
+        q, t = rng.choice([(3, 1), (4, 1), (2, 2), (3, 2), (2, 3), (3, 3)])
+        panel.append((random_partite(rng, sizes, rng.choice([0.5, 0.7, 0.85])), q, t))
+    found = []
+    for g, q, t in panel:
+        w = find_complete_multipartite(g, q, t)
+        if w is not None:
+            assert verify_witness(g, ForbiddenPattern.complete_multipartite(q, t), w)
+        if g.num_vertices <= 24:
+            assert (w is not None) == naive_contains_kqt(g, q, t)
+        found.append(w.classes if w else None)
+    assert sum(w is None for w in found) == 15
+    assert hashlib.sha256(repr(found).encode()).hexdigest()[:16] == "612bff57e0934c88"
+
+
+def test_construction_node_counts_pinned():
+    # blow-ups split into many complement regions, and their supplies decide
+    # freeness at or near the root; these counts show the region path intact
+    class1 = z_lower_construction(32, 2).witness
+    nodes = {}
+    for r in (2, 3, 4):
+        for k in range(r + 1, 2 * r + 1):
+            for name, build in (("basic", basic_construction),
+                                ("improved", improved_construction)):
+                g = build(ConstructionParams(32, r, k, 2), class1)
+                budget = Budget(None)
+                assert find_complete_multipartite(g, r + 1, 2, budget=budget) is None
+                nodes[name, r, k] = budget.used
+    # the other 15 are decided at the root
+    assert {key: n for key, n in nodes.items() if n > 1} == {
+        ("improved", 3, 5): 543, ("improved", 4, 6): 671, ("improved", 4, 7): 799}
