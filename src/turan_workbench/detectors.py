@@ -230,7 +230,8 @@ class PackingContext:
     there).  Vertices are enumerated region-by-region, scarcest supply
     first, so the tightest decisions are made at the top of the tree.
     Regions and supplies describe the graph as built, so a supply-bounded
-    context must not be flipped.
+    context must not be flipped.  The supply DFS spends on ``budget``
+    (unlimited when None), which :meth:`run` replaces with its own.
     """
 
     def __init__(self, universe: int, part_masks: Sequence[int],
@@ -243,7 +244,7 @@ class PackingContext:
         self.max_size = self.class_sizes[0]
         self.total = sum(self.class_sizes)
         self.part_masks = [pm & universe for pm in part_masks if pm & universe]
-        self.budget = budget
+        self.budget = as_budget(budget)
         self.H = [universe & ~(rows[v] | (1 << v)) if (universe >> v) & 1 else 0
                   for v in range(n)]
         self.part_mask_of = [0] * n

@@ -2,18 +2,28 @@
 
 The bipartite search branches over left-vertex neighbourhood rows in
 lexicographically non-increasing order (left vertices are interchangeable,
-so this loses no graphs) and prunes with the remaining star budget: a
-K_{t,t}-free bipartite graph satisfies sum_v C(d_v, t) <= (t-1) C(n, t), and
-for a fixed edge count the left side minimizes that sum with degrees as equal
-as possible.  That bound depends on a candidate row only through its
-popcount, so each node bounds whole popcount classes at once and walks only
-the rows of the admissible ones.  K_{t,t} feasibility is kept as, for every
-column t-subset, the number of chosen rows containing it: a row fits iff it
-contains no saturated subset (one in t-1 chosen rows), a single AND.  The
-per-(n, t) tables behind both (t-subsets of each row, rows by popcount) are
-built once per process.  ``kst_upper`` is the same convexity bound solved for
-the edge count (an explicit, checkable form of the Kovari--Sos--Turan
-inequality), taken in both orientations.
+so this loses no graphs).  Columns are interchangeable too, so the columns
+are kept lex non-increasing as well (double-lex; Flener, Frisch, Hnich,
+Kiziltan, Miguel, Pearson and Walsh, "Breaking row and column symmetries in
+matrix models", CP 2002).  A row's most significant bit is column n-1, so
+rows are compared from column n-1 down; columns are compared from row 0
+on, and column j+1 must be at least column j.  Both orders then read the
+matrix in the same direction, so the lex-largest member of every orbit
+under row and column permutations (rows read in turn, from column n-1)
+satisfies both, and the edge count is invariant: no value is lost.
+
+The search prunes with the remaining star budget: a K_{t,t}-free bipartite
+graph satisfies sum_v C(d_v, t) <= (t-1) C(n, t), and for a fixed edge count
+the left side minimizes that sum with degrees as equal as possible.  That
+bound depends on a candidate row only through its popcount, so each node
+bounds whole popcount classes at once and walks only the rows of the
+admissible ones.  K_{t,t} feasibility is kept as, for every column t-subset,
+the number of chosen rows containing it: a row fits iff it contains no
+saturated subset (one in t-1 chosen rows), a single AND.  The per-(n, t)
+tables behind both (t-subsets of each row, rows by popcount) are built once
+per process.  ``kst_upper`` is the same convexity bound solved for the edge
+count (an explicit, checkable form of the Kovari--Sos--Turan inequality),
+taken in both orientations.
 
 Multipartite instances (three or more parts) are exactly ex(n_1..n_a; K_2(t))
 and delegate to the shared cross-pair branch and bound.
@@ -178,13 +188,20 @@ def _z_bipartite(m: int, n: int, t: int, budget: Budget) -> tuple[int, list[int]
 
     Returns (value, row masks, exact).  Assumes m >= n (canonical key order).
 
-    Rows are chosen in non-increasing order.  The star-budget bound on a
-    candidate row depends only on its popcount, so each node works out the
-    admissible popcounts once (memoized on rows left, stars left and the gap
-    to the incumbent) and walks only the rows of those popcounts, re-testing
-    a candidate's bound only after the incumbent improved inside the loop.
-    Feasibility is one AND against the saturated column t-subsets
-    (``_TSubsetCounts``); the per-(n, t) tables come from ``_row_tables``.
+    Rows are chosen in non-increasing order, and the columns are kept lex
+    non-increasing from column n-1 down to 0, compared from row 0 on
+    (double-lex, CP 2002; the module docstring has the orientation
+    argument).  Bit j of ``tied`` is set while columns j and j+1 agree on
+    every chosen row; a row with bit j set and bit j+1 clear would put
+    column j ahead of column j+1 and is skipped while the two are tied.
+
+    The star-budget bound on a candidate row depends only on its popcount,
+    so each node works out the admissible popcounts once (memoized on rows
+    left, stars left and the gap to the incumbent) and walks only the rows
+    of those popcounts, re-testing a candidate's bound only after the
+    incumbent improved inside the loop.  Feasibility is one AND against the
+    saturated column t-subsets (``_TSubsetCounts``); the per-(n, t) tables
+    come from ``_row_tables``.
     """
     full = (1 << n) - 1
     if min(m, n) < t:
@@ -236,7 +253,7 @@ def _z_bipartite(m: int, n: int, t: int, budget: Budget) -> tuple[int, list[int]
     spend = budget.spend
     push, pop = counts.push, counts.pop
 
-    def rec(prev: int, cur: int, stars_left: int) -> None:
+    def rec(prev: int, cur: int, stars_left: int, tied: int) -> None:
         nonlocal best, best_rows
         spend()
         rows_left = m - len(chosen)
@@ -255,16 +272,16 @@ def _z_bipartite(m: int, n: int, t: int, budget: Budget) -> tuple[int, list[int]
             if best != seen_best:        # the incumbent moved: re-test the bound
                 seen_best = best
                 ok = popcount_classes(rows_left, stars_left, best - cur)[0]
-            if not ok[pc] or tsub[c] & saturated:
+            if not ok[pc] or tsub[c] & saturated or c & tied & ~(c >> 1):
                 continue
             push(c)
             chosen.append(c)
-            rec(c, cur + pc, stars_left - cost_of[pc])
+            rec(c, cur + pc, stars_left - cost_of[pc], tied & ~(c ^ (c >> 1)))
             chosen.pop()
             pop(c)
 
     try:
-        rec(full, 0, star_cap)
+        rec(full, 0, star_cap, full >> 1)
     except BudgetExhausted:
         exact = False
     del rec   # rec refers to itself; drop the cycle so the memo is freed now

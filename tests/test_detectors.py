@@ -281,6 +281,26 @@ def test_find_complete_multipartite_pinned_witnesses():
     assert hashlib.sha256(repr(found).encode()).hexdigest()[:16] == "8017ccf7db8fd752"
 
 
+def test_supply_context_without_budget_matches_budgeted():
+    # the supply DFS in the constructor spends on an unlimited budget when
+    # none is given; regions, supplies and the search are the same
+    rng = random.Random(47)
+    split = 0
+    for _ in range(150):
+        sizes = [rng.randint(2, 5) for _ in range(rng.randint(3, 5))]
+        q, t = rng.choice([(3, 1), (4, 1), (2, 2), (3, 2), (2, 3), (3, 3)])
+        g = random_partite(rng, sizes, rng.choice([0.5, 0.7, 0.85]))
+        args = (g.universe_mask, [g.part_mask(i) for i in range(len(sizes))],
+                (t,) * q, g.rows())
+        bare = PackingContext(*args, use_supply=True)
+        budgeted = PackingContext(*args, use_supply=True, budget=Budget(None))
+        assert (bare.regions, bare.region_supply, bare.use_supply) == \
+            (budgeted.regions, budgeted.region_supply, budgeted.use_supply)
+        assert bare.run(Budget(None)) == budgeted.run(Budget(None))
+        split += bare.use_supply
+    assert split > 0
+
+
 def random_share(rng, sizes, share):
     """A k-partite graph on exactly round(share * cross pairs) random edges."""
     host = PartitionedGraph(sizes)
