@@ -234,11 +234,10 @@ def _cmd_ex(args, argv) -> int:
 
 def _cmd_analyze(args, argv) -> int:
     g = load_graph(args.graph)
-    t = args.t if args.t else 2
     k = len(g.part_sizes)
     n = g.part_sizes[0]
     params = stability.AnalysisParams(
-        args.r, k, n, t,
+        args.r, k, n, args.t,
         gamma=Fraction(args.gamma) if args.gamma else Fraction(1, 1024),
         epsilon=Fraction(args.epsilon) if args.epsilon else Fraction(1, 8))
     if args.verb == "closest-template":
@@ -266,7 +265,7 @@ def _cmd_analyze(args, argv) -> int:
         return EXIT_OK if rep.bound_holds in (True, None) else EXIT_FOUND
     # structure
     z = mask_of(int(x) for x in args.z.split(",")) if args.z else 0
-    rep = stability.structure_report(g, spec, z, t, params)
+    rep = stability.structure_report(g, spec, z, args.t, params)
     _emit(rep, args.json)
     return EXIT_OK
 
@@ -351,7 +350,7 @@ def build_parser() -> _Parser:
     p.add_argument("verb", choices=["closest-template", "classify", "core", "structure"])
     p.add_argument("graph")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--t", type=int)
+    p.add_argument("--t", type=int, default=2)
     p.add_argument("--spec", help="template spec JSON path")
     p.add_argument("--z", help="comma-separated exceptional vertices")
     p.add_argument("--epsilon")

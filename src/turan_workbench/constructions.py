@@ -160,12 +160,6 @@ class TemplateSpec:
     def u_masks(self) -> list[int]:
         return [z | w for z, w in zip(self.z_masks(), self.w_masks())]
 
-    def piece_cluster(self, cls: int) -> Optional[int]:
-        for p in self.pieces:
-            if p.cls == cls and p.size > 0:
-                return p.cluster
-        return None
-
     def to_document(self) -> dict:
         return {"r": self.r, "k": self.k, "n": self.n,
                 "cluster_classes": list(self.cluster_classes),

@@ -105,10 +105,6 @@ class ForbiddenPattern:
     def chromatic_number(self) -> int:
         return len(self.class_sizes)
 
-    @property
-    def vertex_count(self) -> int:
-        return sum(self.class_sizes)
-
 
 @dataclass(frozen=True)
 class Witness:
@@ -524,36 +520,52 @@ class PackingContext:
         total = self.total
         if self.universe.bit_count() < total:
             return None
-        t = self.max_size
-        comps: list[tuple[int, int]] = []
+        state: Optional[tuple[list[tuple[int, int]], int, int]] = ([], 0, 0)
         smask = 0
-        blocked = 0
-        seen1 = 0
         for v in seed:
-            hv = self.H[v]
-            merged = 1
-            keep = []
-            newmask = 1 << v
-            for cm, csz in comps:
-                if hv & cm:
-                    merged += csz
-                    newmask |= cm
-                else:
-                    keep.append((cm, csz))
-            if merged > t:
+            state = self._add(v, *state)
+            if state is None:
                 return None
-            comps = keep + [(newmask, merged)]
             smask |= 1 << v
-            if t == 2:
-                blocked |= seen1 & hv
-                if merged == 2:
-                    for u in bits(newmask):
-                        blocked |= self.H[u]
-            seen1 |= hv
-        return self._dfs(list(seed), smask, comps, 0, blocked, seen1)
+        return self._dfs(list(seed), smask, 0, *state)
 
-    def _dfs(self, chosen: list[int], smask: int, comps: list[tuple[int, int]],
-             ptr: int, blocked: int, seen1: int
+    def _add(self, v: int, comps: list[tuple[int, int]], blocked: int, seen1: int
+             ) -> Optional[tuple[list[tuple[int, int]], int, int]]:
+        """The DFS state after choosing vertex v, or None if v joins a
+        non-adjacency component of more than t vertices.
+
+        ``comps`` lists the chosen set's non-adjacency components with their
+        sizes; v's component (v plus every component it has a non-edge to)
+        goes last, after the others in their order.  ``seen1`` holds the
+        vertices with a non-edge into the chosen set.  For t = 2, ``blocked``
+        holds the vertices that would merge two chosen components or grow a
+        full one: those with a non-edge into two chosen vertices, or into a
+        component of size 2.
+        """
+        t = self.max_size
+        H = self.H
+        hv = H[v]
+        merged = 1
+        newmask = 1 << v
+        keep = []
+        for c in comps:
+            if hv & c[0]:
+                merged += c[1]
+                if merged > t:
+                    return None
+                newmask |= c[0]
+            else:
+                keep.append(c)
+        keep.append((newmask, merged))
+        if t == 2:
+            blocked |= seen1 & hv
+            if merged == 2:
+                for u in bits(newmask):
+                    blocked |= H[u]
+        return keep, blocked, seen1 | hv
+
+    def _dfs(self, chosen: list[int], smask: int, ptr: int,
+             comps: list[tuple[int, int]], blocked: int, seen1: int
              ) -> Optional[tuple[tuple[int, ...], ...]]:
         self.budget.spend()
         rem = self.total - len(chosen)
@@ -618,49 +630,15 @@ class PackingContext:
                     ref_b += min(self._supply(sub_b), sup)
             if ref_a < total or ref_b < total:
                 return None
-        H = self.H
         for i in range(ptr, len(order)):
             v = order[i]
             if not (above >> v) & 1:
                 continue
-            hv = H[v] & smask
-            merged = 1
-            touched = []
-            ok = True
-            if hv:
-                for ci, (cm, csz) in enumerate(comps):
-                    if hv & cm:
-                        merged += csz
-                        if merged > t:
-                            ok = False
-                            break
-                        touched.append(ci)
-            if not ok:
+            state = self._add(v, comps, blocked, seen1)
+            if state is None:
                 continue
-            if touched:
-                newmask = 1 << v
-                newcomps = []
-                for ci, c in enumerate(comps):
-                    if ci in touched:
-                        newmask |= c[0]
-                    else:
-                        newcomps.append(c)
-                newcomps.append((newmask, merged))
-            else:
-                newcomps = comps + [(1 << v, 1)]
-                newmask = 1 << v
-            hv_full = H[v]
-            nseen1 = seen1 | hv_full
-            if t == 2:
-                nblocked = blocked | (seen1 & hv_full)
-                if merged == 2:
-                    for u in bits(newmask):
-                        nblocked |= H[u]
-            else:
-                nblocked = blocked
             chosen.append(v)
-            found = self._dfs(chosen, smask | (1 << v), newcomps, i + 1,
-                              nblocked, nseen1)
+            found = self._dfs(chosen, smask | (1 << v), i + 1, *state)
             chosen.pop()
             if found is not None:
                 return found

@@ -160,15 +160,6 @@ class PartitionedGraph:
         sm = self.mask(s)
         return all((sm & pm).bit_count() <= 1 for pm in self._part_masks)
 
-    def max_degree_within(self, within: VertexSet) -> int:
-        wm = self.mask(within)
-        best = 0
-        for v in bits(wm):
-            d = (self._rows[v] & wm).bit_count()
-            if d > best:
-                best = d
-        return best
-
     # -- interchange format ----------------------------------------------
 
     def to_document(self) -> dict:
@@ -201,13 +192,6 @@ class PartitionedGraph:
         for v in range(g.num_vertices):
             rows[v] = g.universe_mask & ~g._part_masks[g.part_of[v]]
         return g
-
-    def with_extra_edges(self, extra: Iterable[tuple[int, int]]) -> "PartitionedGraph":
-        new = PartitionedGraph(self.part_sizes, extra)
-        rows = new._rows
-        for v, r in enumerate(self._rows):
-            rows[v] |= r
-        return new
 
     # -- misc ---------------------------------------------------------------
 

@@ -32,7 +32,11 @@ For K_2(t) (the multipartite Zarankiewicz case) three counting bounds
 prune the tree: per part-pair block the bipartite restriction obeys the
 Kovari--Sos--Turan convexity bound, the whole vertex set obeys the
 all-graph star count sum_v C(d_v, t) <= (t-1) C(N, t), and each part's cut
-obeys the bipartite bound against the rest (applied recursively).
+obeys the bipartite bound against the rest (applied recursively).  The
+pair order takes the blocks one after another, so at any index the blocks
+before the current one are decided and those after it untouched: the
+per-block headroom is the current block's room plus a precomputed suffix
+sum over the later blocks.
 
 Used directly by the extremal-search module and, for part counts >= 3, by
 the Zarankiewicz oracle (z_t^{(a)} is exactly ex(n_1..n_a; K_2(t))).
@@ -175,11 +179,15 @@ def maximize_free(part_sizes: Sequence[int], q: int, t: int,
         for (i, j), b in block_ids.items():
             block_kst[b] = part_sizes[i] * part_sizes[j]
         static_cap = total
-    # remaining pairs per block at each index
-    rem_table = [[0] * nblocks for _ in range(total + 1)]
-    for idx in range(total - 1, -1, -1):
-        rem_table[idx] = list(rem_table[idx + 1])
-        rem_table[idx][block_of[idx]] += 1
+    # block_end[b]: index after block b's last pair; later_room[b]: room in
+    # the (untouched) blocks after b
+    block_end = [0] * nblocks
+    for idx, b in enumerate(block_of):
+        block_end[b] = idx + 1
+    later_room = [0] * nblocks
+    for b in range(nblocks - 2, -1, -1):
+        size = block_end[b + 1] - block_end[b]
+        later_room[b] = later_room[b + 1] + min(size, block_kst[b + 1])
 
     best = -1
     best_rows: list[int] = [0] * host.num_vertices
@@ -200,15 +208,11 @@ def maximize_free(part_sizes: Sequence[int], q: int, t: int,
             best_rows = list(rows)
         if idx == total or cur >= static_cap:
             return
-        rem = rem_table[idx]
-        headroom = 0
-        for b in range(nblocks):
-            if rem[b]:
-                headroom += min(rem[b], block_kst[b] - used_block[b])
+        b = block_of[idx]
+        headroom = min(block_end[b] - idx, block_kst[b] - used_block[b]) + later_room[b]
         if min(cur + headroom, static_cap) <= best:
             return
         u, v = pairs[idx]
-        b = block_of[idx]
         # tie_u: u is tied and its predecessor has the edge (u - 1, v); a tied
         # vertex may take the pair only then (likewise v with (u, v - 1))
         tie_u = tied[u] and rows[u - 1] >> v & 1

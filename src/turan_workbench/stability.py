@@ -9,16 +9,12 @@ the final structure report.
 The template family is vertex-labelled (a leftover cluster may be divided
 arbitrarily), so closest_template optimizes a per-vertex class assignment;
 the returned TemplateSpec records the resulting piece sizes and the result
-carries the full vertex->class map of the minimizer.  When at most one
-cluster is split (b <= 1) the per-vertex costs are independent and the
-greedy assignment is provably optimal per shape; for b >= 2 a swap local
-search refines it and the result is flagged heuristic.  A swap moves one
-vertex, so the search prices it by that vertex's own disagreements (a delta
-cost) instead of recomputing the whole distance.  Every result also carries
-a lower bound over the family and its gap to the distance.  A class takes at
-most one piece, so leftover vertices of different clusters never share a
-class; the bound is then attained by the greedy, and the gap is 0 (the
-result is certified optimal) even where it is flagged heuristic.
+carries the full vertex->class map of the minimizer.  A class takes at most
+one piece, so leftover vertices of different clusters never share a class
+and the per-vertex costs are independent: the greedy assignment is optimal
+per shape and no swap search is needed.  Every result also carries a lower
+bound over the family and its gap to the distance; ``heuristic`` is set only
+when that gap is positive, which the independence argument rules out.
 
 Classification thresholds are epsilon*n comparisons done in exact rational
 arithmetic.  A vertex satisfying several membership conditions at once is
@@ -50,6 +46,8 @@ class AnalysisParams:
     epsilon: Fraction = Fraction(1, 8)
 
     def __post_init__(self):
+        if self.r < 1 or self.t < 1:
+            raise ValueError(f"need r >= 1 and t >= 1, got r={self.r}, t={self.t}")
         g, e = Fraction(self.gamma), Fraction(self.epsilon)
         if not (0 < g < e < 1):
             raise ValueError(f"need 0 < gamma < epsilon < 1, got {g}, {e}")
@@ -158,7 +156,7 @@ class ClosestTemplateResult:
     class_of: tuple[int, ...]      # vertex -> class map of the minimizer
     distance: int
     gamma_close: bool
-    heuristic: bool                # b >= 2: the swap search ran
+    heuristic: bool                # gap > 0: not certified optimal
     lower_bound: int               # no template of the family is closer
 
     @property
@@ -180,23 +178,14 @@ def _assignment_distance(g: PartitionedGraph, class_of: Sequence[int], r: int) -
     return total // 2
 
 
-def _vertex_cost(row: int, outside: int, class_mask: int) -> int:
-    """Disagreements at a vertex (neighbour row ``row``, vertices outside its
-    part ``outside``) when it sits in the class with mask ``class_mask``."""
-    return (row ^ (outside & ~class_mask)).bit_count()
-
-
-def closest_template(g: PartitionedGraph, params: AnalysisParams,
-                     local_search_passes: int = 10) -> ClosestTemplateResult:
+def closest_template(g: PartitionedGraph, params: AnalysisParams) -> ClosestTemplateResult:
     """Template of the family minimizing |E(G) triangle E(T)|, with a lower bound.
 
-    Exhaustive over shapes; per shape the leftover vertices are assigned to
-    allowed classes greedily by independent disagreement against the whole
-    clusters, then refined by a swap local search until fixpoint.  A swap
-    moves one vertex, so its effect on the distance is the difference of
-    that vertex's two ``_vertex_cost`` values.  A shape's distance is its
-    whole-cluster disagreements plus those at the leftover vertices; the
-    winner's distance is recomputed in full as a check.
+    Exhaustive over shapes and allowances; per allowance each leftover
+    vertex takes its allowed class of least disagreement against the whole
+    clusters.  A shape's distance is its whole-cluster disagreements plus
+    those at the leftover vertices; the winner's distance is recomputed in
+    full as a check.
 
     ``lower_bound`` is the least, over the shapes and their allowances, of
     the disagreements among whole-cluster vertices, plus the non-edges
@@ -207,6 +196,15 @@ def closest_template(g: PartitionedGraph, params: AnalysisParams,
     vertices of different clusters are in different classes, hence adjacent,
     in every template of the shape: no template of the family is closer.
     ``gap`` = distance - lower_bound; gap 0 certifies the result optimal.
+
+    The greedy attains that bound, so it is optimal per allowance.  Under the
+    greedy map the pairs inside one leftover cluster cost nothing, the pairs
+    between two leftover clusters cost exactly their non-edges (their ends
+    are in different classes), and each leftover vertex's pairs with the
+    whole clusters cost its greedy cost; so the distance equals the shape's
+    bound term, which no class map of the allowance can beat.  Hence a swap
+    search could never move a vertex, the gap is 0 on every input, and
+    ``heuristic`` (gap > 0) stays false.
     """
     r, k, n = params.r, params.k, params.n
     if g.part_sizes != (n,) * k:
@@ -220,8 +218,7 @@ def closest_template(g: PartitionedGraph, params: AnalysisParams,
             groups = sorted(groups)
             shape = _Shape(g, groups, leftover, r)
             for allowance in _allowances(list(leftover), r):
-                class_of, free_cost, free_dist = shape.fit(
-                    allowance, local_search_passes if b >= 2 else 0)
+                class_of, free_cost, free_dist = shape.fit(allowance)
                 bound = shape.fixed_cost + shape.cross_cost + free_cost
                 if lower is None or bound < lower:
                     lower = bound
@@ -237,7 +234,7 @@ def closest_template(g: PartitionedGraph, params: AnalysisParams,
         _spec_from_assignment(r, k, n, groups, leftover, class_of),
         tuple(class_of), dist,
         gamma_close=Fraction(dist) <= params.gamma * n * n,
-        heuristic=b >= 2, lower_bound=lower)
+        heuristic=dist > lower, lower_bound=lower)
 
 
 def _allowances(leftover: list[int], r: int) -> Iterator[dict[int, tuple[int, ...]]]:
@@ -307,24 +304,19 @@ class _Shape:
                                    + (all_fixed & ~m & ~row).bit_count()
                                    for m in fixed_masks]
 
-    def fit(self, allowance: dict[int, tuple[int, ...]], passes: int
+    def fit(self, allowance: dict[int, tuple[int, ...]]
             ) -> tuple[list[int], int, int]:
         """Class map for one allowance, the free part of its lower bound, and
         the disagreements on pairs with a free end under that map.
 
-        Each free vertex first takes its cheapest allowed class against the
-        fixed vertices (the bound term is the sum of those costs).  The swap
-        search (``passes`` rounds, only needed when b >= 2) keeps one mask per
-        class and moves a vertex iff that lowers its ``_vertex_cost``, which
-        is exactly when the move lowers the full distance.
+        Each free vertex takes its cheapest allowed class against the fixed
+        vertices (the bound term is the sum of those costs).
         """
         g = self.g
         class_of = list(self.base)
         class_masks = list(self.fixed_masks)
         free_cost = 0
-        moves = []
         for q, allowed in allowance.items():
-            outside = g.universe_mask & ~g.part_mask(q)
             for v in g.part_vertices(q):
                 costs = self.against[v]
                 bestc = allowed[0]
@@ -334,31 +326,15 @@ class _Shape:
                 class_of[v] = bestc
                 class_masks[bestc] |= 1 << v
                 free_cost += costs[bestc]
-                moves.append((v, g.neighbors(v), outside, allowed))
-        for _ in range(passes):
-            improved = False
-            for v, row, outside, allowed in moves:
-                cur = class_of[v]
-                cur_cost = _vertex_cost(row, outside, class_masks[cur])
-                for c in allowed:
-                    if c == cur:
-                        continue
-                    cost = _vertex_cost(row, outside, class_masks[c])
-                    if cost < cur_cost:
-                        class_masks[cur] ^= 1 << v
-                        class_masks[c] |= 1 << v
-                        cur, cur_cost = c, cost
-                        improved = True
-                class_of[v] = cur
-            if not improved:
-                break
         # the free vertices' costs count each free-fixed pair once and each
         # free-free pair twice
         twice_free = against_fixed = 0
-        for v, row, outside, _ in moves:
-            wrong = row ^ (outside & ~class_masks[class_of[v]])
-            twice_free += wrong.bit_count()
-            against_fixed += (wrong & self.all_fixed).bit_count()
+        for q in allowance:
+            outside = g.universe_mask & ~g.part_mask(q)
+            for v in g.part_vertices(q):
+                wrong = g.neighbors(v) ^ (outside & ~class_masks[class_of[v]])
+                twice_free += wrong.bit_count()
+                against_fixed += (wrong & self.all_fixed).bit_count()
         return class_of, free_cost, (twice_free + against_fixed) // 2
 
 

@@ -252,6 +252,7 @@ def test_analyze_cli(tmp_path, capsys):
                      "--r", "2", "--json")
     doc = json.loads(text)
     assert code == EXIT_OK and (doc["distance"], doc["lower_bound"], doc["gap"]) == (0, 0, 0)
+    assert doc["heuristic"] is False
     code, text = run(capsys, "analyze", "classify", str(gpath), "--r", "2",
                      "--t", "2", "--spec", str(spath), "--epsilon", "1/2", "--json")
     doc = json.loads(text)
@@ -259,6 +260,25 @@ def test_analyze_cli(tmp_path, capsys):
     code, text = run(capsys, "analyze", "structure", str(gpath), "--r", "2",
                      "--t", "2", "--spec", str(spath), "--json")
     assert code == EXIT_OK and json.loads(text)["class1_ktt_free"]
+
+
+def test_analyze_rejects_nonpositive_t_and_r(tmp_path, capsys):
+    # t < 1 or r < 1 is a usage error, not a silent t = 2 or a core bound < 0
+    from turan_workbench.constructions import TemplateSpec, build_template
+    spec = TemplateSpec.standard(2, 3, 4)
+    gpath = tmp_path / "t.json"
+    save_graph(build_template(spec), gpath)
+    spath = tmp_path / "spec.json"
+    spath.write_text(canonical_json(spec.to_document()))
+    for verb in ("closest-template", "core"):
+        for extra in (["--t", "0"], ["--t", "-1"], ["--r", "0"]):
+            argv = ["analyze", verb, str(gpath), "--r", "2", "--spec", str(spath),
+                    "--json"] + extra
+            assert run(capsys, *argv) == (EXIT_USAGE, ""), argv
+    # without --t the analysis runs with t = 2
+    code, text = run(capsys, "analyze", "core", str(gpath), "--r", "2",
+                     "--spec", str(spath), "--json")
+    assert code == EXIT_OK and json.loads(text)["bound"] == str(2 * 8 ** 4)
 
 
 def test_cache_path_from_environment(tmp_path, monkeypatch):
