@@ -12,8 +12,18 @@ set S has non-adjacency components of size <= t that pack into q groups of t
 (vertices in different groups must be adjacent, and every non-adjacent pair
 must share a group).  The DFS adds vertices in a fixed order and returns the
 first set that packs, so its witness is the least one in that order; sound
-pruning never changes it.  It prunes with two kinds of bound:
+pruning never changes it.  It prunes with a degree filter and two kinds of
+bound:
 
+* degree: a copy vertex is adjacent to every copy vertex outside its own
+  class, so it has at least total - max-class-size neighbours among the
+  chosen vertices and the candidates.  Every node drops the candidates
+  below that, to a fixpoint, and gives up when a chosen vertex falls below
+  it or fewer than total vertices remain (the minimum-degree core of
+  Seidman, "Network structure and minimum degree", Social Networks 1983).
+  A dropped vertex lies in no copy of the subtree, so the filter cuts only
+  subtrees the DFS would have left empty-handed, and the first set found
+  is the same;
 * per host part: a part is independent, so a copy meets it in one class
   (at most max-class-size vertices);
 * per region: when the host's complement splits into several non-adjacency
@@ -30,12 +40,12 @@ question itself, and the DFS over the same vertices answers that directly.
 It is enumerated in ascending order.  The blow-up constructions split into
 many regions, and their supplies prove freeness at or near the root.
 
-The engine's per-graph state (complement rows, part lookup, enumeration
-order) lives in a :class:`PackingContext`, built once; its ``run`` is the
-seeded DFS.  ``find_complete_multipartite`` builds a supply-bounded context
-per graph.  The branch-and-bound engines build one context without supply
-bounds per search and keep it equal to their graph by flipping single
-edges (one bit in each of two complement rows), then probe it with
+The engine's per-graph state (complement rows, part lookup, regions) lives
+in a :class:`PackingContext`, built once; its ``run`` is the seeded DFS.
+``find_complete_multipartite`` builds a supply-bounded context per graph.
+The branch-and-bound engines build one context without supply bounds per
+search and keep it equal to their graph by flipping single edges (one bit
+in each of two complement rows), then probe it with
 :func:`contains_uniform_pattern`.
 """
 
@@ -210,8 +220,8 @@ class PackingContext:
     Built once per graph from the universe, the host parts and the pattern's
     class sizes; :meth:`run` is the seeded DFS on it.  Holds the complement
     rows ``H`` (``H[v]``: the non-neighbours of v inside the universe), the
-    part lookup, the enumeration order and its suffix masks.  ``part_masks``
-    enables the per-part pigeonhole caps (empty tuple disables them).
+    part lookup and the regions.  ``part_masks`` enables the per-part
+    pigeonhole caps (empty tuple disables them).
 
     Without supply bounds the context starts from ``rows`` (default: the
     empty graph) and a branch-and-bound caller keeps it in sync with its own
@@ -228,6 +238,15 @@ class PackingContext:
     Regions and supplies describe the graph as built, so a supply-bounded
     context must not be flipped.  The supply DFS spends on ``budget``
     (unlimited when None), which :meth:`run` replaces with its own.
+
+    The DFS enumerates the regions in their order, each in ascending vertex
+    order, so a node's place in that order is a pointer ``(r, lo)``: region
+    r from vertex lo on, then every later region whole (``later[r]``).  Its
+    candidates are those vertices minus the chosen and blocked ones, taken
+    lowest bit first, region by region; a child taken at vertex v in region
+    r gets ``(r, v + 1)``.  Before bounding, each node runs the degree
+    filter of the module docstring on the chosen vertices plus the
+    candidates.  It spends no budget and changes no witness.
     """
 
     def __init__(self, universe: int, part_masks: Sequence[int],
@@ -264,13 +283,12 @@ class PackingContext:
             else:
                 use_supply = False   # one region: its supply only relaxes the DFS
         self.use_supply = use_supply
-        self.order: list[int] = []
-        for rg in self.regions:
-            self.order.extend(bits(rg))
-        # suffix[i] = vertices at enumeration positions >= i
-        self.suffix: list[int] = [0] * (len(self.order) + 1)
-        for i in range(len(self.order) - 1, -1, -1):
-            self.suffix[i] = self.suffix[i + 1] | (1 << self.order[i])
+        # later[r] = the vertices of the regions after region r
+        self.later = [0] * len(self.regions)
+        for r in range(len(self.regions) - 1, 0, -1):
+            self.later[r - 1] = self.later[r] | self.regions[r]
+        # (v, 1 << v) for the universe's vertices: the degree filter's scan
+        self.vertex_bits = [(v, 1 << v) for v in bits(universe)]
 
     def _build_regions(self, comps: list[int]) -> None:
         """Split the universe into regions with their supplies, ranked for
@@ -485,10 +503,9 @@ class PackingContext:
 
     def _pack(self, comps: list[tuple[int, int]]) -> Optional[list[list[int]]]:
         """Pack component masks into bins of exactly class_sizes; None if impossible."""
-        sizes = sorted(self.class_sizes, reverse=True)
         items = sorted(comps, key=lambda c: -c[1])
-        bins: list[list[int]] = [[] for _ in sizes]
-        room = list(sizes)
+        bins: list[list[int]] = [[] for _ in self.class_sizes]
+        room = list(self.class_sizes)
 
         def place(i: int) -> bool:
             if i == len(items):
@@ -527,7 +544,7 @@ class PackingContext:
             if state is None:
                 return None
             smask |= 1 << v
-        return self._dfs(list(seed), smask, 0, *state)
+        return self._dfs(list(seed), smask, 0, 0, *state)
 
     def _add(self, v: int, comps: list[tuple[int, int]], blocked: int, seen1: int
              ) -> Optional[tuple[list[tuple[int, int]], int, int]]:
@@ -564,12 +581,12 @@ class PackingContext:
                     blocked |= H[u]
         return keep, blocked, seen1 | hv
 
-    def _dfs(self, chosen: list[int], smask: int, ptr: int,
+    def _dfs(self, chosen: list[int], smask: int, r0: int, lo: int,
              comps: list[tuple[int, int]], blocked: int, seen1: int
              ) -> Optional[tuple[tuple[int, ...], ...]]:
         self.budget.spend()
-        rem = self.total - len(chosen)
-        if rem == 0:
+        total = self.total
+        if len(chosen) == total:
             packed = self._pack(comps)
             if packed is None:
                 return None
@@ -581,9 +598,29 @@ class PackingContext:
                 classes.append(tuple(sorted(members)))
             return tuple(sorted(classes))
         t = self.max_size
-        order = self.order
-        # candidates: enumeration positions >= ptr, not chosen, not blocked
-        above = self.suffix[ptr] & ~smask & ~blocked
+        H = self.H
+        vertex_bits = self.vertex_bits
+        regions = self.regions
+        # avail: the chosen vertices plus the candidates (region r0 from
+        # vertex lo on and the later regions whole, minus the blocked ones)
+        avail = (((regions[r0] & -(1 << lo)) | self.later[r0]) & ~blocked) | smask
+        # degree filter: a copy vertex misses at most max_size - 1 copy
+        # vertices, so at most |avail| - 1 - (total - max_size) of avail
+        while True:
+            size = avail.bit_count()
+            if size < total:
+                return None
+            slack = size - 1 - total + t
+            drop = 0
+            for v, low in vertex_bits:
+                if avail & low and (H[v] & avail).bit_count() > slack:
+                    drop |= low
+            if not drop:
+                break
+            if drop & smask:
+                return None
+            avail ^= drop
+        above = avail ^ smask
         # Two complementary decompositions bound |S'|:
         #  A. per region: everything available there obeys the region supply;
         #  B. candidates with a non-edge into S merge into chosen components,
@@ -594,17 +631,12 @@ class PackingContext:
         att_term = min(att.bit_count(), t * len(comps) - len(chosen))
         bound_a = 0
         bound_b = len(chosen) + att_term
-        avail = above | smask
-        subs_a = []
-        subs_b = []
         small = self.small_mask
         big = self.big_parts
-        for rg, sup in zip(self.regions, self.region_supply):
+        for rg, sup in zip(regions, self.region_supply):
             # per region: min(supply, at most t vertices per host part)
             sub_a = avail & rg
             sub_b = free & rg
-            subs_a.append(sub_a)
-            subs_b.append(sub_b)
             if sub_a:
                 cap = (sub_a & small).bit_count()
                 for pm in big:
@@ -617,31 +649,34 @@ class PackingContext:
                     c = (sub_b & pm).bit_count()
                     cap += c if c < t else t
                 bound_b += cap if cap < sup else sup
-        total = self.total
         if bound_a < total or bound_b < total:
             return None
         if self.use_supply and min(bound_a, bound_b) - total < _REFINE_SLACK:
             ref_a = 0
             ref_b = len(chosen) + att_term
-            for sub_a, sub_b, sup in zip(subs_a, subs_b, self.region_supply):
+            for rg, sup in zip(regions, self.region_supply):
+                sub_a = avail & rg
                 if sub_a:
                     ref_a += min(self._supply(sub_a), sup)
+                sub_b = free & rg
                 if sub_b:
                     ref_b += min(self._supply(sub_b), sup)
             if ref_a < total or ref_b < total:
                 return None
-        for i in range(ptr, len(order)):
-            v = order[i]
-            if not (above >> v) & 1:
-                continue
-            state = self._add(v, comps, blocked, seen1)
-            if state is None:
-                continue
-            chosen.append(v)
-            found = self._dfs(chosen, smask | (1 << v), i + 1, *state)
-            chosen.pop()
-            if found is not None:
-                return found
+        for r in range(r0, len(regions)):
+            todo = above & regions[r]
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                v = low.bit_length() - 1
+                state = self._add(v, comps, blocked, seen1)
+                if state is None:
+                    continue
+                chosen.append(v)
+                found = self._dfs(chosen, smask | low, r, v + 1, *state)
+                chosen.pop()
+                if found is not None:
+                    return found
         return None
 
 

@@ -104,6 +104,7 @@ class PartitionedGraph:
         return self._rows[v].bit_count()
 
     def edges(self) -> Iterator[tuple[int, int]]:
+        """Edges (u, v) with u < v, in ascending lex order."""
         for u in range(self.num_vertices):
             higher = self._rows[u] >> (u + 1)
             for off in bits(higher):
@@ -164,7 +165,7 @@ class PartitionedGraph:
 
     def to_document(self) -> dict:
         return {"parts": list(self.part_sizes),
-                "edges": [[u, v] for u, v in sorted(self.edges())]}
+                "edges": [[u, v] for u, v in self.edges()]}
 
     @classmethod
     def from_document(cls, doc: dict) -> "PartitionedGraph":

@@ -32,8 +32,10 @@ def naive_contains_biclique(g: PartitionedGraph, s: int, t: int, within=None) ->
     return False
 
 
-def naive_contains_kqt(g: PartitionedGraph, q: int, t: int) -> bool:
-    verts = list(range(g.num_vertices))
+def naive_contains_kqt(g: PartitionedGraph, q: int, t: int, verts=None) -> bool:
+    """Whether some q disjoint t-subsets of ``verts`` (default: all
+    vertices) have every cross-class pair an edge."""
+    verts = list(range(g.num_vertices)) if verts is None else list(verts)
 
     def rec(classes: list[tuple[int, ...]], remaining: list[int], lastmin: int) -> bool:
         if len(classes) == q:
@@ -48,6 +50,15 @@ def naive_contains_kqt(g: PartitionedGraph, q: int, t: int) -> bool:
         return False
 
     return rec([], verts, -1)
+
+
+def naive_lex_least_kqt(g: PartitionedGraph, q: int, t: int):
+    """The first qt-subset of the vertices, in lex order, that spans a
+    K_q(t), as a sorted tuple; None if the graph has no K_q(t)."""
+    for sub in combinations(range(g.num_vertices), q * t):
+        if naive_contains_kqt(g, q, t, sub):
+            return sub
+    return None
 
 
 def naive_z(m: int, n: int, t: int) -> int:

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from naive_oracles import (naive_contains_biclique, naive_contains_kqt,
-                           naive_contains_star)
+                           naive_contains_star, naive_lex_least_kqt)
 from turan_workbench.constructions import (ConstructionParams, basic_construction,
                                            improved_construction)
 from turan_workbench.detectors import (Budget, BudgetExhausted, ForbiddenPattern,
@@ -170,6 +170,36 @@ def test_detectors_against_naive_random_panel():
                     g, ForbiddenPattern.complete_multipartite(q, t), got)
 
 
+def test_witness_is_lex_least_on_single_region_graphs():
+    # with one connected complement the DFS takes vertices in ascending
+    # order, so its witness is the lex-least qt-subset spanning a K_q(t); a
+    # prune that cut a subtree holding a copy (an unsound degree filter or
+    # bound) would skip that set
+    rng = random.Random(61)
+    checked = found = 0
+    while checked < 160:
+        if rng.random() < 0.5:
+            g = random_graph(rng, rng.randint(4, 12), rng.choice([0.5, 0.65, 0.8]))
+        else:
+            sizes = [rng.randint(1, 4) for _ in range(rng.randint(2, 5))]
+            while sum(sizes) > 12:
+                sizes.pop()
+            g = random_partite(rng, sizes, rng.choice([0.6, 0.75, 0.9]))
+        q, t = rng.choice([(2, 2), (3, 1), (3, 2), (4, 1), (2, 3), (3, 3)])
+        if q * t > g.num_vertices:
+            continue
+        ctx = PackingContext(g.universe_mask,
+                             [g.part_mask(i) for i in range(len(g.part_sizes))],
+                             (t,) * q, g.rows(), use_supply=True)
+        if ctx.use_supply:
+            continue
+        w = find_complete_multipartite(g, q, t)
+        assert (tuple(sorted(w.vertices())) if w else None) == naive_lex_least_kqt(g, q, t)
+        checked += 1
+        found += w is not None
+    assert found >= 60
+
+
 def test_partitioned_hosts_against_naive():
     rng = random.Random(3)
     for _ in range(60):
@@ -227,10 +257,10 @@ def test_flipped_context_matches_fresh_build_and_naive():
 @pytest.mark.parametrize("sizes, q, t, value, nodes", [
     ((2, 2, 2, 2), 3, 1, 16, 9_414),
     ((2, 2, 2, 2), 4, 1, 20, 3_691),
-    ((3, 3, 3), 3, 2, 24, 592),
-    ((2, 2, 2), 2, 2, 7, 289),
+    ((3, 3, 3), 3, 2, 24, 583),
+    ((2, 2, 2), 2, 2, 7, 242),
     ((3, 3, 3), 3, 1, 18, 20_029),
-    ((3, 3, 3), 2, 2, 13, 54_434),
+    ((3, 3, 3), 2, 2, 13, 42_502),
 ])
 def test_maximize_free_pinned_values_and_nodes(sizes, q, t, value, nodes):
     # node counts are deterministic: any drift in the probe DFS, in the
@@ -314,7 +344,9 @@ def test_find_complete_multipartite_pinned_single_region_panel():
     # k-partite hosts with t in {1, 2, 3}; 52 of the 84 have one connected
     # complement, so they run without supply bounds.  Witnesses are pinned
     # from the detector that still built supplies for them, and the verdicts
-    # of the graphs on at most 24 vertices are checked against the naive oracle.
+    # of the graphs on at most 24 vertices are checked against the naive
+    # oracle.  The 24 benchmark-shaped graphs' total node count is pinned
+    # too, so a lost or weakened prune (the degree filter, say) shows.
     rng = random.Random(53)
     panel = [(random_share(rng, (6, 6, 6, 6), 0.45), 3, 2) for _ in range(12)]
     panel += [(random_share(rng, (8, 8, 8, 8), 0.36), 3, 2) for _ in range(12)]
@@ -323,13 +355,17 @@ def test_find_complete_multipartite_pinned_single_region_panel():
         q, t = rng.choice([(3, 1), (4, 1), (2, 2), (3, 2), (2, 3), (3, 3)])
         panel.append((random_partite(rng, sizes, rng.choice([0.5, 0.7, 0.85])), q, t))
     found = []
+    nodes = []
     for g, q, t in panel:
-        w = find_complete_multipartite(g, q, t)
+        budget = Budget(None)
+        w = find_complete_multipartite(g, q, t, budget=budget)
         if w is not None:
             assert verify_witness(g, ForbiddenPattern.complete_multipartite(q, t), w)
         if g.num_vertices <= 24:
             assert (w is not None) == naive_contains_kqt(g, q, t)
         found.append(w.classes if w else None)
+        nodes.append(budget.used)
+    assert sum(nodes[:24]) == 2_241
     assert sum(w is None for w in found) == 15
     assert hashlib.sha256(repr(found).encode()).hexdigest()[:16] == "612bff57e0934c88"
 

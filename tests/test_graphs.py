@@ -115,6 +115,22 @@ def test_document_round_trip_byte_identical():
     assert g2 == g
 
 
+def test_document_lists_edges_in_sorted_order():
+    # to_document takes edges() as they come: ascending (u, v) pairs, the
+    # order a sort of the edge list would give
+    rng = random.Random(17)
+    for _ in range(40):
+        sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 5))]
+        n = sum(sizes)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        host = PartitionedGraph(sizes)
+        edges = [p for p in pairs if host.part_of[p[0]] != host.part_of[p[1]]
+                 and rng.random() < 0.5]
+        rng.shuffle(edges)
+        doc = PartitionedGraph(sizes, edges).to_document()
+        assert doc == {"parts": sizes, "edges": sorted([u, v] for u, v in edges)}
+
+
 def test_document_malformed():
     with pytest.raises(GraphInvariantError):
         PartitionedGraph.from_document({"parts": [2, 2]})
