@@ -40,6 +40,16 @@ question itself, and the DFS over the same vertices answers that directly.
 It is enumerated in ascending order.  The blow-up constructions split into
 many regions, and their supplies prove freeness at or near the root.
 
+A seeded search first applies the degree filter to the seeds alone: a seed
+needs total - max-class-size neighbours, and the seeds' common
+neighbourhood needs every copy vertex outside the classes that hold them.
+It takes a few popcounts and settles many branch-and-bound probes before
+the DFS starts.  The DFS returns the components of the first set that
+packs, and only ``run`` packs them into witness classes.  With equal
+classes of t <= 2 vertices packing cannot fail (see
+:class:`PackingContext`), so there the DFS leaf does not pack, and a probe
+that reads only the yes/no answer never packs at all.
+
 The engine's per-graph state (complement rows, part lookup, regions) lives
 in a :class:`PackingContext`, built once; its ``run`` is the seeded DFS.
 ``find_complete_multipartite`` builds a supply-bounded context per graph.
@@ -53,7 +63,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Optional, Sequence
 
 from .graphs import PartitionedGraph, bits
@@ -247,6 +257,24 @@ class PackingContext:
     r gets ``(r, v + 1)``.  Before bounding, each node runs the degree
     filter of the module docstring on the chosen vertices plus the
     candidates.  It spends no budget and changes no witness.
+
+    A seeded search applies that filter to the seeds alone before adding
+    any, and returns None when a seed has fewer than total - max_size
+    neighbours in the universe, or when the seeds' common neighbourhood
+    (seeds excluded) holds fewer than total minus the sum of the |seed|
+    largest class sizes.  A copy through the seeds puts them in at most
+    |seed| classes, and every copy vertex outside those classes is adjacent
+    to all of them, so the test is sound whether the seeds are adjacent or
+    not.  It spends no budget.
+
+    The DFS leaf packs its components only when packing can fail
+    (``pack_can_fail``).  Packing lemma: q equal classes of t <= 2
+    vertices take any components of at most t vertices that sum to qt.
+    For t = 1 every component is a single vertex.  For t = 2, a components
+    are pairs and b single vertices with 2a + b = 2q: the pairs fill a
+    classes and the b = 2(q - a) single vertices pair up into the other
+    q - a.  With t = 3 three pairs do not fit two classes of 3, and with
+    unequal classes three pairs do not fit classes of 2, 2, 1, 1.
     """
 
     def __init__(self, universe: int, part_masks: Sequence[int],
@@ -258,6 +286,10 @@ class PackingContext:
         self.class_sizes = tuple(sorted(class_sizes, reverse=True))
         self.max_size = self.class_sizes[0]
         self.total = sum(self.class_sizes)
+        # seed_room[j]: the j largest classes, which hold any j seed vertices
+        self.seed_room = list(accumulate(self.class_sizes, initial=0))
+        # packing can fail only with unequal classes or t >= 3 (class docstring)
+        self.pack_can_fail = self.max_size > 2 or self.class_sizes[-1] != self.max_size
         self.part_masks = [pm & universe for pm in part_masks if pm & universe]
         self.budget = as_budget(budget)
         self.H = [universe & ~(rows[v] | (1 << v)) if (universe >> v) & 1 else 0
@@ -533,9 +565,38 @@ class PackingContext:
             ) -> Optional[tuple[tuple[int, ...], ...]]:
         """Least copy of the pattern through every seed vertex (its classes,
         sorted), or None; the DFS spends one unit of ``budget`` per node."""
+        comps = self._leaf(budget, seed)
+        if comps is None:
+            return None
+        classes = []
+        for group in self._pack(comps):
+            members: list[int] = []
+            for cm in group:
+                members.extend(bits(cm))
+            classes.append(tuple(sorted(members)))
+        return tuple(sorted(classes))
+
+    def _leaf(self, budget: Budget, seed: Sequence[int]
+              ) -> Optional[list[tuple[int, int]]]:
+        """The non-adjacency components of the first set through the seed
+        that packs (those of the least copy), or None.
+
+        Before adding a seed it applies the degree filter to the seeds alone
+        (see the class docstring), which spends no budget.
+        """
         self.budget = budget
         total = self.total
-        if self.universe.bit_count() < total:
+        H = self.H
+        universe = self.universe
+        # a copy vertex misses at most max_size - 1 copy vertices
+        slack = universe.bit_count() - 1 - total + self.max_size
+        common = universe
+        for v in seed:
+            if H[v].bit_count() > slack:
+                return None
+            common &= ~(H[v] | 1 << v)
+        room = self.seed_room[min(len(seed), len(self.class_sizes))]
+        if common.bit_count() < total - room:
             return None
         state: Optional[tuple[list[tuple[int, int]], int, int]] = ([], 0, 0)
         smask = 0
@@ -583,20 +644,13 @@ class PackingContext:
 
     def _dfs(self, chosen: list[int], smask: int, r0: int, lo: int,
              comps: list[tuple[int, int]], blocked: int, seen1: int
-             ) -> Optional[tuple[tuple[int, ...], ...]]:
+             ) -> Optional[list[tuple[int, int]]]:
         self.budget.spend()
         total = self.total
         if len(chosen) == total:
-            packed = self._pack(comps)
-            if packed is None:
+            if self.pack_can_fail and self._pack(comps) is None:
                 return None
-            classes = []
-            for group in packed:
-                members: list[int] = []
-                for cm in group:
-                    members.extend(bits(cm))
-                classes.append(tuple(sorted(members)))
-            return tuple(sorted(classes))
+            return comps
         t = self.max_size
         H = self.H
         vertex_bits = self.vertex_bits
@@ -705,8 +759,9 @@ def contains_uniform_pattern(ctx: PackingContext, budget: Budget,
 
     Used by the branch-and-bound engines after each edge inclusion: the graph
     was pattern-free before, so any new copy must contain both endpoints.
+    It runs ``run``'s search on the same nodes but builds no witness.
     """
-    return ctx.run(budget, seed) is not None
+    return ctx._leaf(budget, seed) is not None
 
 
 def find_pattern(g: PartitionedGraph, pattern: ForbiddenPattern,

@@ -135,13 +135,6 @@ class PartitionedGraph:
         rows = self._rows
         return sum((rows[v] & ym).bit_count() for v in bits(xm))
 
-    def degree_into(self, v: int, a: VertexSet) -> int:
-        return (self._rows[v] & self.mask(a)).bit_count()
-
-    def co_degree_into(self, v: int, a: VertexSet) -> int:
-        am = self.mask(a)
-        return am.bit_count() - (self._rows[v] & am).bit_count()
-
     def density(self, x: VertexSet, y: VertexSet) -> Fraction:
         xm = self.mask(x)
         ym = self.mask(y)
@@ -149,17 +142,6 @@ class PartitionedGraph:
         if denom == 0:
             raise GraphInvariantError("density undefined for an empty side")
         return Fraction(self.pair_count(xm, ym), denom)
-
-    def edit_distance(self, other: "PartitionedGraph") -> int:
-        """|E(G) triangle E(H)| for two graphs on the same part structure."""
-        if self.part_sizes != other.part_sizes:
-            raise GraphInvariantError("edit distance requires equal part sizes")
-        return sum((a ^ b).bit_count()
-                   for a, b in zip(self._rows, other._rows)) // 2
-
-    def is_crossing(self, s: VertexSet) -> bool:
-        sm = self.mask(s)
-        return all((sm & pm).bit_count() <= 1 for pm in self._part_masks)
 
     # -- interchange format ----------------------------------------------
 

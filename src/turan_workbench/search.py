@@ -5,10 +5,14 @@ order (part pair, then local indices), include-branch first so dense
 incumbents are found early.  The include branch is feasible iff adding the
 pair creates no forbidden copy; since the current graph is pattern-free,
 any new copy must contain both endpoints, so feasibility is a K_q(t) search
-seeded with the new edge (``contains_uniform_pattern``).  Every probe runs
-on one ``PackingContext`` built per search: the search flips the probed
-edge into it and out again, and keeps it flipped in while the include
-branch is open, so the context always holds the search's current graph.
+seeded with the new edge (``contains_uniform_pattern``).  The probe pays
+only for its yes/no answer: it first applies the detector's degree filter
+to the edge's two ends, a few popcounts that settle about half the probes
+before any DFS node, and it never packs a witness when packing cannot fail
+(t <= 2).  Every probe runs on one ``PackingContext`` built per search:
+the search flips the probed edge into it and out again, and keeps it
+flipped in while the include branch is open, so the context always holds
+the search's current graph.
 
 Vertices of one host part are interchangeable, so the search skips every
 graph that swapping two consecutive vertices of a part makes lex-larger
@@ -45,6 +49,7 @@ the Zarankiewicz oracle (z_t^{(a)} is exactly ex(n_1..n_a; K_2(t))).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import comb
 from typing import Sequence
 
@@ -102,7 +107,13 @@ def whole_graph_cap(num_vertices: int, t: int) -> int:
 
 def biclique_host_cap(part_sizes: Sequence[int], t: int) -> int:
     """Recursive static cap on K_2(t)-free edge counts in a multipartite host."""
-    sizes = tuple(sorted(part_sizes, reverse=True))
+    return _biclique_cap(tuple(sorted(part_sizes, reverse=True)), t)
+
+
+@cache
+def _biclique_cap(sizes: tuple[int, ...], t: int) -> int:
+    """``biclique_host_cap`` on descending sizes, memoised per process: the
+    recursion meets the same sub-hosts many times, and so do the searches."""
     if len(sizes) == 1:
         return 0
     if len(sizes) == 2:
@@ -117,7 +128,7 @@ def biclique_host_cap(part_sizes: Sequence[int], t: int) -> int:
     for i in range(len(sizes)):
         rest = sizes[:i] + sizes[i + 1:]
         cut = kst_upper_raw(sizes[i], total - sizes[i], t)
-        best = min(best, cut + biclique_host_cap(rest, t))
+        best = min(best, cut + _biclique_cap(rest, t))
     return best
 
 

@@ -183,9 +183,9 @@ def closest_template(g: PartitionedGraph, params: AnalysisParams) -> ClosestTemp
 
     Exhaustive over shapes and allowances; per allowance each leftover
     vertex takes its allowed class of least disagreement against the whole
-    clusters.  A shape's distance is its whole-cluster disagreements plus
-    those at the leftover vertices; the winner's distance is recomputed in
-    full as a check.
+    clusters, and the allowance's distance is its bound term below.  The
+    winner's distance is recomputed in full from its class map, as a check
+    of that equality that raises if it fails.
 
     ``lower_bound`` is the least, over the shapes and their allowances, of
     the disagreements among whole-cluster vertices, plus the non-edges
@@ -203,7 +203,8 @@ def closest_template(g: PartitionedGraph, params: AnalysisParams) -> ClosestTemp
     are in different classes), and each leftover vertex's pairs with the
     whole clusters cost its greedy cost; so the distance equals the shape's
     bound term, which no class map of the allowance can beat.  Hence a swap
-    search could never move a vertex, the gap is 0 on every input, and
+    search could never move a vertex, the least bound term is both the
+    distance and ``lower_bound``, the gap is 0 on every input, and
     ``heuristic`` (gap > 0) stays false.
     """
     r, k, n = params.r, params.k, params.n
@@ -211,21 +212,17 @@ def closest_template(g: PartitionedGraph, params: AnalysisParams) -> ClosestTemp
         raise ConstructionError("closest_template needs k parts of size n")
     a, b = divmod(k, r)
     best = None                    # (distance, class_of, groups, leftover)
-    lower: Optional[int] = None
     for leftover in combinations(range(k), b):
         rest = [c for c in range(k) if c not in leftover]
         for groups in _group_partitions(rest, a):
             groups = sorted(groups)
             shape = _Shape(g, groups, leftover, r)
             for allowance in _allowances(list(leftover), r):
-                class_of, free_cost, free_dist = shape.fit(allowance)
-                bound = shape.fixed_cost + shape.cross_cost + free_cost
-                if lower is None or bound < lower:
-                    lower = bound
-                dist = shape.fixed_cost + free_dist
+                class_of, free_cost = shape.fit(allowance)
+                dist = shape.fixed_cost + shape.cross_cost + free_cost
                 if best is None or dist < best[0]:
                     best = (dist, class_of, groups, leftover)
-    assert best is not None and lower is not None
+    assert best is not None
     dist, class_of, groups, leftover = best
     if dist != _assignment_distance(g, class_of, r):
         raise AssertionError(f"internal error: shape distance {dist} is not "
@@ -234,7 +231,7 @@ def closest_template(g: PartitionedGraph, params: AnalysisParams) -> ClosestTemp
         _spec_from_assignment(r, k, n, groups, leftover, class_of),
         tuple(class_of), dist,
         gamma_close=Fraction(dist) <= params.gamma * n * n,
-        heuristic=dist > lower, lower_bound=lower)
+        heuristic=False, lower_bound=dist)
 
 
 def _allowances(leftover: list[int], r: int) -> Iterator[dict[int, tuple[int, ...]]]:
@@ -263,16 +260,16 @@ class _Shape:
     """The whole-cluster side of a template shape (which clusters are
     leftover, how the rest group into classes), shared by its allowances.
 
-    Holds the class masks of the whole ("fixed") clusters, the disagreements
-    among fixed vertices, the non-edges between leftover ("free") vertices of
-    different clusters, and each free vertex's disagreements with the fixed
-    vertices for every class.
+    Holds the classes of the whole ("fixed") clusters' vertices, the
+    disagreements among fixed vertices, the non-edges between leftover
+    ("free") vertices of different clusters, and each free vertex's
+    disagreements with the fixed vertices for every class.
     """
 
     def __init__(self, g: PartitionedGraph, groups: Sequence[tuple[int, ...]],
                  leftover: Sequence[int], r: int):
         self.g = g
-        self.fixed_masks = fixed_masks = [0] * r
+        fixed_masks = [0] * r
         self.base = [0] * g.num_vertices
         for cls_idx, grp in enumerate(groups):
             for c in grp:
@@ -282,7 +279,6 @@ class _Shape:
         all_fixed = 0
         for m in fixed_masks:
             all_fixed |= m
-        self.all_fixed = all_fixed
         twice = 0
         for m in fixed_masks:
             trow = all_fixed & ~m
@@ -305,16 +301,14 @@ class _Shape:
                                    for m in fixed_masks]
 
     def fit(self, allowance: dict[int, tuple[int, ...]]
-            ) -> tuple[list[int], int, int]:
-        """Class map for one allowance, the free part of its lower bound, and
-        the disagreements on pairs with a free end under that map.
+            ) -> tuple[list[int], int]:
+        """Class map for one allowance and the free part of its distance.
 
         Each free vertex takes its cheapest allowed class against the fixed
-        vertices (the bound term is the sum of those costs).
+        vertices; the free part is the sum of those costs.
         """
         g = self.g
         class_of = list(self.base)
-        class_masks = list(self.fixed_masks)
         free_cost = 0
         for q, allowed in allowance.items():
             for v in g.part_vertices(q):
@@ -324,18 +318,8 @@ class _Shape:
                     if costs[c] < costs[bestc]:
                         bestc = c
                 class_of[v] = bestc
-                class_masks[bestc] |= 1 << v
                 free_cost += costs[bestc]
-        # the free vertices' costs count each free-fixed pair once and each
-        # free-free pair twice
-        twice_free = against_fixed = 0
-        for q in allowance:
-            outside = g.universe_mask & ~g.part_mask(q)
-            for v in g.part_vertices(q):
-                wrong = g.neighbors(v) ^ (outside & ~class_masks[class_of[v]])
-                twice_free += wrong.bit_count()
-                against_fixed += (wrong & self.all_fixed).bit_count()
-        return class_of, free_cost, (twice_free + against_fixed) // 2
+        return class_of, free_cost
 
 
 def _spec_from_assignment(r: int, k: int, n: int, groups: list[tuple[int, ...]],

@@ -12,6 +12,17 @@ from itertools import combinations
 from turan_workbench.graphs import PartitionedGraph
 
 
+def naive_degree_into(g: PartitionedGraph, v: int, verts) -> int:
+    """Neighbours of v among the vertex indices ``verts``."""
+    return sum(g.has_edge(v, u) for u in verts)
+
+
+def naive_co_degree_into(g: PartitionedGraph, v: int, verts) -> int:
+    """Non-neighbours of v among the vertex indices ``verts`` (v itself
+    counts when it is one of them)."""
+    return sum(not g.has_edge(v, u) for u in verts)
+
+
 def naive_contains_star(g: PartitionedGraph, t: int, within=None) -> bool:
     verts = list(range(g.num_vertices)) if within is None else sorted(within)
     vset = set(verts)
@@ -50,6 +61,17 @@ def naive_contains_kqt(g: PartitionedGraph, q: int, t: int, verts=None) -> bool:
         return False
 
     return rec([], verts, -1)
+
+
+def naive_contains_kqt_through(g: PartitionedGraph, q: int, t: int, seed) -> bool:
+    """Whether some K_q(t) copy contains every vertex of ``seed``: some
+    qt-subset of the vertices that holds the seed spans one."""
+    seed = set(seed)
+    rest = [v for v in range(g.num_vertices) if v not in seed]
+    if len(seed) > q * t:
+        return False
+    return any(naive_contains_kqt(g, q, t, sorted(seed.union(extra)))
+               for extra in combinations(rest, q * t - len(seed)))
 
 
 def naive_lex_least_kqt(g: PartitionedGraph, q: int, t: int):

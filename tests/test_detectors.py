@@ -4,11 +4,13 @@ import random
 import pytest
 
 from naive_oracles import (naive_contains_biclique, naive_contains_kqt,
-                           naive_contains_star, naive_lex_least_kqt)
+                           naive_contains_kqt_through, naive_contains_star,
+                           naive_lex_least_kqt)
 from turan_workbench.constructions import (ConstructionParams, basic_construction,
                                            improved_construction)
 from turan_workbench.detectors import (Budget, BudgetExhausted, ForbiddenPattern,
-                                       PackingContext, Witness, find_biclique,
+                                       PackingContext, Witness,
+                                       contains_uniform_pattern, find_biclique,
                                        find_complete_multipartite, find_star,
                                        verify_witness)
 from turan_workbench.graphs import PartitionedGraph
@@ -254,13 +256,75 @@ def test_flipped_context_matches_fresh_build_and_naive():
             free = not has
 
 
+def test_probe_matches_run_and_naive_through_seed():
+    # the probe answers run's question on the same nodes, and the seed
+    # pretest never refuses a seed that some copy contains
+    rng = random.Random(61)
+    checked = found = pretested = 0
+    while checked < 400:
+        sizes = [rng.randint(1, 4) for _ in range(rng.randint(2, 5))]
+        while sum(sizes) > 11:
+            sizes.pop()
+        q, t = rng.choice([(2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (2, 3), (3, 3)])
+        if q * t > sum(sizes) or len(sizes) < 2:
+            continue
+        g = random_partite(rng, sizes, rng.choice([0.5, 0.7, 0.85, 0.95]))
+        ctx = PackingContext(g.universe_mask,
+                             [g.part_mask(i) for i in range(len(sizes))],
+                             (t,) * q, g.rows())
+        u, v = rng.sample(range(g.num_vertices), 2)
+        for seed in ((u,), (u, v)):
+            b1, b2 = Budget(None), Budget(None)
+            got = contains_uniform_pattern(ctx, b1, seed)
+            assert got == (ctx.run(b2, seed) is not None) and b1.used == b2.used
+            assert got == naive_contains_kqt_through(g, q, t, seed), (sizes, q, t, seed)
+            checked += 1
+            found += got
+            pretested += b1.used == 0
+    assert found >= 80 and pretested >= 80
+
+
+def _size_multisets(total, largest):
+    """Every multiset of sizes in 1..largest summing to total, descending."""
+    if total == 0:
+        yield ()
+        return
+    for first in range(min(total, largest), 0, -1):
+        for rest in _size_multisets(total - first, first):
+            yield (first,) + rest
+
+
+def test_packing_lemma_for_uniform_classes_up_to_two():
+    # with q classes of t <= 2 vertices, components of at most t vertices
+    # that sum to qt always pack, so the DFS leaf skips the packing search;
+    # with t = 3, or unequal classes, packing can fail and the leaf packs
+    for q in range(1, 7):
+        for t in (1, 2):
+            ctx = PackingContext((1 << (q * t)) - 1, (), (t,) * q)
+            assert not ctx.pack_can_fail
+            for sizes in _size_multisets(q * t, t):
+                bins = ctx._pack([(1 << i, sz) for i, sz in enumerate(sizes)])
+                assert bins is not None, (q, t, sizes)
+                assert sorted(sum(sizes[m.bit_length() - 1] for m in b) for b in bins) == [t] * q
+    fails = set()
+    for q in range(2, 5):
+        ctx = PackingContext((1 << (3 * q)) - 1, (), (3,) * q)
+        assert ctx.pack_can_fail
+        fails.update((q, sizes) for sizes in _size_multisets(3 * q, 3)
+                     if ctx._pack([(1 << i, sz) for i, sz in enumerate(sizes)]) is None)
+    assert (2, (2, 2, 2)) in fails
+    ragged = PackingContext(0b111111, (), (2, 2, 1, 1))
+    assert ragged.pack_can_fail
+    assert ragged._pack([(0b11, 2), (0b1100, 2), (0b110000, 2)]) is None
+
+
 @pytest.mark.parametrize("sizes, q, t, value, nodes", [
-    ((2, 2, 2, 2), 3, 1, 16, 9_414),
-    ((2, 2, 2, 2), 4, 1, 20, 3_691),
-    ((3, 3, 3), 3, 2, 24, 583),
-    ((2, 2, 2), 2, 2, 7, 242),
-    ((3, 3, 3), 3, 1, 18, 20_029),
-    ((3, 3, 3), 2, 2, 13, 42_502),
+    ((2, 2, 2, 2), 3, 1, 16, 7_772),
+    ((2, 2, 2, 2), 4, 1, 20, 3_079),
+    ((3, 3, 3), 3, 2, 24, 491),
+    ((2, 2, 2), 2, 2, 7, 222),
+    ((3, 3, 3), 3, 1, 18, 17_098),
+    ((3, 3, 3), 2, 2, 13, 41_510),
 ])
 def test_maximize_free_pinned_values_and_nodes(sizes, q, t, value, nodes):
     # node counts are deterministic: any drift in the probe DFS, in the

@@ -279,8 +279,8 @@ def test_classify_partition_invariants_on_unambiguous_inputs():
 
 def test_swap_search_matches_full_distance_reference():
     # from the greedy class map, a swap search that recomputes the full
-    # distance for every trial move makes no move, and the shape distance of
-    # the greedy map is its full distance
+    # distance for every trial move makes no move, and the bound term of the
+    # greedy map (the distance closest_template takes) is its full distance
     rng = random.Random(4)
     for r, k, n in ((3, 5, 3), (4, 6, 3), (4, 7, 2)):
         a, b = divmod(k, r)
@@ -293,9 +293,9 @@ def test_swap_search_matches_full_distance_reference():
             rest = [c for c in range(k) if c not in leftover]
             shape = _Shape(g, sorted(next(_group_partitions(rest, a))), leftover, r)
             for allowance in _allowances(list(leftover), r):
-                class_of, _, free_dist = shape.fit(allowance)
+                class_of, free_cost = shape.fit(allowance)
                 base = _assignment_distance(g, class_of, r)
-                assert shape.fixed_cost + free_dist == base
+                assert shape.fixed_cost + shape.cross_cost + free_cost == base
                 for v in (v for q in allowance for v in g.part_vertices(q)):
                     cur = class_of[v]
                     for c in allowance[g.part_of[v]]:
