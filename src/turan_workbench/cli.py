@@ -49,22 +49,25 @@ def load_graph(path: "str | Path") -> PartitionedGraph:
     return PartitionedGraph.from_document(doc)
 
 
-def save_graph(g: PartitionedGraph, path: "str | Path") -> None:
-    Path(path).write_text(g.canonical_json(), encoding="utf-8")
+def save_graph(g: PartitionedGraph, path: "str | Path") -> str:
+    """Write the graph's canonical JSON; return the SHA-256 of the bytes written."""
+    data = g.canonical_json().encode("utf-8")
+    Path(path).write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def _sha256_file(path: "str | Path") -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def write_manifest(out_path: "str | Path", command: Sequence[str], params: dict,
-                   inputs: dict, wall_time: float, budget: Optional[Budget],
-                   seed: Optional[int]) -> None:
+def write_manifest(out_path: "str | Path", out_sha256: str, command: Sequence[str],
+                   params: dict, inputs: dict, wall_time: float,
+                   budget: Optional[Budget], seed: Optional[int]) -> None:
     manifest = {
         "command": list(command),
         "parameters": params,
         "inputs": inputs,
-        "outputs": {str(out_path): _sha256_file(out_path)},
+        "outputs": {str(out_path): out_sha256},
         "wall_time_s": round(wall_time, 6),
         "budget": {"limit": budget.limit, "used": budget.used} if budget else None,
         "seed": seed,
@@ -151,8 +154,8 @@ def _cmd_construct(args, argv) -> int:
         params.update({"a": args.a, "n": args.n, "t": args.t,
                        "base_value": base.value,
                        "pair_value": pair.value if pair else 0})
-    save_graph(g, args.out)
-    write_manifest(args.out, argv, params, inputs, time.time() - t0, budget,
+    digest = save_graph(g, args.out)
+    write_manifest(args.out, digest, argv, params, inputs, time.time() - t0, budget,
                    args.seed)
     _emit({"out": args.out, "edges": g.edge_count(),
            "parts": list(g.part_sizes)}, args.json)

@@ -22,6 +22,7 @@ would be exactly a 4-cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from math import comb
 from typing import Iterable, Optional, Sequence
 
@@ -198,8 +199,7 @@ def build_template(spec: TemplateSpec) -> PartitionedGraph:
     """The template graph: all cross-class pairs except pairs inside one cluster."""
     spec.validate()
     n, k = spec.n, spec.k
-    cls = spec.class_of_vertices()
-    return PartitionedGraph([n] * k, _cross_class_edges([n] * k, cls))
+    return PartitionedGraph.from_rows([n] * k, _cross_class_rows(n, spec.class_of_vertices()))
 
 
 # ---------------------------------------------------------------------------
@@ -374,17 +374,12 @@ def basic_construction(p: ConstructionParams,
     _check_class1(class1_graph, n, t)
     if k - r - 1 >= 1:
         _overlay_gate(n, t)
-    cls = [0] * (k * n)
-    for c in range(k):
-        i = c if c < r else c - r
-        for v in range(c * n, (c + 1) * n):
-            cls[v] = i
-    edges = _cross_class_edges([n] * k, cls)
-    edges.extend(_map_bipartite(class1_graph, 0, r))
+    cls = [c % r for c in range(k) for _ in range(n)]      # cluster c in class c mod r
+    rows = _cross_class_rows(n, cls)
+    _overlay(rows, class1_graph, 0, r * n)
     for i in range(1, k - r):          # classes 2..k-r, 0-based rows 1..k-r-1
-        overlay = regular_c4free_bipartite(n, t - 1)
-        edges.extend(_map_bipartite(overlay, i, i + r))
-    return PartitionedGraph([n] * k, edges)
+        _overlay(rows, regular_c4free_bipartite(n, t - 1), i * n, (i + r) * n)
+    return PartitionedGraph.from_rows([n] * k, rows)
 
 
 def improved_construction(p: ConstructionParams,
@@ -405,84 +400,64 @@ def improved_construction(p: ConstructionParams,
     if n < 8 * t * t:
         raise ConstructionError(f"improved construction needs n >= 8t^2 = {8 * t * t}")
     tp = p.t_prime
-    bp = p.b_prime
-    # clusters: V_{i,1} -> part i-1 (i in [1,r]); V_{i,2} -> part r+i-1 (i in [1,b])
-    def first_cluster(i):
-        return i - 1
-
-    def second_cluster(i):
-        return r + i - 1
-
-    cls = [0] * (k * n)
-    for i in range(1, r + 1):
-        for v in g_range(first_cluster(i), n):
-            cls[v] = i - 1
-    for i in range(1, b + 1):
-        for v in g_range(second_cluster(i), n):
-            cls[v] = i - 1
-    moved: dict[int, list[list[int]]] = {}
+    bp = p.b_prime       # >= 1, since b >= 2 and k < 2r
+    # V_{i,1} is cluster i-1 (i in [1,r]) and V_{i,2} is cluster r+i-1 (i in
+    # [1,b]), both in row i-1 (0-based); the first t' vertices of V_{i,1}
+    # and V_{i,2}, i in [2,b'+1], move to row i+b-2
+    cls = [c % r for c in range(k) for _ in range(n)]
     for i in range(2, bp + 2):
-        s1 = list(g_range(first_cluster(i), n))[:tp]
-        s2 = list(g_range(second_cluster(i), n))[:tp]
-        for v in s1 + s2:
-            cls[v] = i + b - 2       # row i+b-1, 0-based
-        moved[i] = [s1, s2]
-    edges = _cross_class_edges([n] * k, cls)
-    edges.extend(_map_bipartite(class1_graph, first_cluster(1), second_cluster(1)))
+        for v in chain(range((i - 1) * n, (i - 1) * n + tp),
+                       range((r + i - 1) * n, (r + i - 1) * n + tp)):
+            cls[v] = i + b - 2
+    rows = _cross_class_rows(n, cls)
+    _overlay(rows, class1_graph, 0, r * n)
     for i in range(2, b + 1):
-        if i <= bp + 1:
-            overlay = regular_c4free_bipartite(n - tp, t - 1)
-            left = list(g_range(first_cluster(i), n))[tp:]
-            right = list(g_range(second_cluster(i), n))[tp:]
-        else:
-            overlay = regular_c4free_bipartite(n, t - 1)
-            left = list(g_range(first_cluster(i), n))
-            right = list(g_range(second_cluster(i), n))
-        edges.extend(_map_bipartite_onto(overlay, left, right))
+        # rows that gave up vertices get their overlay on the trimmed clusters
+        skip = tp if i <= bp + 1 else 0
+        _overlay(rows, regular_c4free_bipartite(n - skip, t - 1),
+                 (i - 1) * n + skip, (r + i - 1) * n + skip)
     for i in range(b + 1, b + bp + 1):
-        s1, s2 = moved[i - b + 1]
-        centers = s1 + s2
-        host = list(g_range(first_cluster(i), n))
-        if 2 * tp * (t - 1) > n:
-            raise ConstructionError("row too small for disjoint stars")
-        for m, c in enumerate(centers):
-            for leaf in host[m * (t - 1):(m + 1) * (t - 1)]:
-                edges.append((c, leaf))
+        # the vertices moved from V_{i-b+1,1} and V_{i-b+1,2}: 2t' disjoint
+        # K_{1,t-1} stars into V_{i,1} (2t'(t-1) <= t(t-1) < n leaves fit),
+        # and a K_{t',t'} between the two halves
+        s1 = range((i - b) * n, (i - b) * n + tp)
+        s2 = range((r + i - b) * n, (r + i - b) * n + tp)
+        leaf = (i - 1) * n
+        for c in chain(s1, s2):
+            for v in range(leaf, leaf + t - 1):
+                _join(rows, c, v)
+            leaf += t - 1
         for u in s1:
             for v in s2:
-                edges.append((u, v))
-    return PartitionedGraph([n] * k, edges)
+                _join(rows, u, v)
+    return PartitionedGraph.from_rows([n] * k, rows)
 
 
-def g_range(cluster: int, n: int) -> range:
-    return range(cluster * n, (cluster + 1) * n)
+def _join(rows: list[int], u: int, v: int) -> None:
+    rows[u] |= 1 << v
+    rows[v] |= 1 << u
 
 
-def _cross_class_edges(part_sizes: Sequence[int], cls: Sequence[int]) -> list[tuple[int, int]]:
-    """All pairs in different classes and different parts."""
-    edges = []
-    total = sum(part_sizes)
-    part_of = []
-    for i, s in enumerate(part_sizes):
-        part_of.extend([i] * s)
-    for u in range(total):
-        cu, pu = cls[u], part_of[u]
-        for v in range(u + 1, total):
-            if cls[v] != cu and part_of[v] != pu:
-                edges.append((u, v))
-    return edges
+def _cross_class_rows(n: int, cls: Sequence[int]) -> list[int]:
+    """Bit rows of the blow-up on clusters of n consecutive vertices: each
+    vertex v is joined to every vertex in another class (``cls[v]``) and
+    another cluster."""
+    class_masks: dict[int, int] = {}
+    for v, c in enumerate(cls):
+        class_masks[c] = class_masks.get(c, 0) | 1 << v
+    universe = (1 << len(cls)) - 1
+    cluster = (1 << n) - 1
+    return [universe & ~(cluster << v // n * n) & ~class_masks[c]
+            for v, c in enumerate(cls)]
 
 
-def _map_bipartite(g: PartitionedGraph, left_cluster: int, right_cluster: int
-                   ) -> list[tuple[int, int]]:
-    n = g.part_sizes[0]
-    return [(left_cluster * n + u, right_cluster * n + (v - n)) for u, v in g.edges()]
-
-
-def _map_bipartite_onto(g: PartitionedGraph, left: Sequence[int], right: Sequence[int]
-                        ) -> list[tuple[int, int]]:
-    n = g.part_sizes[0]
-    return [(left[u], right[v - n]) for u, v in g.edges()]
+def _overlay(rows: list[int], g: PartitionedGraph, left: int, right: int) -> None:
+    """OR the bipartite graph ``g`` on two m-sets into ``rows``, its left
+    side on vertices left..left+m-1 and its right side on right..right+m-1."""
+    m = g.part_sizes[0]
+    for u in range(m):
+        rows[left + u] |= g.neighbors(u) >> m << right
+        rows[right + u] |= g.neighbors(m + u) << left
 
 
 def basic_edge_count(p: ConstructionParams, class1_edges: int) -> int:

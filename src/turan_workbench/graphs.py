@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 VertexSet = "int | Iterable[int]"   # vertex sets: a bitmask or an index iterable
@@ -33,6 +34,18 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+# _BYTE_BITS[b]: the set bit positions of the byte value b, ascending
+_BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
+
+
+def set_bits(mask: int) -> list[int]:
+    """The set bit positions of a nonnegative ``mask``, ascending, one byte
+    at a time (faster than :func:`bits` on long, dense rows)."""
+    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    return [base + i for base, byte in zip(range(0, 8 * len(data), 8), data)
+            if byte for i in _BYTE_BITS[byte]]
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -67,19 +80,51 @@ class PartitionedGraph:
         self._part_masks = tuple(
             ((1 << s) - 1) << st for s, st in zip(sizes, starts)
         )
-        rows = [0] * self.num_vertices
         n = self.num_vertices
+        if not isinstance(edges, (list, tuple)):
+            edges = list(edges)        # a bad edge is looked up in a second pass
+        rows = [0] * n
         for u, v in edges:
+            # rows[-1] is a valid index, and a shift must not be negative or huge
             if not (0 <= u < n and 0 <= v < n):
-                raise GraphInvariantError(f"edge ({u},{v}) out of range")
-            if u == v:
-                raise GraphInvariantError(f"loop at vertex {u}")
-            if part_of[u] == part_of[v]:
-                raise GraphInvariantError(
-                    f"edge ({u},{v}) joins two vertices of part {part_of[u]}")
+                _raise_first_bad_edge(n, part_of, edges)
             rows[u] |= 1 << v
             rows[v] |= 1 << u
+        # a loop or an edge inside a part sets a bit of the vertex's own part
+        masks = self._part_masks
+        if edges and any(rows[v] & masks[p] for v, p in enumerate(part_of)):
+            _raise_first_bad_edge(n, part_of, edges)
         self._rows = rows
+
+    @classmethod
+    def from_rows(cls, part_sizes: Sequence[int], rows: Sequence[int]) -> "PartitionedGraph":
+        """The graph whose adjacency rows are ``rows`` (one bitmask per vertex).
+
+        Rejects a wrong row count, a bit outside the universe or inside the
+        vertex's own part (a loop included), and an asymmetric pair of rows.
+        """
+        g = cls(part_sizes)
+        rows = list(rows)
+        if len(rows) != g.num_vertices:
+            raise GraphInvariantError(
+                f"expected {g.num_vertices} rows, got {len(rows)}")
+        foreign = [~g.universe_mask | own for own in g._part_masks]
+        upper = 0
+        for v, (row, p) in enumerate(zip(rows, g.part_of)):
+            if row & foreign[p]:
+                raise GraphInvariantError(
+                    f"row {v} has a bit outside the universe or inside part {p}")
+            higher = set_bits(row >> (v + 1) << (v + 1))
+            upper += len(higher)
+            for u in higher:
+                if not rows[u] >> v & 1:
+                    raise GraphInvariantError(f"rows {v} and {u} are not symmetric")
+        # every bit above the diagonal has its mirror below it, so the rows
+        # are symmetric iff there are no other bits below the diagonal
+        if sum(map(int.bit_count, rows)) != 2 * upper:
+            raise GraphInvariantError("rows are not symmetric")
+        g._rows = rows
+        return g
 
     # -- basic accessors -------------------------------------------------
 
@@ -103,12 +148,16 @@ class PartitionedGraph:
     def degree(self, v: int) -> int:
         return self._rows[v].bit_count()
 
+    def _upper_rows(self) -> Iterator[tuple[int, list[int]]]:
+        """Each vertex u with its neighbours v > u, ascending."""
+        for u, row in enumerate(self._rows):
+            yield u, set_bits(row >> (u + 1) << (u + 1))
+
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges (u, v) with u < v, in ascending lex order."""
-        for u in range(self.num_vertices):
-            higher = self._rows[u] >> (u + 1)
-            for off in bits(higher):
-                yield (u, u + 1 + off)
+        for u, higher in self._upper_rows():
+            for v in higher:
+                yield (u, v)
 
     def mask(self, vertices: VertexSet) -> int:
         if isinstance(vertices, int):
@@ -147,19 +196,34 @@ class PartitionedGraph:
 
     def to_document(self) -> dict:
         return {"parts": list(self.part_sizes),
-                "edges": [[u, v] for u, v in self.edges()]}
+                "edges": [[u, v] for u, higher in self._upper_rows() for v in higher]}
 
     @classmethod
     def from_document(cls, doc: dict) -> "PartitionedGraph":
+        """Parse a graph document.  Part sizes and vertex ids must be
+        integers: floats, strings and booleans are rejected, not converted."""
         try:
             parts = doc["parts"]
             edges = doc["edges"]
         except (KeyError, TypeError) as exc:
             raise GraphInvariantError(f"malformed graph document: {exc}") from exc
-        return cls(parts, [(int(u), int(v)) for u, v in edges])
+        if type(parts) is not list or not set(map(type, parts)) <= {int}:
+            raise GraphInvariantError(f"part sizes must be a list of integers, got {parts!r}")
+        try:
+            pairs = (type(edges) is list and set(map(len, edges)) <= {2}
+                     and set(map(type, chain.from_iterable(edges))) <= {int})
+        except TypeError:        # an edge that is not a list
+            pairs = False
+        if not pairs:
+            raise GraphInvariantError("edges must be a list of pairs of integers")
+        return cls(parts, edges)
 
     def canonical_json(self) -> str:
-        return canonical_json(self.to_document())
+        """``canonical_json(self.to_document())``, written directly."""
+        segments = [f"[{u}," + f"],[{u},".join(map(str, higher)) + "]"
+                    for u, higher in self._upper_rows() if higher]
+        return ('{"edges":[' + ",".join(segments) + '],"parts":['
+                + ",".join(map(str, self.part_sizes)) + "]}\n")
 
     # -- constructors -----------------------------------------------------
 
@@ -171,10 +235,7 @@ class PartitionedGraph:
     def complete(cls, part_sizes: Sequence[int]) -> "PartitionedGraph":
         """Complete multipartite host: every cross-part pair is an edge."""
         g = cls(part_sizes)
-        rows = g._rows
-        for v in range(g.num_vertices):
-            rows[v] = g.universe_mask & ~g._part_masks[g.part_of[v]]
-        return g
+        return cls.from_rows(part_sizes, [g.universe_mask & ~g._part_masks[p] for p in g.part_of])
 
     # -- misc ---------------------------------------------------------------
 
@@ -189,6 +250,20 @@ class PartitionedGraph:
     def __repr__(self) -> str:
         return (f"PartitionedGraph(parts={self.part_sizes}, "
                 f"edges={self.edge_count()})")
+
+
+def _raise_first_bad_edge(n: int, part_of: Sequence[int],
+                          edges: Iterable[tuple[int, int]]) -> None:
+    """Raise for the first edge, in input order, that is out of range, a
+    loop or inside one part."""
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphInvariantError(f"edge ({u},{v}) out of range")
+        if u == v:
+            raise GraphInvariantError(f"loop at vertex {u}")
+        if part_of[u] == part_of[v]:
+            raise GraphInvariantError(
+                f"edge ({u},{v}) joins two vertices of part {part_of[u]}")
 
 
 def validate_class_partition(g: PartitionedGraph, class_masks: Sequence[int]) -> None:

@@ -55,7 +55,7 @@ from typing import Sequence
 
 from .detectors import (Budget, BudgetExhausted, PackingContext, as_budget,
                         contains_uniform_pattern)
-from .graphs import PartitionedGraph, bits
+from .graphs import PartitionedGraph
 
 
 def min_star_cost(edges: int, rows: int, t: int) -> int:
@@ -258,9 +258,5 @@ def maximize_free(part_sizes: Sequence[int], q: int, t: int,
     except BudgetExhausted:
         exact = False
 
-    edges = []
-    for u in range(host.num_vertices):
-        for off in bits(best_rows[u] >> (u + 1)):
-            edges.append((u, u + 1 + off))
-    return SearchOutcome(max(best, 0), PartitionedGraph(part_sizes, edges),
+    return SearchOutcome(max(best, 0), PartitionedGraph.from_rows(part_sizes, best_rows),
                          exact, bud.used)

@@ -388,11 +388,7 @@ def _greedy_ktt_free(n: int, t: int, seed: int, budget: Budget) -> PartitionedGr
     # one improvement pass: an earlier rejection may fit after later additions
     for u, v in rejected:
         try_add(u, v)
-    edges = []
-    for u in range(2 * n):
-        for off in bits(rows[u] >> (u + 1)):
-            edges.append((u, u + 1 + off))
-    return PartitionedGraph([n, n], edges)
+    return PartitionedGraph.from_rows([n, n], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -420,34 +416,14 @@ def stack_e1_construction(a: int, n: int, t: int, base: ZarRecord,
         pair.check()
         if pair.key != ZarKey.of((half, half), t):
             raise OracleError(f"pair record must be for z_t({half},{half})")
-    # host: a+1 parts of size n
-    # V_2' = first floor(n/2) of V_1 + first ceil(n/2) of V_2
-    v2p = list(range(0, half)) + list(range(n, n + (n - half)))
-    rest1 = list(range(half, n))            # ceil(n/2) vertices of V_1
-    rest2 = list(range(n + (n - half), 2 * n))   # floor(n/2) vertices of V_2
-    # base witness parts: part 0 -> V_2', part i -> V_{i+2}
-    base_sizes = base.witness.part_sizes
-    maps: list[list[int]] = [v2p]
-    for i in range(1, a):
-        start = (i + 1) * n
-        maps.append(list(range(start, start + base_sizes[i])))
-    edges = []
-    offsets = [0]
-    for s in base_sizes[:-1]:
-        offsets.append(offsets[-1] + s)
-
-    def locate(v: int) -> int:
-        for pi in range(len(base_sizes) - 1, -1, -1):
-            if v >= offsets[pi]:
-                return maps[pi][v - offsets[pi]]
-        raise AssertionError
-
-    for u, v in base.witness.edges():
-        edges.append((locate(u), locate(v)))
+    # host: a+1 parts of size n.  Base vertex v goes to where[v]: its part 0
+    # to V_2' (the first floor(n/2) vertices of V_1 and the first ceil(n/2)
+    # of V_2), its part i to V_{i+2}
+    where = [*range(half), *range(n, 2 * n - half), *range(2 * n, (a + 1) * n)]
+    edges = [(where[u], where[v]) for u, v in base.witness.edges()]
     if half >= 1:
-        m1, m2 = pair.key.part_sizes
-        for u, v in pair.witness.edges():
-            edges.append((rest1[u], rest2[v - m1]))
+        # the pair witness joins the rest of V_1 to the rest of V_2
+        edges += [(half + u, 2 * n - 2 * half + v) for u, v in pair.witness.edges()]
     return PartitionedGraph([n] * (a + 1), edges)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from turan_workbench.constructions import regular_c4free_bipartite
 from turan_workbench.graphs import PartitionedGraph
 
 
@@ -132,3 +133,77 @@ def naive_ex(part_sizes, q: int, t: int) -> int:
         if not naive_contains_kqt(g, q, t):
             best = len(edges)
     return best
+
+
+# ---------------------------------------------------------------------------
+# edge-list builds of the constructions (the builders assemble bit rows)
+
+
+def naive_cross_class_edges(part_sizes, cls) -> list[tuple[int, int]]:
+    """All pairs in different classes and different parts."""
+    edges = []
+    total = sum(part_sizes)
+    part_of = []
+    for i, s in enumerate(part_sizes):
+        part_of.extend([i] * s)
+    for u in range(total):
+        cu, pu = cls[u], part_of[u]
+        for v in range(u + 1, total):
+            if cls[v] != cu and part_of[v] != pu:
+                edges.append((u, v))
+    return edges
+
+
+def naive_template(spec) -> PartitionedGraph:
+    sizes = [spec.n] * spec.k
+    return PartitionedGraph(sizes, naive_cross_class_edges(sizes, spec.class_of_vertices()))
+
+
+def _mapped(g: PartitionedGraph, left, right) -> list[tuple[int, int]]:
+    """The edges of the bipartite ``g`` with its sides mapped onto the
+    vertex lists ``left`` and ``right``."""
+    m = g.part_sizes[0]
+    return [(left[u], right[v - m]) for u, v in g.edges()]
+
+
+def naive_basic_construction(p, class1: PartitionedGraph) -> PartitionedGraph:
+    """The basic construction: classes V_i u V_{i+r}, B on class 1 and
+    (t-1)-regular C4-free graphs on classes 2..k-r."""
+    n, r, k, t = p.n, p.r, p.k, p.t
+    cluster = [list(range(c * n, (c + 1) * n)) for c in range(k)]
+    cls = [c if c < r else c - r for c in range(k) for _ in range(n)]
+    edges = naive_cross_class_edges([n] * k, cls)
+    edges += _mapped(class1, cluster[0], cluster[r])
+    for i in range(1, k - r):
+        edges += _mapped(regular_c4free_bipartite(n, t - 1), cluster[i], cluster[i + r])
+    return PartitionedGraph([n] * k, edges)
+
+
+def naive_improved_construction(p, class1: PartitionedGraph) -> PartitionedGraph:
+    """The moved-vertex construction (b >= 2 and k < 2r), vertex by vertex."""
+    n, r, k, t = p.n, p.r, p.k, p.t
+    b, tp, bp = p.b, p.t_prime, p.b_prime
+    first = [None] + [list(range((i - 1) * n, i * n)) for i in range(1, r + 1)]
+    second = [None] + [list(range((r + i - 1) * n, (r + i) * n)) for i in range(1, b + 1)]
+    cls = [0] * (k * n)
+    for i in range(1, r + 1):
+        for v in first[i]:
+            cls[v] = i - 1
+    for i in range(1, b + 1):
+        for v in second[i]:
+            cls[v] = i - 1
+    for i in range(2, bp + 2):
+        for v in first[i][:tp] + second[i][:tp]:
+            cls[v] = i + b - 2
+    edges = naive_cross_class_edges([n] * k, cls)
+    edges += _mapped(class1, first[1], second[1])
+    for i in range(2, b + 1):
+        skip = tp if i <= bp + 1 else 0
+        edges += _mapped(regular_c4free_bipartite(n - skip, t - 1),
+                         first[i][skip:], second[i][skip:])
+    for i in range(b + 1, b + bp + 1):
+        s1, s2 = first[i - b + 1][:tp], second[i - b + 1][:tp]
+        for m, c in enumerate(s1 + s2):
+            edges += [(c, leaf) for leaf in first[i][m * (t - 1):(m + 1) * (t - 1)]]
+        edges += [(u, v) for u in s1 for v in s2]
+    return PartitionedGraph([n] * k, edges)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 
@@ -98,6 +99,28 @@ def test_load_rejects_intra_part_edge(tmp_path):
     p.write_text(canonical_json({"parts": [2, 2], "edges": [[0, 1]]}))
     with pytest.raises(Exception):
         load_graph(p)
+
+
+def test_check_free_rejects_non_integer_documents(tmp_path, capsys):
+    # these once loaded as coerced graphs, K_2(1) was found and the exit was 1
+    for i, text in enumerate(('{"parts":[2.5,2],"edges":[[0.9,2]]}',
+                              '{"parts":"22","edges":[["1","3"]]}',
+                              '{"parts":[2,2],"edges":[[true,3]]}')):
+        p = tmp_path / f"bad{i}.json"
+        p.write_text(text)
+        code = cli_dispatch(["check-free", str(p), "--pattern", "kqt", "--q", "2",
+                             "--t", "1", "--json"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (EXIT_USAGE, ""), text
+        assert "integers" in err
+
+
+def test_construct_manifest_hashes_the_written_bytes(tmp_path, capsys):
+    out = tmp_path / "t.json"
+    assert cli_dispatch(["construct", "template", "--r", "2", "--k", "3", "--n", "3",
+                         "--out", str(out)]) == EXIT_OK
+    manifest = json.loads((tmp_path / "t.json.manifest.json").read_text())
+    assert manifest["outputs"] == {str(out): hashlib.sha256(out.read_bytes()).hexdigest()}
 
 
 def test_construct_and_check_free(tmp_path, capsys):

@@ -12,6 +12,11 @@ from turan_workbench.constructions import (ConstructionError, ConstructionParams
 from turan_workbench.detectors import (ForbiddenPattern, find_biclique,
                                        find_complete_multipartite, find_star)
 from turan_workbench.graphs import PartitionedGraph
+from naive_oracles import (naive_basic_construction, naive_improved_construction,
+                           naive_template)
+
+# the (r, k) grid of the n = 32 constructions that the CLI panel certifies
+CERTIFY_GRID = [(r, k) for r in (2, 3, 4) for k in range(r + 1, 2 * r + 1)]
 
 
 def test_turan_count_small_values():
@@ -230,3 +235,35 @@ def test_template_edge_count_exhaustive_k6():
         for n in (1, 2, 3):
             for spec in enumerate_templates(r, 6, n):
                 assert build_template(spec).edge_count() == turan_count(r, 6) * n * n
+
+
+def test_builders_equal_the_edge_list_build(class1_32):
+    # the row builders against the pair-by-pair edge lists they replaced
+    for r, k in CERTIFY_GRID:
+        p = ConstructionParams(32, r, k, 2)
+        assert basic_construction(p, class1_32) == naive_basic_construction(p, class1_32)
+        if p.b >= 2 and k < 2 * r:
+            assert (improved_construction(p, class1_32)
+                    == naive_improved_construction(p, class1_32))
+        spec = TemplateSpec.standard(r, k, 32)
+        assert build_template(spec) == naive_template(spec)
+
+
+def test_builders_equal_the_edge_list_build_t3():
+    c4free = regular_c4free_bipartite(32, 2)       # K_{3,3}-free
+    for r, k in ((2, 3), (3, 5), (4, 7)):
+        p = ConstructionParams(32, r, k, 3)
+        assert basic_construction(p, c4free) == naive_basic_construction(p, c4free)
+    n = 72
+    b = cayley_bipartite(n, largest_sidon_set(n, node_cap=20_000))
+    for r, k in ((3, 5), (4, 7), (5, 8)):
+        p = ConstructionParams(n, r, k, 3)
+        assert improved_construction(p, b) == naive_improved_construction(p, b)
+
+
+def test_templates_with_splits_equal_the_edge_list_build():
+    from turan_workbench.stability import enumerate_templates
+    for r, k in CERTIFY_GRID:
+        if k <= 6:
+            for spec in enumerate_templates(r, k, 2):
+                assert build_template(spec) == naive_template(spec)

@@ -1,10 +1,19 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from naive_oracles import naive_co_degree_into, naive_degree_into
-from turan_workbench.graphs import GraphInvariantError, PartitionedGraph
+from turan_workbench.graphs import GraphInvariantError, PartitionedGraph, canonical_json
+
+
+def random_graph(rng: random.Random, sizes, p: float = 0.5) -> PartitionedGraph:
+    host = PartitionedGraph(sizes)
+    n = host.num_vertices
+    return PartitionedGraph(sizes, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                    if host.part_of[u] != host.part_of[v]
+                                    and rng.random() < p])
 
 
 def test_empty_and_complete_counts():
@@ -106,3 +115,121 @@ def test_document_malformed():
         PartitionedGraph.from_document({"parts": [2, 2]})
     with pytest.raises(GraphInvariantError):
         PartitionedGraph.from_document({"parts": [2, 2], "edges": [[0, 1]]})
+
+
+def test_document_rejects_non_integer_values():
+    # values are type-checked, never converted: 2.5 is not 2 and true is not 1
+    for doc in ({"parts": [2.5, 2], "edges": [[0.9, 2]]},
+                {"parts": [2, 2], "edges": [[0.0, 2]]},
+                {"parts": "22", "edges": [["1", "3"]]},
+                {"parts": [2, 2], "edges": [["1", "3"]]},
+                {"parts": [2, "2"], "edges": []},
+                {"parts": [True, 2], "edges": []},
+                {"parts": [2, 2], "edges": [[True, 3]]},
+                {"parts": {"0": 2}, "edges": []},
+                {"parts": [2, 2], "edges": [[0, 2, 3]]},
+                {"parts": [2, 2], "edges": [[0]]},
+                {"parts": [2, 2], "edges": [2]},
+                {"parts": [2, 2], "edges": [None]},
+                {"parts": [2, 2], "edges": ["02"]},
+                {"parts": [2, 2], "edges": {"0": 2}}):
+        with pytest.raises(GraphInvariantError):
+            PartitionedGraph.from_document(doc)
+    assert PartitionedGraph.from_document({"parts": [2, 2], "edges": [[3, 0]]}) \
+        == PartitionedGraph([2, 2], [(0, 3)])
+
+
+def test_constructor_raises_on_the_first_bad_edge_in_input_order():
+    good = [(0, 2), (1, 4)]
+    for bad, message in (((0, 5), "edge (0,5) out of range"),
+                         ((5, 0), "edge (5,0) out of range"),
+                         ((-1, 2), "edge (-1,2) out of range"),    # rows[-1] is a valid index
+                         ((2, -1), "edge (2,-1) out of range"),
+                         ((-5, 2), "edge (-5,2) out of range"),
+                         ((3, 3), "loop at vertex 3"),
+                         ((1, 0), "edge (1,0) joins two vertices of part 0"),
+                         ((3, 4), "edge (3,4) joins two vertices of part 2")):
+        for edges in (good + [bad], [bad] + good, iter(good + [bad])):
+            with pytest.raises(GraphInvariantError) as exc:
+                PartitionedGraph([2, 1, 2], edges)
+            assert str(exc.value) == message
+    # of two bad edges the first one is reported, whatever their kinds
+    with pytest.raises(GraphInvariantError, match=r"^loop at vertex 2$"):
+        PartitionedGraph([2, 1, 2], [(0, 2), (2, 2), (0, 9)])
+    with pytest.raises(GraphInvariantError, match=r"^edge \(0,9\) out of range$"):
+        PartitionedGraph([2, 1, 2], [(0, 2), (0, 9), (2, 2)])
+
+
+def test_constructor_memory_is_linear_in_the_vertex_count():
+    # a table of the N single-bit masks would take N^2/16 bytes (25 MB here)
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        g = PartitionedGraph([20_000, 1], [(0, 20_000)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.edge_count() == 1 and peak < 8_000_000
+
+
+def test_from_rows_rejects_invalid_rows():
+    g = PartitionedGraph([2, 1, 2], [(0, 2), (1, 4), (2, 3)])
+    rows = g.rows()
+    assert PartitionedGraph.from_rows([2, 1, 2], rows) == g
+    inside = "row {} has a bit outside the universe or inside part {}"
+    for v, row, message in ((0, rows[0] | 1 << 0, inside.format(0, 0)),    # a loop
+                            (0, rows[0] | 1 << 1, inside.format(0, 0)),
+                            (4, rows[4] | 1 << 3, inside.format(4, 2)),
+                            (0, rows[0] | 1 << 5, inside.format(0, 0)),
+                            (0, -1, inside.format(0, 0)),
+                            (0, rows[0] | 1 << 3, "rows 0 and 3 are not symmetric"),
+                            (3, rows[3] | 1 << 0, "rows are not symmetric")):
+        bad = list(rows)
+        bad[v] = row
+        with pytest.raises(GraphInvariantError) as exc:
+            PartitionedGraph.from_rows([2, 1, 2], bad)
+        assert str(exc.value) == message
+    for count in (4, 6):
+        with pytest.raises(GraphInvariantError, match="expected 5 rows"):
+            PartitionedGraph.from_rows([2, 1, 2], (rows + [0])[:count])
+
+
+def test_from_rows_edges_round_trip():
+    rng = random.Random(5)
+    for _ in range(60):
+        sizes = [rng.randint(1, 5) for _ in range(rng.randint(1, 7))]
+        g = random_graph(rng, sizes, rng.random())
+        h = PartitionedGraph.from_rows(sizes, g.rows())
+        assert h == g and list(h.edges()) == list(g.edges())
+        assert PartitionedGraph(sizes, list(h.edges())) == h
+        assert h.edge_count() == len(list(h.edges()))
+
+
+def _constructions_at_32():
+    from turan_workbench import constructions as c
+    from turan_workbench.zarankiewicz import z_lower_construction
+    class1 = z_lower_construction(32, 2).witness
+    for r in (2, 3, 4):
+        for k in range(r + 1, 2 * r + 1):
+            p = c.ConstructionParams(32, r, k, 2)
+            yield c.basic_construction(p, class1)
+            yield c.improved_construction(p, class1)
+
+
+def test_canonical_json_equals_the_generic_writer():
+    # the direct writer against json.dumps of the document, byte for byte
+    rng = random.Random(11)
+    graphs = [PartitionedGraph.empty([1]), PartitionedGraph.empty([3, 2]),
+              PartitionedGraph([1, 1, 1], [(0, 2)]),       # vertex 1 isolated
+              PartitionedGraph.complete([1, 1, 1, 1]),
+              PartitionedGraph.complete([9, 1, 8])]
+    for k in range(2, 8):
+        for _ in range(6):
+            graphs.append(random_graph(rng, [rng.randint(1, 12) for _ in range(k)],
+                                       rng.random()))
+    graphs.extend(_constructions_at_32())
+    assert len(graphs) == 5 + 36 + 18
+    for g in graphs:
+        text = g.canonical_json()
+        assert text == canonical_json(g.to_document())
+        assert PartitionedGraph.from_document(json.loads(text)) == g
