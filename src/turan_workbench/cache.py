@@ -13,9 +13,9 @@ served from one index per cache file per process, keyed by
 (type, sizes, q, t); the last valid line for a key wins.  The index is tied
 to the file's bytes, not to its mtime, which is too coarse to see a rewrite
 of the same size within one clock tick.  Every lookup reads the file: if its
-bytes are unchanged the lookup is a dict hit; if the indexed bytes are a
-prefix of the new ones (an append) only the new lines are parsed; any other
-change rebuilds the index.  Each distinct line is parsed once per process,
+bytes are unchanged the lookup is a dict hit; any change (an append
+included) rebuilds the index from every line, which costs a dict lookup per
+line already seen.  Each distinct line is parsed once per process,
 and checked once per process (witness hash, then the record's own ``check``:
 edge count and detector) before it is first returned.  Verdicts are keyed by
 the line's exact bytes, so a record is only ever returned from bytes that
@@ -107,8 +107,10 @@ _CORRUPT = object()     # index key of a line that is not a JSON object
 
 
 def _line_key(line: bytes):
-    """The index key of a non-blank line, None if no lookup can use it, or
-    ``_CORRUPT``."""
+    """The index key of a line, None if no lookup can use it (a blank line
+    included), or ``_CORRUPT``."""
+    if not line.strip():
+        return None
     try:
         doc = json.loads(line)
     except ValueError:
@@ -162,47 +164,32 @@ def _checked(schema: _Schema, line: bytes):
 class _Index:
     """The lookup index of one cache file, built from the bytes last read.
 
-    Only lines ended by a newline are indexed; a trailing fragment (a line
-    still being written, or torn by a crashed writer) is looked at on each
-    lookup instead.
+    A trailing fragment (a line still being written, or torn by a crashed
+    writer) is indexed like any other line.
     """
 
     def __init__(self) -> None:
         self.data = b""     # the file's bytes when last read
-        self.end = 0        # offset just past the last newline of data
-        self.lines = 0      # lines in data[:end]
         self.entries: dict[tuple, list[tuple[int, bytes]]] = {}   # key -> (lineno, line)
         self.corrupt: list[int] = []
 
     def refresh(self, data: bytes) -> None:
         if data == self.data:
             return
-        if not data.startswith(self.data[:self.end]):
-            self.__init__()         # rewritten, not appended to: start over
-        end = data.rfind(b"\n") + 1
-        for line in data[self.end:end].split(b"\n")[:-1]:
-            self.lines += 1
-            if line.strip():
-                key = _memo_key(line)
-                if key is _CORRUPT:
-                    self.corrupt.append(self.lines)
-                elif key is not None:
-                    self.entries.setdefault(key, []).append((self.lines, line))
-        self.data, self.end = data, end
+        self.entries, self.corrupt = {}, []
+        for lineno, line in enumerate(data.split(b"\n"), 1):
+            key = _memo_key(line)
+            if key is _CORRUPT:
+                self.corrupt.append(lineno)
+            elif key is not None:
+                self.entries.setdefault(key, []).append((lineno, line))
+        self.data = data
 
     def lines_for(self, key: tuple) -> list[tuple[int, "bytes | None"]]:
         """(lineno, line) of the candidate lines for ``key`` and (lineno,
         None) of the corrupt lines, in file order."""
-        items = [(n, None) for n in self.corrupt] + self.entries.get(key, [])
-        tail = self.data[self.end:]
-        if tail.strip():
-            tail_key = _memo_key(tail)
-            if tail_key is _CORRUPT:
-                items.append((self.lines + 1, None))
-            elif tail_key == key:
-                items.append((self.lines + 1, tail))
-        items.sort(key=lambda item: item[0])
-        return items
+        return sorted([(n, None) for n in self.corrupt] + self.entries.get(key, []),
+                      key=lambda item: item[0])
 
 
 class ResultCache:

@@ -214,7 +214,7 @@ def _cmd_ex(args, argv) -> int:
     budget = Budget(args.budget)
     if args.excmd == "exact":
         _need(args, "sizes", "q")
-        inst = extremal.ExInstance(_sizes(args.sizes), args.q, args.t)
+        inst = extremal.ExInstance.of(_sizes(args.sizes), args.q, args.t)
         rec = extremal.ex_exact(inst, budget=budget, cache=cache)
         _emit({"sizes": list(inst.part_sizes), "q": inst.q, "t": inst.t,
                "value": rec.value, "status": rec.status,

@@ -199,7 +199,7 @@ def build_template(spec: TemplateSpec) -> PartitionedGraph:
     """The template graph: all cross-class pairs except pairs inside one cluster."""
     spec.validate()
     n, k = spec.n, spec.k
-    return PartitionedGraph.from_rows([n] * k, _cross_class_rows(n, spec.class_of_vertices()))
+    return PartitionedGraph.from_rows([n] * k, cross_class_rows(n, spec.class_of_vertices()))
 
 
 # ---------------------------------------------------------------------------
@@ -220,55 +220,41 @@ def _sidon_differences(chosen: Sequence[int], diffs: set[int], x: int,
 
 
 def sidon_set(n: int, t: int) -> tuple[int, ...]:
-    """A t-element B2 set in Z_n: all pairwise differences distinct mod n.
+    """The lex-least t-element B2 set in Z_n that contains 0: all pairwise
+    differences distinct mod n.
 
-    Deterministic greedy search with backtracking over residues in increasing
-    order; n >= 8t^2 guarantees room (t = 1 is exempt).  Failure in range is a
+    n >= 8t^2 guarantees room (t = 1 is exempt).  Failure in range is a
     defect, so it raises rather than returning a partial set.
     """
     if t < 1:
         raise ConstructionError("t must be >= 1")
-    if t == 1:
-        if n < 1:
-            raise ConstructionError("n must be >= 1")
-        return (0,)
-    if n < 8 * t * t:
+    if t > 1 and n < 8 * t * t:
         raise ConstructionError(f"need n >= 8t^2 = {8 * t * t}, got n={n}")
-
-    chosen = [0]
-    diffs: set[int] = set()
-
-    def extend(start: int) -> bool:
-        if len(chosen) == t:
-            return True
-        for x in range(start, n):
-            new = _sidon_differences(chosen, diffs, x, n)
-            if new is None:
-                continue
-            chosen.append(x)
-            diffs.update(new)
-            if extend(x + 1):
-                return True
-            chosen.pop()
-            diffs.difference_update(new)
-        return False
-
-    if not extend(1):
+    found = _sidon_search(n, t)
+    if len(found) < t:
         raise ConstructionError(f"no Sidon set of size {t} found in Z_{n} (defect)")
-    return tuple(chosen)
+    return found
 
 
 def largest_sidon_set(n: int, node_cap: int = 2_000_000) -> tuple[int, ...]:
     """The largest B2 set in Z_n found by backtracking (0 is wlog included).
 
-    Exhaustive (hence maximum) when the search finishes under the node cap;
-    on larger n the cap truncates the search and the best set found so far
-    is returned, which is still a valid Sidon set.
+    Exhaustive when the search finishes under the node cap: the set is then
+    maximum, and the lex-least of that size.  On larger n the cap truncates
+    the search and the best set found so far is returned, which is still a
+    valid Sidon set.
     """
+    return _sidon_search(n, n, node_cap)
+
+
+def _sidon_search(n: int, want: int, node_cap: Optional[int] = None) -> tuple[int, ...]:
+    """The first largest B2 set in Z_n that contains 0, over residues in
+    increasing order, or the first one of ``want`` elements, which ends the
+    search (as do more than ``node_cap`` nodes).  A branch ends once it
+    cannot beat the best set, which while that is smaller than ``want``
+    never cuts a branch that could reach ``want``."""
     if n < 1:
         raise ConstructionError("n must be >= 1")
-    if n == 1:
-        return (0,)
     best: list[int] = [0]
     chosen = [0]
     diffs: set[int] = set()
@@ -280,10 +266,12 @@ def largest_sidon_set(n: int, node_cap: int = 2_000_000) -> tuple[int, ...]:
     def extend(start: int) -> None:
         nonlocal best, nodes
         nodes += 1
-        if nodes > node_cap:
+        if node_cap is not None and nodes > node_cap:
             raise _Stop
         if len(chosen) > len(best):
             best = list(chosen)
+        if len(best) >= want:
+            raise _Stop
         if len(chosen) + (n - start) <= len(best):
             return
         for x in range(start, n):
@@ -316,8 +304,6 @@ def regular_c4free_bipartite(n: int, t: int) -> PartitionedGraph:
     """
     if t < 1 or n < 1:
         raise ConstructionError("need n, t >= 1")
-    if t > 1 and n < 8 * t * t:
-        raise ConstructionError(f"need n >= 8t^2 = {8 * t * t}, got n={n}")
     return cayley_bipartite(n, sidon_set(n, t))
 
 
@@ -375,7 +361,7 @@ def basic_construction(p: ConstructionParams,
     if k - r - 1 >= 1:
         _overlay_gate(n, t)
     cls = [c % r for c in range(k) for _ in range(n)]      # cluster c in class c mod r
-    rows = _cross_class_rows(n, cls)
+    rows = cross_class_rows(n, cls)
     _overlay(rows, class1_graph, 0, r * n)
     for i in range(1, k - r):          # classes 2..k-r, 0-based rows 1..k-r-1
         _overlay(rows, regular_c4free_bipartite(n, t - 1), i * n, (i + r) * n)
@@ -409,7 +395,7 @@ def improved_construction(p: ConstructionParams,
         for v in chain(range((i - 1) * n, (i - 1) * n + tp),
                        range((r + i - 1) * n, (r + i - 1) * n + tp)):
             cls[v] = i + b - 2
-    rows = _cross_class_rows(n, cls)
+    rows = cross_class_rows(n, cls)
     _overlay(rows, class1_graph, 0, r * n)
     for i in range(2, b + 1):
         # rows that gave up vertices get their overlay on the trimmed clusters
@@ -438,7 +424,7 @@ def _join(rows: list[int], u: int, v: int) -> None:
     rows[v] |= 1 << u
 
 
-def _cross_class_rows(n: int, cls: Sequence[int]) -> list[int]:
+def cross_class_rows(n: int, cls: Sequence[int]) -> list[int]:
     """Bit rows of the blow-up on clusters of n consecutive vertices: each
     vertex v is joined to every vertex in another class (``cls[v]``) and
     another cluster."""

@@ -472,7 +472,6 @@ class PackingContext:
         t = self.max_size
         best = min(floor, mask.bit_count())
         verts = list(bits(mask))
-        H = self.H
         budget = self.budget
         # part index of each position; left[i][p] = vertices of part p at
         # positions >= i; taken[p] = chosen vertices of part p
@@ -486,8 +485,7 @@ class PackingContext:
             row[part_of[i]] += 1
         taken = [0] * len(parts)
 
-        def rec(idx: int, size: int, smask: int,
-                comps: list[tuple[int, int]]) -> None:
+        def rec(idx: int, size: int, comps: list[tuple[int, int]]) -> None:
             nonlocal best
             budget.spend()
             if size > best:
@@ -506,29 +504,14 @@ class PackingContext:
                     cap -= 1    # the part's term after position i
                 if not room:
                     continue    # v would join its part's full component
-                v = verts[i]
-                bit = 1 << v
-                hv = H[v] & smask
-                if hv:
-                    merged = 1
-                    newmask = bit
-                    newcomps = []
-                    for cm, csz in comps:
-                        if hv & cm:
-                            merged += csz
-                            newmask |= cm
-                        else:
-                            newcomps.append((cm, csz))
-                    if merged > t:
-                        continue
-                    newcomps.append((newmask, merged))
-                else:
-                    newcomps = comps + [(bit, 1)]
+                state = self._add(verts[i], comps, 0, 0)
+                if state is None:
+                    continue
                 taken[p] += 1
-                rec(i + 1, size + 1, smask | bit, newcomps)
+                rec(i + 1, size + 1, state[0])
                 taken[p] -= 1
 
-        rec(0, 0, 0, [])
+        rec(0, 0, [])
         return best
 
     # -- packing ------------------------------------------------------------

@@ -11,7 +11,7 @@ large-n theorem with an unspecified threshold, so only the direction
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import search
 from .constructions import (ConstructionParams, ConstructionError,
@@ -20,16 +20,26 @@ from .constructions import (ConstructionParams, ConstructionError,
                             turan_count)
 from .detectors import ForbiddenPattern, find_complete_multipartite
 from .graphs import PartitionedGraph
-from .zarankiewicz import OracleError, ZarKey, z_exact
+from .zarankiewicz import (OracleError, ZarKey, check_canonical, check_witness,
+                           z_exact)
 
 DEFAULT_PAIR_LIMIT = 64      # exact-mode guard: number of cross pairs
 
 
 @dataclass(frozen=True)
 class ExInstance:
+    """Canonical instance: part sizes sorted descending, as in ``ZarKey``."""
+
     part_sizes: tuple[int, ...]
     q: int
     t: int
+
+    def __post_init__(self):
+        check_canonical(self.part_sizes, 1, q=self.q, t=self.t)
+
+    @classmethod
+    def of(cls, sizes: Sequence[int], q: int, t: int) -> "ExInstance":
+        return cls(tuple(sorted(sizes, reverse=True)), q, t)
 
     @property
     def pattern(self) -> ForbiddenPattern:
@@ -45,13 +55,9 @@ class ExRecord:
     nodes: int = 0
 
     def check(self) -> None:
-        if self.witness.part_sizes != self.instance.part_sizes:
-            raise OracleError("witness part sizes do not match the instance")
-        if self.witness.edge_count() != self.value:
-            raise OracleError("witness edge count does not match the value")
-        if find_complete_multipartite(self.witness, self.instance.q,
-                                      self.instance.t) is not None:
-            raise OracleError("witness contains the forbidden pattern")
+        q, t = self.instance.q, self.instance.t
+        check_witness(self.witness, self.instance.part_sizes, self.value,
+                      lambda g: find_complete_multipartite(g, q, t), "pattern")
 
 
 def ex_exact(inst: ExInstance, budget: "int | Budget | None" = None,

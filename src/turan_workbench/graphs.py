@@ -23,6 +23,8 @@ from typing import Iterable, Iterator, Sequence
 
 VertexSet = "int | Iterable[int]"   # vertex sets: a bitmask or an index iterable
 
+MAX_DOCUMENT_VERTICES = 65_536      # size guard on graphs read from documents
+
 
 class GraphInvariantError(ValueError):
     """An input would violate the k-partite host invariants."""
@@ -201,7 +203,9 @@ class PartitionedGraph:
     @classmethod
     def from_document(cls, doc: dict) -> "PartitionedGraph":
         """Parse a graph document.  Part sizes and vertex ids must be
-        integers: floats, strings and booleans are rejected, not converted."""
+        integers: floats, strings and booleans are rejected, not converted.
+        Part sizes summing past ``MAX_DOCUMENT_VERTICES`` are rejected before
+        anything is allocated."""
         try:
             parts = doc["parts"]
             edges = doc["edges"]
@@ -209,6 +213,9 @@ class PartitionedGraph:
             raise GraphInvariantError(f"malformed graph document: {exc}") from exc
         if type(parts) is not list or not set(map(type, parts)) <= {int}:
             raise GraphInvariantError(f"part sizes must be a list of integers, got {parts!r}")
+        if sum(parts) > MAX_DOCUMENT_VERTICES:
+            raise GraphInvariantError(
+                f"a graph document may have at most {MAX_DOCUMENT_VERTICES} vertices")
         try:
             pairs = (type(edges) is list and set(map(len, edges)) <= {2}
                      and set(map(type, chain.from_iterable(edges))) <= {int})
@@ -226,10 +233,6 @@ class PartitionedGraph:
                 + ",".join(map(str, self.part_sizes)) + "]}\n")
 
     # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def empty(cls, part_sizes: Sequence[int]) -> "PartitionedGraph":
-        return cls(part_sizes)
 
     @classmethod
     def complete(cls, part_sizes: Sequence[int]) -> "PartitionedGraph":

@@ -92,17 +92,10 @@ def kst_upper_raw(m: int, n: int, t: int) -> int:
 def whole_graph_cap(num_vertices: int, t: int) -> int:
     """Max edges with sum_v C(d_v, t) <= (t-1) C(N, t): in any K_{t,t}-free
     graph every t-set has at most t-1 common neighbours, so the star count
-    is capped regardless of the part structure."""
+    is capped regardless of the part structure.  The star cost grows with
+    the degree sum, so this is half the largest degree sum within budget."""
     n = num_vertices
-    cap = (t - 1) * comb(n, t)
-    lo, hi = 0, n * (n - 1) // 2
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if min_star_cost(2 * mid, n, t) <= cap:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+    return max_edges_for_budget(n, n - 1, t, (t - 1) * comb(n, t)) // 2
 
 
 def biclique_host_cap(part_sizes: Sequence[int], t: int) -> int:

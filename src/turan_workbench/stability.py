@@ -29,7 +29,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
-from .constructions import ConstructionError, Piece, TemplateSpec
+from .constructions import (ConstructionError, Piece, TemplateSpec,
+                            cross_class_rows)
 from .detectors import find_biclique, find_star
 from .graphs import PartitionedGraph, bits, validate_class_partition
 
@@ -103,29 +104,35 @@ def enumerate_templates(r: int, k: int, n: int,
     if k > exhaustive_k_limit:
         raise ConstructionError(
             f"exhaustive template enumeration is guarded at k <= {exhaustive_k_limit}")
-    a, b = divmod(k, r)
     sizes = list(size_grid) if size_grid is not None else list(range(1, n + 1))
     seen: set[tuple] = set()
+    for leftover, groups in _shapes(k, r):
+        assignment = [-1] * k
+        for cls_idx, grp in enumerate(groups):
+            for c in grp:
+                assignment[c] = cls_idx
+        for layout in _piece_layouts(list(leftover), r, n, sizes):
+            pieces = tuple(sorted(layout))
+            key = tuple(sorted(
+                (groups[i], tuple(sorted((p.cluster, p.size)
+                                         for p in pieces if p.cls == i)))
+                for i in range(r)))
+            if key in seen:
+                continue
+            seen.add(key)
+            spec = TemplateSpec(r, k, n, tuple(assignment), pieces)
+            spec.validate()
+            yield spec
+
+
+def _shapes(k: int, r: int) -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
+    """Each template shape: the b = k mod r leftover clusters, and the
+    grouping of the others into r classes of k // r whole clusters, sorted."""
+    a, b = divmod(k, r)
     for leftover in combinations(range(k), b):
         rest = [c for c in range(k) if c not in leftover]
         for groups in _group_partitions(rest, a):
-            groups = sorted(groups)
-            assignment = [-1] * k
-            for cls_idx, grp in enumerate(groups):
-                for c in grp:
-                    assignment[c] = cls_idx
-            for layout in _piece_layouts(list(leftover), r, n, sizes):
-                pieces = tuple(sorted(layout))
-                key = tuple(sorted(
-                    (groups[i], tuple(sorted((p.cluster, p.size)
-                                             for p in pieces if p.cls == i)))
-                    for i in range(r)))
-                if key in seen:
-                    continue
-                seen.add(key)
-                spec = TemplateSpec(r, k, n, tuple(assignment), pieces)
-                spec.validate()
-                yield spec
+            yield leftover, sorted(groups)
 
 
 def _piece_layouts(leftover: list[int], r: int, n: int,
@@ -165,17 +172,11 @@ class ClosestTemplateResult:
         return self.distance - self.lower_bound
 
 
-def _assignment_distance(g: PartitionedGraph, class_of: Sequence[int], r: int) -> int:
-    """|E(G) triangle E(T)| for the vertex-level template T of the assignment."""
-    class_masks = [0] * r
-    for v, c in enumerate(class_of):
-        class_masks[c] |= 1 << v
-    total = 0
-    universe = g.universe_mask
-    for v in range(g.num_vertices):
-        trow = universe & ~class_masks[class_of[v]] & ~g.part_mask(g.part_of[v])
-        total += (g.neighbors(v) ^ trow).bit_count()
-    return total // 2
+def _assignment_distance(g: PartitionedGraph, class_of: Sequence[int]) -> int:
+    """|E(G) triangle E(T)| for the vertex-level template T of the
+    assignment; the parts of ``g`` are its clusters, all of one size."""
+    rows = cross_class_rows(g.part_sizes[0], class_of)
+    return sum((g.neighbors(v) ^ row).bit_count() for v, row in enumerate(rows)) // 2
 
 
 def closest_template(g: PartitionedGraph, params: AnalysisParams) -> ClosestTemplateResult:
@@ -210,25 +211,21 @@ def closest_template(g: PartitionedGraph, params: AnalysisParams) -> ClosestTemp
     r, k, n = params.r, params.k, params.n
     if g.part_sizes != (n,) * k:
         raise ConstructionError("closest_template needs k parts of size n")
-    a, b = divmod(k, r)
-    best = None                    # (distance, class_of, groups, leftover)
-    for leftover in combinations(range(k), b):
-        rest = [c for c in range(k) if c not in leftover]
-        for groups in _group_partitions(rest, a):
-            groups = sorted(groups)
-            shape = _Shape(g, groups, leftover, r)
-            for allowance in _allowances(list(leftover), r):
-                class_of, free_cost = shape.fit(allowance)
-                dist = shape.fixed_cost + shape.cross_cost + free_cost
-                if best is None or dist < best[0]:
-                    best = (dist, class_of, groups, leftover)
+    best = None                    # (distance, class_of, leftover)
+    for leftover, groups in _shapes(k, r):
+        shape = _Shape(g, groups, leftover, r)
+        for allowance in _allowances(list(leftover), r):
+            class_of, free_cost = shape.fit(allowance)
+            dist = shape.fixed_cost + shape.cross_cost + free_cost
+            if best is None or dist < best[0]:
+                best = (dist, class_of, leftover)
     assert best is not None
-    dist, class_of, groups, leftover = best
-    if dist != _assignment_distance(g, class_of, r):
+    dist, class_of, leftover = best
+    if dist != _assignment_distance(g, class_of):
         raise AssertionError(f"internal error: shape distance {dist} is not "
                              f"the assignment's distance")
     return ClosestTemplateResult(
-        _spec_from_assignment(r, k, n, groups, leftover, class_of),
+        _spec_from_assignment(r, k, n, leftover, class_of),
         tuple(class_of), dist,
         gamma_close=Fraction(dist) <= params.gamma * n * n,
         heuristic=False, lower_bound=dist)
@@ -322,13 +319,9 @@ class _Shape:
         return class_of, free_cost
 
 
-def _spec_from_assignment(r: int, k: int, n: int, groups: list[tuple[int, ...]],
-                          leftover: Sequence[int], class_of: Sequence[int]
-                          ) -> TemplateSpec:
-    assignment = [-1] * k
-    for cls_idx, grp in enumerate(groups):
-        for c in grp:
-            assignment[c] = cls_idx
+def _spec_from_assignment(r: int, k: int, n: int, leftover: Sequence[int],
+                          class_of: Sequence[int]) -> TemplateSpec:
+    assignment = [-1 if c in leftover else class_of[c * n] for c in range(k)]
     pieces = []
     for q in leftover:
         counts: dict[int, int] = {}

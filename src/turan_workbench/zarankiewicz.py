@@ -62,16 +62,36 @@ class ZarKey:
     t: int
 
     def __post_init__(self):
-        if len(self.part_sizes) < 2 or any(s < 1 for s in self.part_sizes):
-            raise OracleError(f"need >= 2 positive part sizes, got {self.part_sizes}")
-        if self.t < 1:
-            raise OracleError("t must be >= 1")
-        if tuple(sorted(self.part_sizes, reverse=True)) != self.part_sizes:
-            raise OracleError("part sizes must be sorted descending (canonical)")
+        check_canonical(self.part_sizes, 2, t=self.t)
 
     @classmethod
     def of(cls, sizes: Sequence[int], t: int) -> "ZarKey":
         return cls(tuple(sorted(sizes, reverse=True)), t)
+
+
+def check_canonical(part_sizes: tuple[int, ...], min_parts: int, **params: int) -> None:
+    """Raise unless there are at least ``min_parts`` positive part sizes,
+    every parameter is >= 1 and the sizes are sorted descending."""
+    if len(part_sizes) < min_parts or any(s < 1 for s in part_sizes):
+        raise OracleError(f"need >= {min_parts} positive part sizes, got {part_sizes}")
+    for name, value in params.items():
+        if value < 1:
+            raise OracleError(f"{name} must be >= 1")
+    if tuple(sorted(part_sizes, reverse=True)) != part_sizes:
+        raise OracleError("part sizes must be sorted descending (canonical)")
+
+
+def check_witness(witness: PartitionedGraph, part_sizes: tuple[int, ...], value: int,
+                  find_copy, pattern: str) -> None:
+    """Raise unless ``witness`` has these part sizes, ``value`` edges and no
+    copy of the pattern (``find_copy(witness)`` is None), checked in that
+    order: used for every record, on cache load too."""
+    if witness.part_sizes != part_sizes:
+        raise OracleError("witness part sizes do not match the key")
+    if witness.edge_count() != value:
+        raise OracleError("witness edge count does not match the value")
+    if find_copy(witness) is not None:
+        raise OracleError(f"witness contains the forbidden {pattern}")
 
 
 @dataclass
@@ -82,17 +102,8 @@ class ZarRecord:
     status: str               # "exact" | "lower_bound_only"
 
     def check(self) -> None:
-        """Re-verify the witness against the record (used on cache load too)."""
-        if self.witness.part_sizes != self.key.part_sizes:
-            raise OracleError("witness part sizes do not match the key")
-        if self.witness.edge_count() != self.value:
-            raise OracleError("witness edge count does not match the value")
-        if _has_ktt(self.witness, self.key.t):
-            raise OracleError("witness contains the forbidden biclique")
-
-
-def _has_ktt(g: PartitionedGraph, t: int) -> bool:
-    return find_biclique(g, t) is not None
+        check_witness(self.witness, self.key.part_sizes, self.value,
+                      lambda g: find_biclique(g, self.key.t), "biclique")
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +366,7 @@ def z_lower_construction(n: int, t: int, seed: int = 0,
         g = _greedy_ktt_free(n, 3, seed, as_budget(budget))
     else:
         raise OracleError("z_lower_construction supports t in {2, 3}")
-    if _has_ktt(g, t):
+    if find_biclique(g, t) is not None:
         raise OracleError("internal error: lower-bound graph is not K_{t,t}-free")
     rec = ZarRecord(ZarKey.of((n, n), t), g.edge_count(), g, "lower_bound_only")
     rec.check()

@@ -135,6 +135,29 @@ def naive_ex(part_sizes, q: int, t: int) -> int:
     return best
 
 
+def naive_is_sidon(s, n: int) -> bool:
+    """All differences a - b mod n of distinct members of s are distinct."""
+    diffs = [(a - b) % n for a in s for b in s if a != b]
+    return len(diffs) == len(set(diffs))
+
+
+def naive_sidon_set(n: int, size: int):
+    """The lex-least B2 set of ``size`` residues mod n that contains 0, or
+    None: every candidate in lexicographic order."""
+    for rest in combinations(range(1, n), size - 1):
+        if naive_is_sidon((0,) + rest, n):
+            return (0,) + rest
+    return None
+
+
+def naive_largest_sidon_set(n: int):
+    """The lex-least B2 set of maximum size in Z_n that contains 0."""
+    best = (0,)
+    while (found := naive_sidon_set(n, len(best) + 1)) is not None:
+        best = found
+    return best
+
+
 # ---------------------------------------------------------------------------
 # edge-list builds of the constructions (the builders assemble bit rows)
 

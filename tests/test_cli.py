@@ -115,6 +115,17 @@ def test_check_free_rejects_non_integer_documents(tmp_path, capsys):
         assert "integers" in err
 
 
+def test_check_free_rejects_oversized_documents(tmp_path, capsys):
+    # the part sizes are checked before anything is allocated for them
+    p = tmp_path / "huge.json"
+    p.write_text('{"parts":[1000000000,1],"edges":[]}')
+    code = cli_dispatch(["check-free", str(p), "--pattern", "kqt", "--q", "2",
+                         "--t", "1", "--json"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "at most 65536 vertices" in err
+
+
 def test_construct_manifest_hashes_the_written_bytes(tmp_path, capsys):
     out = tmp_path / "t.json"
     assert cli_dispatch(["construct", "template", "--r", "2", "--k", "3", "--n", "3",
@@ -241,6 +252,16 @@ def test_ex_cli(tmp_path, capsys):
     code, text = run(capsys, "ex", "exact", "--sizes", "2,2", "--q", "2",
                      "--t", "2", "--cache", str(tmp_path / "c.jsonl"), "--json")
     assert json.loads(text)["value"] == 3
+
+
+def test_ex_exact_sizes_share_one_record_in_any_order(tmp_path, capsys):
+    # ex exact sorts its sizes, so both orders run one search and hit one line
+    cache = tmp_path / "c.jsonl"
+    outs = [run(capsys, "ex", "exact", "--sizes", sizes, "--q", "3", "--t", "1",
+                "--json", "--cache", str(cache)) for sizes in ("2,3,3", "3,3,2")]
+    assert outs[0] == outs[1] and outs[0][0] == EXIT_OK
+    assert json.loads(outs[0][1])["value"] == 15
+    assert len(cache.read_bytes().splitlines()) == 1
 
 
 def test_cache_hits_reuse_the_verified_witness_hash(tmp_path, capsys, monkeypatch):

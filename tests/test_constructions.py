@@ -13,6 +13,7 @@ from turan_workbench.detectors import (ForbiddenPattern, find_biclique,
                                        find_complete_multipartite, find_star)
 from turan_workbench.graphs import PartitionedGraph
 from naive_oracles import (naive_basic_construction, naive_improved_construction,
+                           naive_is_sidon, naive_largest_sidon_set, naive_sidon_set,
                            naive_template)
 
 # the (r, k) grid of the n = 32 constructions that the CLI panel certifies
@@ -94,6 +95,20 @@ def test_sidon_sets():
     assert set(largest_sidon_set(7)) == {0, 1, 3}
 
 
+def test_sidon_searches_equal_the_naive_oracle():
+    # sidon_set is the lex-least B2 t-set containing 0, and largest_sidon_set
+    # the lex-least of maximum size; a truncated search still returns a B2 set
+    for t in range(1, 5):
+        for n in range(max(1, 8 * t * t), 8 * t * t + 12):
+            assert sidon_set(n, t) == naive_sidon_set(n, t), (n, t)
+    for n in range(1, 25):
+        assert largest_sidon_set(n) == naive_largest_sidon_set(n), n
+    for n in range(30, 60, 3):
+        for cap in (1, 7, 60):
+            s = largest_sidon_set(n, node_cap=cap)
+            assert s[0] == 0 and naive_is_sidon(s, n), (n, cap)
+
+
 def test_regular_c4free_bipartite():
     m = regular_c4free_bipartite(4, 1)
     assert m.edge_count() == 4 and all(m.degree(v) == 1 for v in range(8))
@@ -145,7 +160,7 @@ def test_basic_rejects_bad_class1():
         basic_construction(ConstructionParams(32, 2, 3, 2), k22)
     with pytest.raises(ConstructionError):
         basic_construction(ConstructionParams(32, 2, 3, 2),
-                           PartitionedGraph.empty([16, 16]))
+                           PartitionedGraph([16, 16]))
 
 
 def test_improved_equals_basic_for_t2_and_degenerate(class1_32):

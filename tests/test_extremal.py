@@ -65,3 +65,13 @@ def test_compare_with_g_never_asserts_equality():
 def test_ex_guard():
     with pytest.raises(OracleError):
         ex_exact(ExInstance((10, 10, 10), 3, 1))
+
+
+def test_ex_instance_is_canonical():
+    # like ZarKey: positive sizes sorted descending, q >= 1, t >= 1;
+    # ExInstance.of sorts, so every order of one host is one instance
+    assert ExInstance.of((2, 3, 3), 3, 1) == ExInstance((3, 3, 2), 3, 1)
+    for sizes, q, t in [((2, 3, 3), 3, 1), ((3, 0, 1), 3, 1), ((), 2, 1),
+                        ((2, 2), 0, 1), ((2, 2), 2, 0)]:
+        with pytest.raises(OracleError):
+            ExInstance(sizes, q, t)

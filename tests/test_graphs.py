@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from naive_oracles import naive_co_degree_into, naive_degree_into
-from turan_workbench.graphs import GraphInvariantError, PartitionedGraph, canonical_json
+from turan_workbench.graphs import (MAX_DOCUMENT_VERTICES, GraphInvariantError,
+                                   PartitionedGraph, canonical_json)
 
 
 def random_graph(rng: random.Random, sizes, p: float = 0.5) -> PartitionedGraph:
@@ -17,7 +18,7 @@ def random_graph(rng: random.Random, sizes, p: float = 0.5) -> PartitionedGraph:
 
 
 def test_empty_and_complete_counts():
-    assert PartitionedGraph.empty([2, 2]).edge_count() == 0
+    assert PartitionedGraph([2, 2]).edge_count() == 0
     assert PartitionedGraph.complete([2, 2]).edge_count() == 4
 
 
@@ -139,6 +140,16 @@ def test_document_rejects_non_integer_values():
         == PartitionedGraph([2, 2], [(0, 3)])
 
 
+def test_document_size_guard():
+    # a document's part sizes may sum to MAX_DOCUMENT_VERTICES, not past it
+    top = MAX_DOCUMENT_VERTICES
+    assert PartitionedGraph.from_document(
+        {"parts": [top - 1, 1], "edges": [[0, top - 1]]}).edge_count() == 1
+    for parts in ([top, 1], [1000000000, 1], [2] * (top // 2 + 1)):
+        with pytest.raises(GraphInvariantError, match="at most"):
+            PartitionedGraph.from_document({"parts": parts, "edges": []})
+
+
 def test_constructor_raises_on_the_first_bad_edge_in_input_order():
     good = [(0, 2), (1, 4)]
     for bad, message in (((0, 5), "edge (0,5) out of range"),
@@ -219,7 +230,7 @@ def _constructions_at_32():
 def test_canonical_json_equals_the_generic_writer():
     # the direct writer against json.dumps of the document, byte for byte
     rng = random.Random(11)
-    graphs = [PartitionedGraph.empty([1]), PartitionedGraph.empty([3, 2]),
+    graphs = [PartitionedGraph([1]), PartitionedGraph([3, 2]),
               PartitionedGraph([1, 1, 1], [(0, 2)]),       # vertex 1 isolated
               PartitionedGraph.complete([1, 1, 1, 1]),
               PartitionedGraph.complete([9, 1, 8])]

@@ -100,7 +100,7 @@ def test_stable_partition_examples():
     split = TemplateSpec.standard(2, 3, 2, splits=[[(0, 1), (1, 1)]])
     assert stable_partition_check(split.u_masks(), build_template(split))
     # one class holding partial pieces of two different clusters
-    g = PartitionedGraph.empty([2, 2, 2])
+    g = PartitionedGraph([2, 2, 2])
     bad = [0b010101, 0b101010]   # one vertex from each part in each class
     assert not stable_partition_check(bad, g)
 
@@ -294,13 +294,13 @@ def test_swap_search_matches_full_distance_reference():
             shape = _Shape(g, sorted(next(_group_partitions(rest, a))), leftover, r)
             for allowance in _allowances(list(leftover), r):
                 class_of, free_cost = shape.fit(allowance)
-                base = _assignment_distance(g, class_of, r)
+                base = _assignment_distance(g, class_of)
                 assert shape.fixed_cost + shape.cross_cost + free_cost == base
                 for v in (v for q in allowance for v in g.part_vertices(q)):
                     cur = class_of[v]
                     for c in allowance[g.part_of[v]]:
                         class_of[v] = c
-                        assert _assignment_distance(g, class_of, r) >= base
+                        assert _assignment_distance(g, class_of) >= base
                     class_of[v] = cur
 
 
@@ -360,7 +360,7 @@ def test_closest_template_lower_bound_below_brute_force():
                         class_of[v] = i
                 for v, c in zip(free, classes):
                     class_of[v] = c
-                d = _assignment_distance(g, class_of, r)
+                d = _assignment_distance(g, class_of)
                 best = d if best is None else min(best, d)
         res = closest_template(g, params)
         assert 0 <= res.lower_bound <= best <= res.distance
