@@ -7,10 +7,11 @@ A writer holds an exclusive ``flock`` on the file while it appends its line
 in one write, so concurrent appends by separate processes never interleave,
 and it first ends a torn last line left by a crashed writer.
 
-Both record types follow one schema (type tag, key fields, record
-constructor), so there is one lookup path and one append path.  Lookups are
-served from one index per cache file per process, keyed by
-(type, sizes, q, t); the last valid line for a key wins.  The index is tied
+Zar and ex results are both one ``Record`` type, told apart by their key:
+a table maps each type tag to its key class and key fields, so there is one
+lookup path and one append path.  Lookups are served from one index per
+cache file per process, keyed by (type, sizes, q, t); the last valid line
+for a key wins.  The index is tied
 to the file's bytes, not to its mtime, which is too coarse to see a rewrite
 of the same size within one clock tick.  Every lookup reads the file: if its
 bytes are unchanged the lookup is a dict hit; any change (an append
@@ -36,9 +37,9 @@ import threading
 import warnings
 from pathlib import Path
 
-from .extremal import ExInstance, ExRecord
+from .extremal import ExInstance
 from .graphs import PartitionedGraph, canonical_json
-from .zarankiewicz import OracleError, ZarKey, ZarRecord
+from .zarankiewicz import OracleError, Record, ZarKey
 
 ENV_VAR = "TURAN_WORKBENCH_CACHE"
 DEFAULT_FILENAME = "turan_workbench_cache.jsonl"
@@ -57,51 +58,41 @@ def default_cache_path() -> Path:
     return Path(os.environ.get(ENV_VAR, DEFAULT_FILENAME))
 
 
-class _Schema:
-    """How one record type maps to a cache line and back.
-
-    ``fields`` are the key fields after the part sizes.  A key is built as
-    ``key_cls(sizes, *fields)`` and a record as ``record_cls(key, value,
-    witness, status)``; the record holds its key in the attribute
-    ``key_attr``.  (A plain class: a dataclass would cost the import more.)
-    """
-
-    __slots__ = ("tag", "fields", "key_cls", "record_cls", "key_attr")
-
-    def __init__(self, tag: str, fields: tuple[str, ...], key_cls: type,
-                 record_cls: type, key_attr: str):
-        self.tag, self.fields, self.key_attr = tag, fields, key_attr
-        self.key_cls, self.record_cls = key_cls, record_cls
-
-    def index_key(self, key) -> tuple:
-        return (self.tag, key.part_sizes) + tuple(getattr(key, f) for f in self.fields)
-
-    def document(self, rec) -> dict:
-        key = getattr(rec, self.key_attr)
-        doc = {"type": self.tag, "sizes": list(key.part_sizes)}
-        doc.update((f, getattr(key, f)) for f in self.fields)
-        doc.update(value=rec.value, status=rec.status,
-                   witness=rec.witness.to_document(),
-                   witness_sha256=witness_hash(rec.witness))
-        return doc
-
-    def record(self, doc: dict):
-        """The record a parsed line holds, checked; raises if it is invalid."""
-        witness = PartitionedGraph.from_document(doc["witness"])
-        digest = witness_hash(witness)
-        if digest != doc.get("witness_sha256"):
-            raise OracleError("witness hash mismatch")
-        key = self.key_cls(tuple(doc["sizes"]), *(doc[f] for f in self.fields))
-        rec = self.record_cls(key, doc["value"], witness, doc["status"])
-        rec.check()
-        _VERIFIED_HASHES[witness] = digest
-        return rec
+# type tag -> (key class, key fields after the part sizes); a key is
+# ``key_cls(sizes, *fields)``
+_KEY_TYPES = {"zar": (ZarKey, ("t",)), "ex": (ExInstance, ("q", "t"))}
+_TAGS = {key_cls: tag for tag, (key_cls, _) in _KEY_TYPES.items()}
 
 
-_SCHEMAS = {s.tag: s for s in (
-    _Schema("zar", ("t",), ZarKey, ZarRecord, "key"),
-    _Schema("ex", ("q", "t"), ExInstance, ExRecord, "instance"),
-)}
+def _index_key(key) -> tuple:
+    tag = _TAGS[type(key)]
+    return (tag, key.part_sizes) + tuple(getattr(key, f) for f in _KEY_TYPES[tag][1])
+
+
+def _document(rec: Record) -> dict:
+    key = rec.key
+    tag = _TAGS[type(key)]
+    doc = {"type": tag, "sizes": list(key.part_sizes)}
+    doc.update((f, getattr(key, f)) for f in _KEY_TYPES[tag][1])
+    doc.update(value=rec.value, status=rec.status,
+               witness=rec.witness.to_document(),
+               witness_sha256=witness_hash(rec.witness))
+    return doc
+
+
+def _record(doc: dict) -> Record:
+    """The record a parsed line holds, checked; raises if it is invalid."""
+    witness = PartitionedGraph.from_document(doc["witness"])
+    digest = witness_hash(witness)
+    if digest != doc.get("witness_sha256"):
+        raise OracleError("witness hash mismatch")
+    key_cls, fields = _KEY_TYPES[doc["type"]]
+    key = key_cls(tuple(doc["sizes"]), *(doc[f] for f in fields))
+    rec = Record(key, doc["value"], witness, doc["status"])
+    rec.check()
+    _VERIFIED_HASHES[witness] = digest
+    return rec
+
 
 _CORRUPT = object()     # index key of a line that is not a JSON object
 
@@ -117,12 +108,12 @@ def _line_key(line: bytes):
         return _CORRUPT
     if not isinstance(doc, dict):
         return _CORRUPT
-    schema = _SCHEMAS.get(doc.get("type"))
-    if schema is None or doc.get("status") != "exact":
+    tag = doc.get("type")
+    if tag not in _KEY_TYPES or doc.get("status") != "exact":
         return None
     try:
-        key = ((schema.tag, tuple(doc.get("sizes", ())))
-               + tuple(doc.get(f) for f in schema.fields))
+        key = ((tag, tuple(doc.get("sizes", ())))
+               + tuple(doc.get(f) for f in _KEY_TYPES[tag][1]))
         hash(key)
     except TypeError:   # sizes not a list, or a field that is no scalar
         return None
@@ -148,13 +139,13 @@ def _memo_key(line: bytes):
     return key
 
 
-def _checked(schema: _Schema, line: bytes):
+def _checked(line: bytes):
     """The record on ``line``, checked once per distinct line content, or a
     string saying why the line is invalid."""
     result = _CHECKED.get(line)
     if result is None:
         try:
-            result = schema.record(json.loads(line))
+            result = _record(json.loads(line))
         except Exception as exc:   # noqa: BLE001 - any bad line is skipped
             result = str(exc)
         _CHECKED[line] = result
@@ -196,7 +187,7 @@ class ResultCache:
     def __init__(self, path: "str | Path | None" = None):
         self.path = Path(path) if path is not None else default_cache_path()
 
-    def _get(self, schema: _Schema, key):
+    def _get(self, key):
         with _LOCK:
             try:
                 data = self.path.read_bytes()
@@ -208,22 +199,22 @@ class ResultCache:
                 index = _INDEXES[where] = _Index()
             index.refresh(data)
             best = None
-            for lineno, line in index.lines_for(schema.index_key(key)):
+            for lineno, line in index.lines_for(_index_key(key)):
                 if line is None:
                     warnings.warn(f"{self.path}:{lineno}: corrupt cache line skipped")
                     continue
-                result = _checked(schema, line)
+                result = _checked(line)
                 if isinstance(result, str):
-                    warnings.warn(f"{self.path}:{lineno}: invalid {schema.tag} "
+                    warnings.warn(f"{self.path}:{lineno}: invalid {_TAGS[type(key)]} "
                                   f"record skipped ({result})")
                     continue
                 best = result
         # a copy, so a caller that changes its record cannot change the memo
         return copy.copy(best)
 
-    def _put(self, schema: _Schema, rec) -> None:
+    def _put(self, rec: Record) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        data = canonical_json(schema.document(rec)).encode("utf-8")
+        data = canonical_json(_document(rec)).encode("utf-8")
         with open(self.path, "a+b", buffering=0) as fh:
             # the lock makes the torn-tail test and the append one step for
             # every writer, so no writer sees another's line half written
@@ -236,14 +227,14 @@ class ResultCache:
                     data = b"\n" + data
             fh.write(data)      # one write call; closing the file unlocks it
 
-    def get_zar(self, key):
-        return self._get(_SCHEMAS["zar"], key)
+    def get_zar(self, key: ZarKey) -> "Record | None":
+        return self._get(key)
 
-    def put_zar(self, rec) -> None:
-        self._put(_SCHEMAS["zar"], rec)
+    def put_zar(self, rec: Record) -> None:
+        self._put(rec)
 
-    def get_ex(self, inst):
-        return self._get(_SCHEMAS["ex"], inst)
+    def get_ex(self, inst: ExInstance) -> "Record | None":
+        return self._get(inst)
 
-    def put_ex(self, rec) -> None:
-        self._put(_SCHEMAS["ex"], rec)
+    def put_ex(self, rec: Record) -> None:
+        self._put(rec)

@@ -25,7 +25,7 @@ from . import constructions, extremal, stability, zarankiewicz
 from .cache import ResultCache, witness_hash
 from .constructions import ConstructionError, ConstructionParams, TemplateSpec
 from .detectors import (Budget, BudgetExhausted, ForbiddenPattern, find_pattern)
-from .graphs import GraphInvariantError, PartitionedGraph, bits, canonical_json, mask_of
+from .graphs import GraphInvariantError, PartitionedGraph, bits, canonical_json
 
 EXIT_OK = 0
 EXIT_FOUND = 1
@@ -252,6 +252,10 @@ def _cmd_analyze(args, argv) -> int:
         return EXIT_OK
     _need(args, "spec")
     spec = TemplateSpec.from_document(json.loads(Path(args.spec).read_text()))
+    if spec.r != args.r or g.part_sizes != (spec.n,) * spec.k:
+        raise ConstructionError(
+            f"spec is for r={spec.r} and {spec.k} parts of {spec.n}; got --r "
+            f"{args.r} and parts {list(g.part_sizes)}")
     if args.verb == "classify":
         dec = stability.classify_atypical(g, spec, params)
         _emit({"w_doubleprime": list(bits(dec.w_doubleprime)),
@@ -267,7 +271,7 @@ def _cmd_analyze(args, argv) -> int:
                "bound": str(rep.bound), "bound_holds": rep.bound_holds}, args.json)
         return EXIT_OK if rep.bound_holds in (True, None) else EXIT_FOUND
     # structure
-    z = mask_of(int(x) for x in args.z.split(",")) if args.z else 0
+    z = g.mask([int(x) for x in args.z.split(",")]) if args.z else 0
     rep = stability.structure_report(g, spec, z, args.t, params)
     _emit(rep, args.json)
     return EXIT_OK

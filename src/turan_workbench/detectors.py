@@ -16,7 +16,7 @@ pruning never changes it.  It prunes with a degree filter and two kinds of
 bound:
 
 * degree: a copy vertex is adjacent to every copy vertex outside its own
-  class, so it has at least total - max-class-size neighbours among the
+  class, so it has at least total - t = (q - 1) t neighbours among the
   chosen vertices and the candidates.  Every node drops the candidates
   below that, to a fixpoint, and gives up when a chosen vertex falls below
   it or fewer than total vertices remain (the minimum-degree core of
@@ -25,7 +25,7 @@ bound:
   subtrees the DFS would have left empty-handed, and the first set found
   is the same;
 * per host part: a part is independent, so a copy meets it in one class
-  (at most max-class-size vertices);
+  (at most t vertices);
 * per region: when the host's complement splits into several non-adjacency
   components, or into several cross-part non-adjacency blobs, the regions
   are its components, each split into its blobs when that lowers the bound,
@@ -41,12 +41,12 @@ It is enumerated in ascending order.  The blow-up constructions split into
 many regions, and their supplies prove freeness at or near the root.
 
 A seeded search first applies the degree filter to the seeds alone: a seed
-needs total - max-class-size neighbours, and the seeds' common
+needs total - t neighbours, and the seeds' common
 neighbourhood needs every copy vertex outside the classes that hold them.
 It takes a few popcounts and settles many branch-and-bound probes before
 the DFS starts.  The DFS returns the components of the first set that
-packs, and only ``run`` packs them into witness classes.  With equal
-classes of t <= 2 vertices packing cannot fail (see
+packs, and only ``run`` packs them into witness classes.  With classes
+of t <= 2 vertices packing cannot fail (see
 :class:`PackingContext`), so there the DFS leaf does not pack, and a probe
 that reads only the yes/no answer never packs at all.
 
@@ -63,7 +63,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .graphs import PartitionedGraph, bits
@@ -86,8 +86,8 @@ class Budget:
         self.limit = limit
         self.used = 0
 
-    def spend(self, amount: int = 1) -> None:
-        self.used += amount
+    def spend(self) -> None:
+        self.used += 1
         if self.limit is not None and self.used > self.limit:
             raise BudgetExhausted(f"expansion budget {self.limit} exhausted")
 
@@ -227,20 +227,19 @@ def find_biclique(g: PartitionedGraph, t: int, s: "int | None" = None,
 class PackingContext:
     """Per-graph state of the complement-packing K_q(t) search.
 
-    Built once per graph from the universe, the host parts and the pattern's
-    class sizes; :meth:`run` is the seeded DFS on it.  Holds the complement
-    rows ``H`` (``H[v]``: the non-neighbours of v inside the universe), the
-    part lookup and the regions.  ``part_masks`` enables the per-part
-    pigeonhole caps (empty tuple disables them).
+    Built once from a host graph and the pattern K_q(t); :meth:`run` is the
+    seeded DFS on it.  Holds the complement rows ``H`` (``H[v]``: the
+    non-neighbours of v), the host parts, which give the per-part
+    pigeonhole caps, and the regions.
 
-    Without supply bounds the context starts from ``rows`` (default: the
-    empty graph) and a branch-and-bound caller keeps it in sync with its own
-    graph through :meth:`flip`, one edge at a time, instead of building a
-    context per probe.  With ``use_supply`` the complement's components are
-    computed first.  If the universe is one component and one cross-part
-    blob, the context is built as without supplies (one region, ascending
-    order, no in-DFS refine).  Otherwise the universe is split once into
-    *regions*: non-adjacency components, each further split into cross-part
+    Without supply bounds a branch-and-bound caller builds the context from
+    its starting graph and keeps it in sync with its own graph through
+    :meth:`flip`, one edge at a time, instead of building a context per
+    probe.  With ``use_supply`` the complement's components are computed
+    first.  If the graph is one component and one cross-part blob, the
+    context is built as without supplies (one region, ascending order, no
+    in-DFS refine).  Otherwise the vertices are split once into *regions*:
+    non-adjacency components, each further split into cross-part
     non-adjacency blobs when that lowers the bound (any partition gives a
     sound bound, since a valid set restricted to a region is still valid
     there).  Vertices are enumerated region-by-region, scarcest supply
@@ -259,49 +258,39 @@ class PackingContext:
     candidates.  It spends no budget and changes no witness.
 
     A seeded search applies that filter to the seeds alone before adding
-    any, and returns None when a seed has fewer than total - max_size
-    neighbours in the universe, or when the seeds' common neighbourhood
-    (seeds excluded) holds fewer than total minus the sum of the |seed|
-    largest class sizes.  A copy through the seeds puts them in at most
-    |seed| classes, and every copy vertex outside those classes is adjacent
-    to all of them, so the test is sound whether the seeds are adjacent or
-    not.  It spends no budget.
+    any, and returns None when a seed has fewer than total - t neighbours,
+    or when the seeds' common neighbourhood (seeds excluded) holds fewer
+    than total - min(|seed|, q) t vertices.  A copy through the seeds puts
+    them in at most |seed| classes, and every copy vertex outside those
+    classes is adjacent to all of them, so the test is sound whether the
+    seeds are adjacent or not.  It spends no budget.
 
     The DFS leaf packs its components only when packing can fail
-    (``pack_can_fail``).  Packing lemma: q equal classes of t <= 2
-    vertices take any components of at most t vertices that sum to qt.
-    For t = 1 every component is a single vertex.  For t = 2, a components
-    are pairs and b single vertices with 2a + b = 2q: the pairs fill a
-    classes and the b = 2(q - a) single vertices pair up into the other
-    q - a.  With t = 3 three pairs do not fit two classes of 3, and with
-    unequal classes three pairs do not fit classes of 2, 2, 1, 1.
+    (``pack_can_fail``).  Packing lemma: q classes of t <= 2 vertices take
+    any components of at most t vertices that sum to qt.  For t = 1 every
+    component is a single vertex.  For t = 2, a components are pairs and b
+    single vertices with 2a + b = 2q: the pairs fill a classes and the
+    b = 2(q - a) single vertices pair up into the other q - a.  With t = 3
+    three pairs do not fit two classes of 3.
     """
 
-    def __init__(self, universe: int, part_masks: Sequence[int],
-                 class_sizes: Sequence[int], rows: Sequence[int] = (),
+    def __init__(self, g: PartitionedGraph, q: int, t: int,
                  use_supply: bool = False, budget: Optional[Budget] = None):
-        n = universe.bit_length()
-        self.rows = rows = rows or [0] * n
-        self.universe = universe
-        self.class_sizes = tuple(sorted(class_sizes, reverse=True))
-        self.max_size = self.class_sizes[0]
-        self.total = sum(self.class_sizes)
-        # seed_room[j]: the j largest classes, which hold any j seed vertices
-        self.seed_room = list(accumulate(self.class_sizes, initial=0))
-        # packing can fail only with unequal classes or t >= 3 (class docstring)
-        self.pack_can_fail = self.max_size > 2 or self.class_sizes[-1] != self.max_size
-        self.part_masks = [pm & universe for pm in part_masks if pm & universe]
+        self.rows = rows = g.rows()
+        self.universe = universe = g.universe_mask
+        self.q, self.t, self.total = q, t, q * t
+        # packing can fail only for t >= 3 (class docstring)
+        self.pack_can_fail = t > 2
+        self.part_masks = [g.part_mask(i) for i in range(len(g.part_sizes))]
         self.budget = as_budget(budget)
-        self.H = [universe & ~(rows[v] | (1 << v)) if (universe >> v) & 1 else 0
-                  for v in range(n)]
-        self.part_mask_of = [0] * n
+        self.H = [universe & ~(row | 1 << v) for v, row in enumerate(rows)]
+        self.part_mask_of = [0] * g.num_vertices
         for pm in self.part_masks:
             for v in bits(pm):
                 self.part_mask_of[v] = pm
-        # per-part caps in the DFS bound: a part of at most max_size vertices
-        # never binds, so those vertices (and any outside every part) are
-        # counted by one popcount
-        self.big_parts = [pm for pm in self.part_masks if pm.bit_count() > self.max_size]
+        # per-part caps in the DFS bound: a part of at most t vertices never
+        # binds, so those vertices are counted by one popcount
+        self.big_parts = [pm for pm in self.part_masks if pm.bit_count() > t]
         self.small_mask = universe
         for pm in self.big_parts:
             self.small_mask &= ~pm
@@ -319,7 +308,7 @@ class PackingContext:
         self.later = [0] * len(self.regions)
         for r in range(len(self.regions) - 1, 0, -1):
             self.later[r - 1] = self.later[r] | self.regions[r]
-        # (v, 1 << v) for the universe's vertices: the degree filter's scan
+        # (v, 1 << v) for every vertex: the degree filter's scan
         self.vertex_bits = [(v, 1 << v) for v in bits(universe)]
 
     def _build_regions(self, comps: list[int]) -> None:
@@ -372,9 +361,9 @@ class PackingContext:
 
     def _supply(self, mask: int) -> int:
         """Upper bound on |S'| over S' subset of mask with non-adjacency
-        components of size <= max_size.  Exact for t=2 up to the caps."""
+        components of size <= t.  Exact for t=2 up to the caps."""
         s = mask.bit_count()
-        t = self.max_size
+        t = self.t
         if s <= t:
             return s
         cached = self._supply_memo.get(mask)
@@ -382,16 +371,15 @@ class PackingContext:
             return cached
         val = self._supply_uncached(mask, s, t)
         # never worse than the per-part pigeonhole within the mask
-        if self.part_masks:
-            cap = 0
-            for pm in self.part_masks:
-                inter = mask & pm
-                if inter:
-                    cap += min(inter.bit_count(), t)
-                    if cap >= val:
-                        break
-            else:
-                val = min(val, cap)
+        cap = 0
+        for pm in self.part_masks:
+            inter = mask & pm
+            if inter:
+                cap += min(inter.bit_count(), t)
+                if cap >= val:
+                    break
+        else:
+            val = min(val, cap)
         self._supply_memo[mask] = val
         return val
 
@@ -465,19 +453,17 @@ class PackingContext:
         non-adjacency component: at most t of them.  The DFS therefore stops
         extending once (vertices chosen) + (sum over parts of min(vertices
         left in the part, t - vertices chosen from it)) cannot beat the best,
-        and skips a vertex whose part already has t chosen; vertices outside
-        every part count as parts of their own.  The cap only prunes, so the
-        value is the one the uncapped DFS returns.
+        and skips a vertex whose part already has t chosen.  The cap only
+        prunes, so the value is the one the uncapped DFS returns.
         """
-        t = self.max_size
+        t = self.t
         best = min(floor, mask.bit_count())
         verts = list(bits(mask))
         budget = self.budget
         # part index of each position; left[i][p] = vertices of part p at
         # positions >= i; taken[p] = chosen vertices of part p
         parts: dict[int, int] = {}
-        part_of = [parts.setdefault(self.part_mask_of[v] or 1 << v, len(parts))
-                   for v in verts]
+        part_of = [parts.setdefault(self.part_mask_of[v], len(parts)) for v in verts]
         left = [[0] * len(parts) for _ in range(len(verts) + 1)]
         for i in range(len(verts) - 1, -1, -1):
             row = left[i]
@@ -517,10 +503,10 @@ class PackingContext:
     # -- packing ------------------------------------------------------------
 
     def _pack(self, comps: list[tuple[int, int]]) -> Optional[list[list[int]]]:
-        """Pack component masks into bins of exactly class_sizes; None if impossible."""
+        """Pack component masks into q bins of exactly t; None if impossible."""
         items = sorted(comps, key=lambda c: -c[1])
-        bins: list[list[int]] = [[] for _ in self.class_sizes]
-        room = list(self.class_sizes)
+        bins: list[list[int]] = [[] for _ in range(self.q)]
+        room = [self.t] * self.q
 
         def place(i: int) -> bool:
             if i == len(items):
@@ -571,15 +557,15 @@ class PackingContext:
         total = self.total
         H = self.H
         universe = self.universe
-        # a copy vertex misses at most max_size - 1 copy vertices
-        slack = universe.bit_count() - 1 - total + self.max_size
+        # a copy vertex misses at most t - 1 copy vertices
+        slack = universe.bit_count() - 1 - total + self.t
         common = universe
         for v in seed:
             if H[v].bit_count() > slack:
                 return None
             common &= ~(H[v] | 1 << v)
-        room = self.seed_room[min(len(seed), len(self.class_sizes))]
-        if common.bit_count() < total - room:
+        # any j seed vertices lie in at most min(j, q) classes of t
+        if common.bit_count() < total - min(len(seed), self.q) * self.t:
             return None
         state: Optional[tuple[list[tuple[int, int]], int, int]] = ([], 0, 0)
         smask = 0
@@ -603,7 +589,7 @@ class PackingContext:
         full one: those with a non-edge into two chosen vertices, or into a
         component of size 2.
         """
-        t = self.max_size
+        t = self.t
         H = self.H
         hv = H[v]
         merged = 1
@@ -634,15 +620,15 @@ class PackingContext:
             if self.pack_can_fail and self._pack(comps) is None:
                 return None
             return comps
-        t = self.max_size
+        t = self.t
         H = self.H
         vertex_bits = self.vertex_bits
         regions = self.regions
         # avail: the chosen vertices plus the candidates (region r0 from
         # vertex lo on and the later regions whole, minus the blocked ones)
         avail = (((regions[r0] & -(1 << lo)) | self.later[r0]) & ~blocked) | smask
-        # degree filter: a copy vertex misses at most max_size - 1 copy
-        # vertices, so at most |avail| - 1 - (total - max_size) of avail
+        # degree filter: a copy vertex misses at most t - 1 copy vertices,
+        # so at most |avail| - 1 - (total - t) of avail
         while True:
             size = avail.bit_count()
             if size < total:
@@ -724,9 +710,7 @@ def find_complete_multipartite(g: PartitionedGraph, q: int, t: int,
     if q < 1 or t < 1:
         raise ValueError("q and t must be >= 1")
     bud = as_budget(budget)
-    ctx = PackingContext(g.universe_mask,
-                         [g.part_mask(i) for i in range(len(g.part_sizes))],
-                         (t,) * q, g.rows(), use_supply=True, budget=bud)
+    ctx = PackingContext(g, q, t, use_supply=True, budget=bud)
     classes = ctx.run(bud)
     if classes is None:
         return None
@@ -748,16 +732,13 @@ def contains_uniform_pattern(ctx: PackingContext, budget: Budget,
 
 
 def find_pattern(g: PartitionedGraph, pattern: ForbiddenPattern,
-                 budget: "int | Budget | None" = DEFAULT_BUDGET,
-                 within: "int | None" = None) -> Optional[Witness]:
+                 budget: "int | Budget | None" = DEFAULT_BUDGET) -> Optional[Witness]:
     """Dispatch to the detector matching the pattern kind."""
     if pattern.kind == "star":
-        return find_star(g, pattern.class_sizes[1], within=within)
+        return find_star(g, pattern.class_sizes[1])
     if pattern.kind == "biclique":
         s, t = pattern.class_sizes
-        return find_biclique(g, t, s=s, within=within, budget=budget)
+        return find_biclique(g, t, s=s, budget=budget)
     q = len(pattern.class_sizes)
     t = pattern.class_sizes[0]
-    if within is not None:
-        raise ValueError("within restriction is only supported for star/biclique")
     return find_complete_multipartite(g, q, t, budget=budget)

@@ -11,6 +11,7 @@ large-n theorem with an unspecified threshold, so only the direction
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional, Sequence
 
 from . import search
@@ -18,62 +19,53 @@ from .constructions import (ConstructionParams, ConstructionError,
                             basic_construction, basic_edge_count, g_value,
                             improved_construction, improved_edge_count,
                             turan_count)
-from .detectors import ForbiddenPattern, find_complete_multipartite
+from .detectors import find_complete_multipartite
 from .graphs import PartitionedGraph
-from .zarankiewicz import (OracleError, ZarKey, check_canonical, check_witness,
-                           z_exact)
+from .zarankiewicz import OracleError, Record, ZarKey, check_canonical, z_exact
 
-DEFAULT_PAIR_LIMIT = 64      # exact-mode guard: number of cross pairs
+PAIR_LIMIT = 64      # exact-mode guard: number of cross pairs
 
 
 @dataclass(frozen=True)
 class ExInstance:
-    """Canonical instance: part sizes sorted descending, as in ``ZarKey``."""
+    """Canonical instance: part sizes sorted descending, as in ``ZarKey``.
+
+    q >= 2: K_1(t) is any t vertices, so no host with t or more vertices
+    avoids it.
+    """
 
     part_sizes: tuple[int, ...]
     q: int
     t: int
 
     def __post_init__(self):
-        check_canonical(self.part_sizes, 1, q=self.q, t=self.t)
+        check_canonical(self.part_sizes, 1, t=self.t)
+        if self.q < 2:
+            raise OracleError("q must be >= 2")
 
     @classmethod
     def of(cls, sizes: Sequence[int], q: int, t: int) -> "ExInstance":
         return cls(tuple(sorted(sizes, reverse=True)), q, t)
 
-    @property
-    def pattern(self) -> ForbiddenPattern:
-        return ForbiddenPattern.complete_multipartite(self.q, self.t)
-
-
-@dataclass
-class ExRecord:
-    instance: ExInstance
-    value: int
-    witness: PartitionedGraph
-    status: str              # "exact" | "lower_bound_only"
-    nodes: int = 0
-
-    def check(self) -> None:
-        q, t = self.instance.q, self.instance.t
-        check_witness(self.witness, self.instance.part_sizes, self.value,
-                      lambda g: find_complete_multipartite(g, q, t), "pattern")
+    def find_copy(self, g: PartitionedGraph):
+        """A K_q(t) in g, or None."""
+        return find_complete_multipartite(g, self.q, self.t)
 
 
 def ex_exact(inst: ExInstance, budget: "int | Budget | None" = None,
-             cache=None, pair_limit: int = DEFAULT_PAIR_LIMIT) -> ExRecord:
+             cache=None) -> Record:
     """Exact maximum edges of a K_q(t)-free graph in G(n_1, ..., n_k)."""
     if cache is not None:
         hit = cache.get_ex(inst)
         if hit is not None:
             return hit
-    npairs = len(search.cross_pairs(inst.part_sizes))
-    if npairs > pair_limit:
+    npairs = sum(a * b for a, b in combinations(inst.part_sizes, 2))
+    if npairs > PAIR_LIMIT:
         raise OracleError(
-            f"instance has {npairs} cross pairs, over the exact-mode guard {pair_limit}")
+            f"instance has {npairs} cross pairs, over the exact-mode guard {PAIR_LIMIT}")
     outcome = search.maximize_free(inst.part_sizes, inst.q, inst.t, budget=budget)
-    rec = ExRecord(inst, outcome.value, outcome.graph,
-                   "exact" if outcome.exact else "lower_bound_only", outcome.nodes)
+    rec = Record(inst, outcome.value, outcome.graph,
+                 "exact" if outcome.exact else "lower_bound_only")
     rec.check()
     if cache is not None and outcome.exact:
         cache.put_ex(rec)

@@ -160,8 +160,6 @@ def maximize_free(part_sizes: Sequence[int], q: int, t: int,
     host = PartitionedGraph(part_sizes)
     pairs = cross_pairs(part_sizes)
     total = len(pairs)
-    universe = host.universe_mask
-    part_masks = [host.part_mask(i) for i in range(len(part_sizes))]
     rows = [0] * host.num_vertices
     bud = as_budget(budget)
 
@@ -198,7 +196,7 @@ def maximize_free(part_sizes: Sequence[int], q: int, t: int,
     exact = True
     pattern_fits = q * t <= host.num_vertices
     used_block = [0] * nblocks
-    ctx = PackingContext(universe, part_masks, (t,) * q)
+    ctx = PackingContext(host, q, t)
     # tied[x]: x - 1 lies in x's part and their rows agree on every pair
     # decided so far (see the module docstring)
     tied = [x > 0 and host.part_of[x - 1] == host.part_of[x]

@@ -34,6 +34,8 @@ from .constructions import (ConstructionError, Piece, TemplateSpec,
 from .detectors import find_biclique, find_star
 from .graphs import PartitionedGraph, bits, validate_class_partition
 
+EXHAUSTIVE_K_LIMIT = 6     # enumerate_templates guard: number of clusters
+
 
 @dataclass(frozen=True)
 class AnalysisParams:
@@ -82,36 +84,33 @@ def _group_partitions(items: list[int], size: int) -> Iterator[list[tuple[int, .
             yield [group] + tail
 
 
-def _compositions(total: int, parts: int, sizes: Sequence[int]) -> Iterator[tuple[int, ...]]:
+def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """Each way to write ``total`` as ``parts`` positive sizes, in lex order."""
     if parts == 0:
         if total == 0:
             yield ()
         return
-    for s in sizes:
-        if 0 < s <= total - (parts - 1):
-            for rest in _compositions(total - s, parts - 1, sizes):
-                yield (s,) + rest
+    for s in range(1, total - parts + 2):
+        for rest in _compositions(total - s, parts - 1):
+            yield (s,) + rest
 
 
-def enumerate_templates(r: int, k: int, n: int,
-                        size_grid: Optional[Sequence[int]] = None,
-                        exhaustive_k_limit: int = 6) -> Iterator[TemplateSpec]:
-    """All template shapes up to class relabeling, piece sizes from size_grid.
+def enumerate_templates(r: int, k: int, n: int) -> Iterator[TemplateSpec]:
+    """All template shapes up to class relabeling, piece sizes 1..n.
 
     Shapes = (which clusters are leftover) x (grouping of the rest into
-    classes) x (piece-to-class layouts); the default size grid is 1..n.
+    classes) x (piece-to-class layouts).
     """
-    if k > exhaustive_k_limit:
+    if k > EXHAUSTIVE_K_LIMIT:
         raise ConstructionError(
-            f"exhaustive template enumeration is guarded at k <= {exhaustive_k_limit}")
-    sizes = list(size_grid) if size_grid is not None else list(range(1, n + 1))
+            f"exhaustive template enumeration is guarded at k <= {EXHAUSTIVE_K_LIMIT}")
     seen: set[tuple] = set()
     for leftover, groups in _shapes(k, r):
         assignment = [-1] * k
         for cls_idx, grp in enumerate(groups):
             for c in grp:
                 assignment[c] = cls_idx
-        for layout in _piece_layouts(list(leftover), r, n, sizes):
+        for layout in _piece_layouts(list(leftover), r, n):
             pieces = tuple(sorted(layout))
             key = tuple(sorted(
                 (groups[i], tuple(sorted((p.cluster, p.size)
@@ -135,8 +134,7 @@ def _shapes(k: int, r: int) -> Iterator[tuple[tuple[int, ...], list[tuple[int, .
             yield leftover, sorted(groups)
 
 
-def _piece_layouts(leftover: list[int], r: int, n: int,
-                   sizes: Sequence[int]) -> Iterator[list[Piece]]:
+def _piece_layouts(leftover: list[int], r: int, n: int) -> Iterator[list[Piece]]:
     """Assign each leftover cluster a set of classes and a size composition."""
     def rec(idx: int, free_classes: tuple[int, ...]) -> Iterator[list[Piece]]:
         if idx == len(leftover):
@@ -145,7 +143,7 @@ def _piece_layouts(leftover: list[int], r: int, n: int,
         q = leftover[idx]
         for count in range(1, min(r, len(free_classes)) + 1):
             for chosen in combinations(free_classes, count):
-                for comp in _compositions(n, count, sizes):
+                for comp in _compositions(n, count):
                     head = [Piece(c, q, s) for c, s in zip(chosen, comp)]
                     rest_free = tuple(c for c in free_classes if c not in chosen)
                     for tail in rec(idx + 1, rest_free):

@@ -28,8 +28,8 @@ taken in both orientations.
 Multipartite instances (three or more parts) are exactly ex(n_1..n_a; K_2(t))
 and delegate to the shared cross-pair branch and bound.
 
-Every exact record carries a witness that is re-verified (detector plus edge
-count) before the record is trusted, including on cache load.
+Every exact record carries a witness that is re-verified (edge count plus
+detector) before the record is trusted, including on cache load.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain, combinations
 from math import comb
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import search
 from .detectors import (Budget, BudgetExhausted, PackingContext, as_budget,
@@ -47,7 +47,11 @@ from .detectors import (Budget, BudgetExhausted, PackingContext, as_budget,
 from .graphs import PartitionedGraph, bits
 from .constructions import cayley_bipartite, largest_sidon_set
 
-DEFAULT_PRODUCT_LIMIT = 4096   # exact-mode guard: part-size product, and 2^n rows
+if TYPE_CHECKING:
+    from .extremal import ExInstance
+
+PRODUCT_LIMIT = 4096   # exact-mode guard: part-size product, and 2^n rows
+E1_SIZES = (2,)        # gap_checks: the n whose z_t^(3)(n) is tabulated
 
 
 class OracleError(ValueError):
@@ -68,6 +72,10 @@ class ZarKey:
     def of(cls, sizes: Sequence[int], t: int) -> "ZarKey":
         return cls(tuple(sorted(sizes, reverse=True)), t)
 
+    def find_copy(self, g: PartitionedGraph):
+        """A K_{t,t} in g (a K_2(t) when g has three or more parts), or None."""
+        return find_biclique(g, self.t)
+
 
 def check_canonical(part_sizes: tuple[int, ...], min_parts: int, **params: int) -> None:
     """Raise unless there are at least ``min_parts`` positive part sizes,
@@ -81,29 +89,26 @@ def check_canonical(part_sizes: tuple[int, ...], min_parts: int, **params: int) 
         raise OracleError("part sizes must be sorted descending (canonical)")
 
 
-def check_witness(witness: PartitionedGraph, part_sizes: tuple[int, ...], value: int,
-                  find_copy, pattern: str) -> None:
-    """Raise unless ``witness`` has these part sizes, ``value`` edges and no
-    copy of the pattern (``find_copy(witness)`` is None), checked in that
-    order: used for every record, on cache load too."""
-    if witness.part_sizes != part_sizes:
-        raise OracleError("witness part sizes do not match the key")
-    if witness.edge_count() != value:
-        raise OracleError("witness edge count does not match the value")
-    if find_copy(witness) is not None:
-        raise OracleError(f"witness contains the forbidden {pattern}")
-
-
 @dataclass
-class ZarRecord:
-    key: ZarKey
+class Record:
+    """A z_t or ex value with its witness; the key, a ``ZarKey`` or an
+    ``ExInstance``, finds copies of the forbidden pattern (``find_copy``)."""
+
+    key: "ZarKey | ExInstance"
     value: int
     witness: PartitionedGraph
     status: str               # "exact" | "lower_bound_only"
 
     def check(self) -> None:
-        check_witness(self.witness, self.key.part_sizes, self.value,
-                      lambda g: find_biclique(g, self.key.t), "biclique")
+        """Raise unless the witness has the key's part sizes, ``value`` edges
+        and no copy of the key's pattern, checked in that order: used for
+        every record, on cache load too."""
+        if self.witness.part_sizes != self.key.part_sizes:
+            raise OracleError("witness part sizes do not match the key")
+        if self.witness.edge_count() != self.value:
+            raise OracleError("witness edge count does not match the value")
+        if self.key.find_copy(self.witness) is not None:
+            raise OracleError("witness contains the forbidden pattern")
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +313,7 @@ def _rows_to_graph(m: int, n: int, rowmasks: Sequence[int]) -> PartitionedGraph:
 
 
 def z_exact(key: ZarKey, budget: "int | Budget | None" = None,
-            cache=None, product_limit: int = DEFAULT_PRODUCT_LIMIT) -> ZarRecord:
+            cache=None) -> Record:
     """Exact z for the key (bipartite rows search, or the pair engine for a >= 3).
 
     Budget exhaustion degrades to a ``lower_bound_only`` record with the best
@@ -323,15 +328,15 @@ def z_exact(key: ZarKey, budget: "int | Budget | None" = None,
     prod = 1
     for s in sizes:
         prod *= s
-    if prod > product_limit:
+    if prod > PRODUCT_LIMIT:
         raise OracleError(
-            f"instance {sizes} exceeds the exact-mode size guard ({product_limit})")
+            f"instance {sizes} exceeds the exact-mode size guard ({PRODUCT_LIMIT})")
     # the row engine's tables cover all 2^n rows of the smaller side before
     # the budget is consulted
-    if len(sizes) == 2 and 1 << sizes[1] > product_limit:
+    if len(sizes) == 2 and 1 << sizes[1] > PRODUCT_LIMIT:
         raise OracleError(
             f"instance {sizes}: 2^{sizes[1]} rows exceed the exact-mode size "
-            f"guard ({product_limit})")
+            f"guard ({PRODUCT_LIMIT})")
     bud = as_budget(budget)
     if len(sizes) == 2:
         m, n = sizes
@@ -340,7 +345,7 @@ def z_exact(key: ZarKey, budget: "int | Budget | None" = None,
     else:
         outcome = search.maximize_free(sizes, 2, t, budget=bud)
         value, witness, exact = outcome.value, outcome.graph, outcome.exact
-    rec = ZarRecord(key, value, witness, "exact" if exact else "lower_bound_only")
+    rec = Record(key, value, witness, "exact" if exact else "lower_bound_only")
     rec.check()
     if cache is not None and exact:
         cache.put_zar(rec)
@@ -352,7 +357,7 @@ def z_exact(key: ZarKey, budget: "int | Budget | None" = None,
 
 
 def z_lower_construction(n: int, t: int, seed: int = 0,
-                         budget: "int | Budget | None" = None) -> ZarRecord:
+                         budget: "int | Budget | None" = None) -> Record:
     """Detector-verified lower-bound graph for z_t(n, n), t in {2, 3}.
 
     t=2: Sidon--Cayley graph from the largest B2 set found in Z_n.
@@ -366,9 +371,7 @@ def z_lower_construction(n: int, t: int, seed: int = 0,
         g = _greedy_ktt_free(n, 3, seed, as_budget(budget))
     else:
         raise OracleError("z_lower_construction supports t in {2, 3}")
-    if find_biclique(g, t) is not None:
-        raise OracleError("internal error: lower-bound graph is not K_{t,t}-free")
-    rec = ZarRecord(ZarKey.of((n, n), t), g.edge_count(), g, "lower_bound_only")
+    rec = Record(ZarKey.of((n, n), t), g.edge_count(), g, "lower_bound_only")
     rec.check()
     return rec
 
@@ -380,8 +383,7 @@ def _greedy_ktt_free(n: int, t: int, seed: int, budget: Budget) -> PartitionedGr
     rng.shuffle(pairs)
     host = PartitionedGraph([n, n])
     rows = [0] * (2 * n)
-    ctx = PackingContext(host.universe_mask, [host.part_mask(0), host.part_mask(1)],
-                         (t, t))
+    ctx = PackingContext(host, 2, t)
 
     def try_add(u: int, v: int) -> bool:
         ctx.flip(u, v)
@@ -406,8 +408,8 @@ def _greedy_ktt_free(n: int, t: int, seed: int, budget: Budget) -> PartitionedGr
 # the multipartite stacking combinator
 
 
-def stack_e1_construction(a: int, n: int, t: int, base: ZarRecord,
-                          pair: Optional[ZarRecord]) -> PartitionedGraph:
+def stack_e1_construction(a: int, n: int, t: int, base: Record,
+                          pair: Optional[Record]) -> PartitionedGraph:
     """(a+1)-partite K_{t,t}-free graph with base.value + pair.value edges.
 
     Places the base witness (an extremal graph for z_t^(a)(n)) on the crossing
@@ -443,7 +445,7 @@ def stack_e1_construction(a: int, n: int, t: int, base: ZarRecord,
 
 
 def gap_checks(t: int, max_size: int, budget: "int | Budget | None" = None,
-               cache=None, multipartite_n_max: int = 2) -> dict:
+               cache=None) -> dict:
     """Hard-assert (E3) on the exact grid; tabulate the (E1)/(E2) differences.
 
     (E3): z_t(m, n) - z_t(m-1, n) >= t - 1 for every consecutive pair.
@@ -472,7 +474,7 @@ def gap_checks(t: int, max_size: int, budget: "int | Budget | None" = None,
                 elif diff < t - 1:
                     e3_failures.append((m, n))
     e1_rows = []
-    for n in range(2, multipartite_n_max + 1):
+    for n in E1_SIZES:
         tri = z_exact(ZarKey.of((n, n, n), t), budget=budget, cache=cache)
         bi = grid.get((n, n))
         if bi is None:

@@ -178,7 +178,7 @@ def test_criterion_07_stability_round_trip():
     certified = runs = 0
     for (r, k, n) in configs:
         params = AnalysisParams(r, k, n, 2)
-        specs = list(enumerate_templates(r, k, n, size_grid=range(1, n + 1)))
+        specs = list(enumerate_templates(r, k, n))
         for seed in range(100):
             rng = random.Random(seed)
             spec = specs[rng.randrange(len(specs))]

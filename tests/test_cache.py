@@ -6,8 +6,8 @@ import os
 import warnings
 
 from turan_workbench.cache import ResultCache
-from turan_workbench.extremal import ExInstance, ExRecord, ex_exact
-from turan_workbench.zarankiewicz import ZarKey, ZarRecord, z_exact
+from turan_workbench.extremal import ExInstance, ex_exact
+from turan_workbench.zarankiewicz import Record, ZarKey, z_exact
 
 JOIN_TIMEOUT_S = 60
 
@@ -66,11 +66,10 @@ def test_same_size_rewrite_is_not_served_from_a_stale_index(tmp_path):
 
 def test_each_distinct_line_is_checked_once(tmp_path, monkeypatch):
     checks = []
-    for cls in (ZarRecord, ExRecord):
-        def counted(self, real=cls.check):
-            checks.append(self)
-            real(self)
-        monkeypatch.setattr(cls, "check", counted)
+    def counted(self, real=Record.check):
+        checks.append(self)
+        real(self)
+    monkeypatch.setattr(Record, "check", counted)
     path = tmp_path / "cache.jsonl"
     z_exact(ZarKey.of((3, 3), 2), cache=ResultCache(path))
     ex_exact(ExInstance((1, 1, 1), 3, 1), cache=ResultCache(path))

@@ -325,6 +325,54 @@ def test_analyze_rejects_nonpositive_t_and_r(tmp_path, capsys):
     assert code == EXIT_OK and json.loads(text)["bound"] == str(2 * 8 ** 4)
 
 
+def test_ex_rejects_q_below_two_before_searching(tmp_path, capsys, monkeypatch):
+    # K_1(t) is any t vertices, so q = 1 is a usage error, raised before
+    # the branch and bound would run
+    from turan_workbench import search
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched a q = 1 instance")
+    monkeypatch.setattr(search, "maximize_free", no_search)
+    cache = str(tmp_path / "c.jsonl")
+    for argv in (["ex", "exact", "--sizes", "2,2", "--q", "1", "--t", "1"],
+                 ["ex", "turan", "--n", "2", "--k", "3", "--r", "0"]):
+        code = cli_dispatch(argv + ["--json", "--cache", cache])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_USAGE, ""), argv
+        assert "q must be >= 2" in captured.err, argv
+
+
+def test_analyze_checks_the_spec_and_z_against_the_graph(tmp_path, capsys):
+    # a spec for another r, k or n, and a --z vertex outside the graph, are
+    # usage errors, not a traceback, another r's bound or a phantom vertex
+    from turan_workbench.constructions import TemplateSpec, build_template
+    gpath = tmp_path / "g.json"
+    save_graph(build_template(TemplateSpec.standard(2, 3, 4)), gpath)
+    ragged = tmp_path / "ragged.json"     # parts 4, 4, 3: no spec fits it
+    save_graph(PartitionedGraph([4, 4, 3], [(0, 4), (1, 9)]), ragged)
+    specs = {}
+    for name, (r, k, n) in {"ok": (2, 3, 4), "k4": (2, 4, 4), "r3": (3, 3, 4),
+                            "n2": (2, 3, 2)}.items():
+        specs[name] = tmp_path / f"{name}.json"
+        specs[name].write_text(canonical_json(TemplateSpec.standard(r, k, n).to_document()))
+    cases = [
+        ("classify", "k4", "2", []),      # IndexError before the check
+        ("core", "ok", "3", []),          # printed the r = 3 bound
+        ("core", "r3", "2", []),
+        ("structure", "n2", "2", []),
+        ("structure", "ok", "2", ["--z", "999"]),   # counted in z_size
+    ]
+    for verb, spec, r, extra in cases:
+        argv = ["analyze", verb, str(gpath), "--r", r, "--spec", str(specs[spec]),
+                "--json"] + extra
+        assert run(capsys, *argv) == (EXIT_USAGE, ""), argv
+        argv[2] = str(ragged)                # IndexError in classify before
+        assert run(capsys, *argv) == (EXIT_USAGE, ""), argv
+    code, text = run(capsys, "analyze", "structure", str(gpath), "--r", "2",
+                     "--spec", str(specs["ok"]), "--z", "0,11", "--json")
+    assert code == EXIT_OK and json.loads(text)["z_size"] == 2
+
+
 def test_cache_path_from_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("TURAN_WORKBENCH_CACHE", str(tmp_path / "env.jsonl"))
     cache = ResultCache()

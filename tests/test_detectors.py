@@ -190,9 +190,7 @@ def test_witness_is_lex_least_on_single_region_graphs():
         q, t = rng.choice([(2, 2), (3, 1), (3, 2), (4, 1), (2, 3), (3, 3)])
         if q * t > g.num_vertices:
             continue
-        ctx = PackingContext(g.universe_mask,
-                             [g.part_mask(i) for i in range(len(g.part_sizes))],
-                             (t,) * q, g.rows(), use_supply=True)
+        ctx = PackingContext(g, q, t, use_supply=True)
         if ctx.use_supply:
             continue
         w = find_complete_multipartite(g, q, t)
@@ -227,13 +225,12 @@ def test_flipped_context_matches_fresh_build_and_naive():
         sizes = [rng.randint(1, 3) for _ in range(rng.randint(2, 4))]
         host = PartitionedGraph(sizes)
         n = host.num_vertices
-        part_masks = [host.part_mask(i) for i in range(len(sizes))]
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
                  if host.part_of[u] != host.part_of[v]]
         q, t = rng.choice([(2, 2), (3, 1), (3, 2), (4, 1), (2, 3)])
         if q * t > n:
             continue
-        ctx = PackingContext(host.universe_mask, part_masks, (t,) * q)
+        ctx = PackingContext(host, q, t)
         rows = [0] * n
         edges = set()
         free = True               # the empty graph has no K_q(t)
@@ -243,7 +240,7 @@ def test_flipped_context_matches_fresh_build_and_naive():
             rows[u] ^= 1 << v
             rows[v] ^= 1 << u
             edges ^= {(u, v)}
-            fresh = PackingContext(host.universe_mask, part_masks, (t,) * q, rows)
+            fresh = PackingContext(PartitionedGraph.from_rows(sizes, rows), q, t)
             for seed in ((u, v), (u,), ()):
                 b1, b2 = Budget(None), Budget(None)
                 got = ctx.run(b1, seed)
@@ -269,9 +266,7 @@ def test_probe_matches_run_and_naive_through_seed():
         if q * t > sum(sizes) or len(sizes) < 2:
             continue
         g = random_partite(rng, sizes, rng.choice([0.5, 0.7, 0.85, 0.95]))
-        ctx = PackingContext(g.universe_mask,
-                             [g.part_mask(i) for i in range(len(sizes))],
-                             (t,) * q, g.rows())
+        ctx = PackingContext(g, q, t)
         u, v = rng.sample(range(g.num_vertices), 2)
         for seed in ((u,), (u, v)):
             b1, b2 = Budget(None), Budget(None)
@@ -297,10 +292,10 @@ def _size_multisets(total, largest):
 def test_packing_lemma_for_uniform_classes_up_to_two():
     # with q classes of t <= 2 vertices, components of at most t vertices
     # that sum to qt always pack, so the DFS leaf skips the packing search;
-    # with t = 3, or unequal classes, packing can fail and the leaf packs
+    # with t = 3 packing can fail and the leaf packs
     for q in range(1, 7):
         for t in (1, 2):
-            ctx = PackingContext((1 << (q * t)) - 1, (), (t,) * q)
+            ctx = PackingContext(PartitionedGraph([q * t]), q, t)
             assert not ctx.pack_can_fail
             for sizes in _size_multisets(q * t, t):
                 bins = ctx._pack([(1 << i, sz) for i, sz in enumerate(sizes)])
@@ -308,14 +303,11 @@ def test_packing_lemma_for_uniform_classes_up_to_two():
                 assert sorted(sum(sizes[m.bit_length() - 1] for m in b) for b in bins) == [t] * q
     fails = set()
     for q in range(2, 5):
-        ctx = PackingContext((1 << (3 * q)) - 1, (), (3,) * q)
+        ctx = PackingContext(PartitionedGraph([3 * q]), q, 3)
         assert ctx.pack_can_fail
         fails.update((q, sizes) for sizes in _size_multisets(3 * q, 3)
                      if ctx._pack([(1 << i, sz) for i, sz in enumerate(sizes)]) is None)
     assert (2, (2, 2, 2)) in fails
-    ragged = PackingContext(0b111111, (), (2, 2, 1, 1))
-    assert ragged.pack_can_fail
-    assert ragged._pack([(0b11, 2), (0b1100, 2), (0b110000, 2)]) is None
 
 
 @pytest.mark.parametrize("sizes, q, t, value, nodes", [
@@ -342,7 +334,8 @@ def test_supply_exact_matches_brute_force():
         if rng.random() < 0.3:
             sizes = [1] * rng.randint(3, 12)    # no nontrivial parts
         g = random_partite(rng, sizes, rng.choice([0.3, 0.5, 0.7]))
-        part_masks = [g.part_mask(i) for i in range(len(sizes))]
+        # singleton parts: the part caps never bind
+        singletons = PartitionedGraph.from_rows([1] * g.num_vertices, g.rows())
         mask = 0
         for v in range(g.num_vertices):
             if rng.random() < 0.85:
@@ -351,9 +344,8 @@ def test_supply_exact_matches_brute_force():
         while mask.bit_count() > 12:
             mask &= mask - 1
         for t in (1, 2, 3):
-            for parts in (part_masks, ()):
-                ctx = PackingContext(g.universe_mask, parts, (t, t), g.rows(),
-                                     budget=Budget(None))
+            for host in (g, singletons):
+                ctx = PackingContext(host, 2, t, budget=Budget(None))
                 exact = max_valid_subset(g, mask, t)
                 assert ctx._supply_exact(mask, 0) == exact
                 assert ctx._supply_exact(mask, t) == max(exact, min(t, mask.bit_count()))
@@ -384,8 +376,7 @@ def test_supply_context_without_budget_matches_budgeted():
         sizes = [rng.randint(2, 5) for _ in range(rng.randint(3, 5))]
         q, t = rng.choice([(3, 1), (4, 1), (2, 2), (3, 2), (2, 3), (3, 3)])
         g = random_partite(rng, sizes, rng.choice([0.5, 0.7, 0.85]))
-        args = (g.universe_mask, [g.part_mask(i) for i in range(len(sizes))],
-                (t,) * q, g.rows())
+        args = (g, q, t)
         bare = PackingContext(*args, use_supply=True)
         budgeted = PackingContext(*args, use_supply=True, budget=Budget(None))
         assert (bare.regions, bare.region_supply, bare.use_supply) == \

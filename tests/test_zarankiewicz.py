@@ -90,7 +90,7 @@ def test_stack_grid_freeness():
     # a = 2 bases exactly; a = 3 bases are themselves stacked lower-bound
     # records (valid detector-verified witnesses; status is irrelevant to the
     # combinator, which only needs freeness and the edge count)
-    from turan_workbench.zarankiewicz import ZarRecord
+    from turan_workbench.zarankiewicz import Record
     for n in (2, 3, 4):
         for t in (2, 3):
             pair = z_exact(ZarKey.of((n // 2, n // 2), t))
@@ -98,11 +98,24 @@ def test_stack_grid_freeness():
             g3 = stack_e1_construction(2, n, t, base2, pair)
             assert g3.edge_count() == base2.value + pair.value
             assert find_biclique(g3, t) is None
-            base3 = ZarRecord(ZarKey.of((n,) * 3, t), g3.edge_count(), g3,
-                              "lower_bound_only")
+            base3 = Record(ZarKey.of((n,) * 3, t), g3.edge_count(), g3,
+                           "lower_bound_only")
             g4 = stack_e1_construction(3, n, t, base3, pair)
             assert g4.edge_count() == base3.value + pair.value
             assert find_biclique(g4, t) is None
+
+
+def test_lower_construction_runs_the_detector_once(monkeypatch):
+    # the record's own check is the only K_{t,t} search on the built graph
+    from turan_workbench import zarankiewicz
+    calls = []
+
+    def counted(g, t, **kwargs):
+        calls.append(t)
+        return find_biclique(g, t, **kwargs)
+    monkeypatch.setattr(zarankiewicz, "find_biclique", counted)
+    rec = z_lower_construction(8, 2)
+    assert calls == [2] and rec.status == "lower_bound_only"
 
 
 def test_witnesses_are_validated():
