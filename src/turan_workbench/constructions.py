@@ -168,8 +168,19 @@ class TemplateSpec:
 
     @classmethod
     def from_document(cls, doc: dict) -> "TemplateSpec":
-        return cls(doc["r"], doc["k"], doc["n"], tuple(doc["cluster_classes"]),
-                   tuple(Piece(*p) for p in doc["pieces"]))
+        """Parse a spec document.  Every number must be an integer: floats,
+        strings and booleans are rejected, not converted."""
+        try:
+            head = [doc["r"], doc["k"], doc["n"]]
+            classes, pieces = doc["cluster_classes"], doc["pieces"]
+        except (KeyError, TypeError) as exc:
+            raise ConstructionError(f"malformed template spec: {exc!r}") from exc
+        if not (_int_seq(head) and _int_seq(classes) and type(pieces) is list
+                and all(_int_seq(p, 3) for p in pieces)):
+            raise ConstructionError(
+                "a template spec needs integers r, k, n, a list of integer cluster "
+                "classes and a list of [class, cluster, size] integer pieces")
+        return cls(*head, tuple(classes), tuple(Piece(*p) for p in pieces))
 
     @classmethod
     def standard(cls, r: int, k: int, n: int,
@@ -179,6 +190,13 @@ class TemplateSpec:
         ``splits`` has one entry per leftover cluster: a sequence of
         (class, size) pairs.  Default: leftover cluster j goes wholly to class j.
         """
+        if r < 1:
+            raise ConstructionError(f"bad template ranges r={r}, k={k}, n={n}")
+        if not (isinstance(splits, (list, tuple))
+                and all(isinstance(s, (list, tuple)) and all(_int_seq(p, 2) for p in s)
+                        for s in splits)):
+            raise ConstructionError(
+                f"splits must be lists of (class, size) integer pairs, got {splits!r}")
         a, b = divmod(k, r)
         assignment = [-1] * k
         for i in range(r):
@@ -193,6 +211,13 @@ class TemplateSpec:
         spec = cls(r, k, n, tuple(assignment), tuple(pieces))
         spec.validate()
         return spec
+
+
+def _int_seq(x, length: Optional[int] = None) -> bool:
+    """``x`` is a list or tuple of integers (booleans rejected), of
+    ``length`` items when one is given."""
+    return (type(x) in (list, tuple) and all(type(v) is int for v in x)
+            and (length is None or len(x) == length))
 
 
 def build_template(spec: TemplateSpec) -> PartitionedGraph:
@@ -452,7 +477,6 @@ def basic_edge_count(p: ConstructionParams, class1_edges: int) -> int:
 
 
 def improved_edge_count(p: ConstructionParams, class1_edges: int) -> int:
-    if p.b < 2 or p.k == 2 * p.r:
-        return basic_edge_count(p, class1_edges)
-    return (turan_count(p.r, p.k) * p.n * p.n + class1_edges
-            + (p.t - 1) * (p.b - 1) * p.n + p.b_prime * ((p.t - 1) ** 2 // 4))
+    """g(n, r, k, t) with e(B) for z: b - 1 = k - r - 1 and b' = min(k-r-1, 2r-k),
+    and when b < 2 or k = 2r both moved-vertex terms vanish (the basic count)."""
+    return g_value(p.n, p.r, p.k, p.t, class1_edges)

@@ -284,10 +284,7 @@ class PackingContext:
         self.part_masks = [g.part_mask(i) for i in range(len(g.part_sizes))]
         self.budget = as_budget(budget)
         self.H = [universe & ~(row | 1 << v) for v, row in enumerate(rows)]
-        self.part_mask_of = [0] * g.num_vertices
-        for pm in self.part_masks:
-            for v in bits(pm):
-                self.part_mask_of[v] = pm
+        self.part_mask_of = [self.part_masks[p] for p in g.part_of]
         # per-part caps in the DFS bound: a part of at most t vertices never
         # binds, so those vertices are counted by one popcount
         self.big_parts = [pm for pm in self.part_masks if pm.bit_count() > t]

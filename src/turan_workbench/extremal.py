@@ -77,8 +77,8 @@ def verify_turan_identity(n: int, k: int, r: int,
                           cache=None) -> dict:
     """Check ex_k(n, K_{r+1}) == t_r(k) n^2 by exact search; returns a report."""
     inst = ExInstance((n,) * k, r + 1, 1)
-    rec = ex_exact(inst, budget=budget, cache=cache)
     expected = turan_count(r, k) * n * n
+    rec = ex_exact(inst, budget=budget, cache=cache)
     return {
         "n": n, "k": k, "r": r,
         "search_value": rec.value,
@@ -89,35 +89,30 @@ def verify_turan_identity(n: int, k: int, r: int,
     }
 
 
-def achievable_construction_count(n: int, r: int, k: int, t: int,
-                                  budget: "int | Budget | None" = None,
-                                  cache=None) -> Optional[dict]:
+def achievable_construction_count(params: ConstructionParams,
+                                  z_rec: Record) -> Optional[dict]:
     """Best plugged construction value at this n, or None when undefined.
 
-    Plugs the exact z_t(n, n) witness as the class-1 graph and builds both
-    constructions, verifying their edge counts against the closed forms.
+    Plugs the exact z_t(n, n) witness of ``z_rec`` as the class-1 graph and
+    builds both constructions, verifying their edge counts against the
+    closed forms.  A construction whose parameters are out of range is
+    skipped; a count that disagrees with its closed form is a defect.
     """
-    z_rec = z_exact(ZarKey.of((n, n), t), budget=budget, cache=cache)
     if z_rec.status != "exact":
         return None
-    params = ConstructionParams(n, r, k, t)
     out = {}
-    try:
-        g = basic_construction(params, z_rec.witness)
-        expected = basic_edge_count(params, z_rec.value)
+    for name, builder, closed_form in (
+            ("basic", basic_construction, basic_edge_count),
+            ("improved", improved_construction, improved_edge_count)):
+        try:
+            g = builder(params, z_rec.witness)
+        except ConstructionError:
+            continue
+        expected = closed_form(params, z_rec.value)
         if g.edge_count() != expected:
-            raise ConstructionError("basic edge count mismatch")
-        out["basic"] = expected
-    except ConstructionError:
-        pass
-    try:
-        g = improved_construction(params, z_rec.witness)
-        expected = improved_edge_count(params, z_rec.value)
-        if g.edge_count() != expected:
-            raise ConstructionError("improved edge count mismatch")
-        out["improved"] = expected
-    except ConstructionError:
-        pass
+            raise AssertionError(f"internal error: {name} construction has "
+                                 f"{g.edge_count()} edges, closed form {expected}")
+        out[name] = expected
     if not out:
         return None
     out["best"] = max(out.values())
@@ -132,10 +127,11 @@ def compare_with_g(n: int, r: int, k: int, t: int,
     Asserts only ex >= achievable construction count (when a construction is
     defined at this n); equality with g needs n >= n_0 and is NOT asserted.
     """
+    params = ConstructionParams(n, r, k, t)
     inst = ExInstance((n,) * k, r + 1, t)
     rec = ex_exact(inst, budget=budget, cache=cache)
-    cons = achievable_construction_count(n, r, k, t, budget=budget, cache=cache)
     z_rec = z_exact(ZarKey.of((n, n), t), budget=budget, cache=cache)
+    cons = achievable_construction_count(params, z_rec)
     g_val = g_value(n, r, k, t, z_rec.value)
     report = {
         "n": n, "r": r, "k": k, "t": t,

@@ -40,7 +40,8 @@ obeys the bipartite bound against the rest (applied recursively).  The
 pair order takes the blocks one after another, so at any index the blocks
 before the current one are decided and those after it untouched: the
 per-block headroom is the current block's room plus a precomputed suffix
-sum over the later blocks.
+sum of the later blocks' caps (the convexity bound for K_2(t), the block's
+pair count otherwise; the bound never exceeds the pair count).
 
 Used directly by the extremal-search module and, for part counts >= 3, by
 the Zarankiewicz oracle (z_t^{(a)} is exactly ex(n_1..n_a; K_2(t))).
@@ -50,6 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import combinations
 from math import comb
 from typing import Sequence
 
@@ -133,23 +135,6 @@ class SearchOutcome:
     nodes: int
 
 
-def cross_pairs(part_sizes: Sequence[int]) -> list[tuple[int, int]]:
-    """Canonical pair order: by (part pair, then index)."""
-    starts = []
-    pos = 0
-    for s in part_sizes:
-        starts.append(pos)
-        pos += s
-    pairs = []
-    k = len(part_sizes)
-    for i in range(k):
-        for j in range(i + 1, k):
-            for u in range(starts[i], starts[i] + part_sizes[i]):
-                for v in range(starts[j], starts[j] + part_sizes[j]):
-                    pairs.append((u, v))
-    return pairs
-
-
 def maximize_free(part_sizes: Sequence[int], q: int, t: int,
                   budget: "int | Budget | None" = None) -> SearchOutcome:
     """Exact max edge count of a K_q(t)-free graph in G(n_1, ..., n_k).
@@ -158,44 +143,31 @@ def maximize_free(part_sizes: Sequence[int], q: int, t: int,
     first (the value is then only a lower bound).
     """
     host = PartitionedGraph(part_sizes)
-    pairs = cross_pairs(part_sizes)
-    total = len(pairs)
     rows = [0] * host.num_vertices
     bud = as_budget(budget)
 
-    # block structure for the K_2(t) counting bounds
-    block_of = []
-    block_ids = {}
-    for (u, v) in pairs:
-        key = (host.part_of[u], host.part_of[v])
-        if key not in block_ids:
-            block_ids[key] = len(block_ids)
-        block_of.append(block_ids[key])
-    nblocks = len(block_ids)
-    block_kst = [0] * nblocks
-    if q == 2:
-        for (i, j), b in block_ids.items():
-            block_kst[b] = kst_upper_raw(part_sizes[i], part_sizes[j], t)
-        static_cap = biclique_host_cap(part_sizes, t)
-    else:
-        for (i, j), b in block_ids.items():
-            block_kst[b] = part_sizes[i] * part_sizes[j]
-        static_cap = total
-    # block_end[b]: index after block b's last pair; later_room[b]: room in
-    # the (untouched) blocks after b
-    block_end = [0] * nblocks
-    for idx, b in enumerate(block_of):
-        block_end[b] = idx + 1
-    later_room = [0] * nblocks
-    for b in range(nblocks - 2, -1, -1):
-        size = block_end[b + 1] - block_end[b]
-        later_room[b] = later_room[b + 1] + min(size, block_kst[b + 1])
+    # the pairs block by block (one block per part pair), each block's cap
+    # for the K_2(t) counting bounds and the index after its last pair
+    pairs: list[tuple[int, int, int]] = []
+    block_cap: list[int] = []
+    block_end: list[int] = []
+    for b, (i, j) in enumerate(combinations(range(len(part_sizes)), 2)):
+        pairs += [(u, v, b) for u in host.part_vertices(i) for v in host.part_vertices(j)]
+        m, n = part_sizes[i], part_sizes[j]
+        block_cap.append(kst_upper_raw(m, n, t) if q == 2 else m * n)
+        block_end.append(len(pairs))
+    total = len(pairs)
+    static_cap = biclique_host_cap(part_sizes, t) if q == 2 else total
+    # later_room[b]: room in the (untouched) blocks after b
+    later_room = [0] * len(block_cap)
+    for b in range(len(block_cap) - 2, -1, -1):
+        later_room[b] = later_room[b + 1] + block_cap[b + 1]
 
     best = -1
     best_rows: list[int] = [0] * host.num_vertices
     exact = True
     pattern_fits = q * t <= host.num_vertices
-    used_block = [0] * nblocks
+    used_block = [0] * len(block_cap)
     ctx = PackingContext(host, q, t)
     # tied[x]: x - 1 lies in x's part and their rows agree on every pair
     # decided so far (see the module docstring)
@@ -210,16 +182,15 @@ def maximize_free(part_sizes: Sequence[int], q: int, t: int,
             best_rows = list(rows)
         if idx == total or cur >= static_cap:
             return
-        b = block_of[idx]
-        headroom = min(block_end[b] - idx, block_kst[b] - used_block[b]) + later_room[b]
+        u, v, b = pairs[idx]
+        headroom = min(block_end[b] - idx, block_cap[b] - used_block[b]) + later_room[b]
         if min(cur + headroom, static_cap) <= best:
             return
-        u, v = pairs[idx]
         # tie_u: u is tied and its predecessor has the edge (u - 1, v); a tied
         # vertex may take the pair only then (likewise v with (u, v - 1))
         tie_u = tied[u] and rows[u - 1] >> v & 1
         tie_v = tied[v] and rows[v - 1] >> u & 1
-        if (used_block[b] < block_kst[b] and (tie_u or not tied[u])
+        if (used_block[b] < block_cap[b] and (tie_u or not tied[u])
                 and (tie_v or not tied[v])):
             # a budget exhaustion inside the probe abandons the search, so
             # the context needs no restoring on that path

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterator, Optional, Sequence
 
 from .constructions import (ConstructionError, Piece, TemplateSpec,
@@ -180,20 +180,23 @@ def _assignment_distance(g: PartitionedGraph, class_of: Sequence[int]) -> int:
 def closest_template(g: PartitionedGraph, params: AnalysisParams) -> ClosestTemplateResult:
     """Template of the family minimizing |E(G) triangle E(T)|, with a lower bound.
 
-    Exhaustive over shapes and allowances; per allowance each leftover
-    vertex takes its allowed class of least disagreement against the whole
-    clusters, and the allowance's distance is its bound term below.  The
-    winner's distance is recomputed in full from its class map, as a check
-    of that equality that raises if it fails.
+    Exhaustive over shapes and their owner maps (``_allowances``); per
+    allowance each leftover vertex takes its allowed class of least
+    disagreement against the whole clusters, and the allowance's distance
+    is its bound term below.  The winner's distance is recomputed in full
+    from its class map, as a check of that equality that raises if it fails.
 
-    ``lower_bound`` is the least, over the shapes and their allowances, of
+    ``lower_bound`` is the least, over the shapes and their owner maps, of
     the disagreements among whole-cluster vertices, plus the non-edges
     between leftover vertices of two different clusters, plus each leftover
     vertex's greedy cost (its least disagreement count against the whole
     clusters).  Pairs inside one leftover cluster are non-edges of G and of
     every template, and a class takes at most one piece, so two leftover
     vertices of different clusters are in different classes, hence adjacent,
-    in every template of the shape: no template of the family is closer.
+    in every template of the shape.  A template in which some class takes
+    no piece has an allowance whose allowed sets are subsets of those of an
+    owner map (give each unowned class to any cluster), so its greedy costs
+    are no lower than that owner map's: no template of the family is closer.
     ``gap`` = distance - lower_bound; gap 0 certifies the result optimal.
 
     The greedy attains that bound, so it is optimal per allowance.  Under the
@@ -230,25 +233,16 @@ def closest_template(g: PartitionedGraph, params: AnalysisParams) -> ClosestTemp
 
 
 def _allowances(leftover: list[int], r: int) -> Iterator[dict[int, tuple[int, ...]]]:
-    """Maps cluster -> allowed classes: each class allowed in at most one
-    cluster, every leftover cluster allowed at least one class."""
+    """Owner maps, as maps cluster -> allowed classes: every class is owned
+    by exactly one leftover cluster and every leftover cluster owns at least
+    one class (a single empty map when there are no leftover clusters)."""
     if not leftover:
         yield {}
         return
-
-    def rec(cls: int, alloc: dict[int, list[int]]) -> Iterator[dict[int, tuple[int, ...]]]:
-        if cls == r:
-            if all(alloc[q] for q in leftover):
-                yield {q: tuple(v) for q, v in alloc.items()}
-            return
-        for q in leftover:
-            alloc[q].append(cls)
-            yield from rec(cls + 1, alloc)
-            alloc[q].pop()
-        # class takes no piece
-        yield from rec(cls + 1, alloc)
-
-    yield from rec(0, {q: [] for q in leftover})
+    for owners in product(leftover, repeat=r):
+        alloc = {q: tuple(c for c, o in enumerate(owners) if o == q) for q in leftover}
+        if all(alloc.values()):
+            yield alloc
 
 
 class _Shape:

@@ -454,8 +454,6 @@ def gap_checks(t: int, max_size: int, budget: "int | Budget | None" = None,
     grid: dict[tuple[int, int], int] = {}
     for n in range(1, max_size + 1):
         for m in range(n, max_size + 1):
-            if min(m, n) == 0:
-                continue
             rec = z_exact(ZarKey.of((m, n), t), budget=budget, cache=cache)
             if rec.status != "exact":
                 raise OracleError(f"budget exhausted on z_{t}({m},{n})")

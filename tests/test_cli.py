@@ -342,6 +342,53 @@ def test_ex_rejects_q_below_two_before_searching(tmp_path, capsys, monkeypatch):
         assert "q must be >= 2" in captured.err, argv
 
 
+def test_ex_checks_parameters_before_searching(tmp_path, capsys, monkeypatch):
+    # parameters outside the construction's or the Turan formula's range
+    # are usage errors raised before any search, so the cache gets no line
+    from turan_workbench import search
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched an out-of-range instance")
+    monkeypatch.setattr(search, "maximize_free", no_search)
+    cache = tmp_path / "c.jsonl"
+    for argv, message in (
+            (["ex", "compare", "--n", "2", "--r", "2", "--k", "5", "--t", "2"],
+             "need r < k <= 2r"),
+            (["ex", "turan", "--n", "2", "--k", "3", "--r", "4"], "need 1 <= r <= k"),
+            (["ex", "compare", "--n", "2", "--r", "2", "--k", "3", "--t", "1"],
+             "need t >= 2")):
+        code = cli_dispatch(argv + ["--json", "--cache", str(cache)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_USAGE, ""), argv
+        assert message in captured.err, argv
+        assert not cache.exists(), argv
+
+
+def test_malformed_template_specs_are_usage_errors(tmp_path, capsys):
+    # a spec or split that is not made of integers of the right shape exits
+    # 3 with a message, not 1 (the witness-found code) with a traceback
+    from turan_workbench.constructions import TemplateSpec, build_template
+    gpath = tmp_path / "g.json"
+    save_graph(build_template(TemplateSpec.standard(2, 3, 4)), gpath)
+    head = {"r": 2, "k": 3, "n": 4, "cluster_classes": [0, 1, -1]}
+    for i, doc in enumerate(({"r": 2}, [1], dict(head, pieces=[[0, 2, "x"]]),
+                             dict(head, pieces=[[0, 2]]),
+                             dict(head, r=True, pieces=[[0, 2, 4]]))):
+        spath = tmp_path / f"s{i}.json"
+        spath.write_text(json.dumps(doc))
+        code = cli_dispatch(["analyze", "classify", str(gpath), "--r", "2",
+                             "--spec", str(spath)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_USAGE, ""), doc
+        assert "template spec" in captured.err, doc
+    for extra in (["--r", "2", "--splits", "[[1]]"], ["--r", "0"]):
+        code = cli_dispatch(["construct", "template", "--n", "4", "--k", "3",
+                             "--out", str(tmp_path / "t.json")] + extra)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_USAGE, ""), extra
+        assert captured.err.startswith("error: "), extra
+
+
 def test_analyze_checks_the_spec_and_z_against_the_graph(tmp_path, capsys):
     # a spec for another r, k or n, and a --z vertex outside the graph, are
     # usage errors, not a traceback, another r's bound or a phantom vertex

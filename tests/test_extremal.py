@@ -1,6 +1,7 @@
 import pytest
 
 from naive_oracles import naive_ex
+from turan_workbench import extremal
 from turan_workbench.detectors import find_complete_multipartite
 from turan_workbench.extremal import (ExInstance, compare_with_g, ex_exact,
                                       verify_turan_identity)
@@ -60,6 +61,29 @@ def test_compare_with_g_never_asserts_equality():
     assert rep["g_value"] == 11
     assert rep["ex_ge_construction"] is True
     assert "not asserted" in rep["note"]
+
+
+def test_compare_with_g_runs_one_z_search(monkeypatch):
+    # the construction count and g share one z_t(n, n) record: without a
+    # cache a second z_exact call would be a second full search
+    calls = []
+    real = extremal.z_exact
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(extremal, "z_exact", counted)
+    rep = compare_with_g(2, 2, 3, 2)
+    assert (len(calls), rep["construction"]["z_value"]) == (1, 3)
+
+
+def test_compare_with_g_raises_on_a_closed_form_mismatch(monkeypatch):
+    # a construction whose edge count disagrees with its closed form is a
+    # defect, not a construction that is undefined at this n
+    real = extremal.basic_edge_count
+    monkeypatch.setattr(extremal, "basic_edge_count", lambda p, e: real(p, e) + 1)
+    with pytest.raises(AssertionError, match="internal error: basic"):
+        compare_with_g(2, 2, 3, 2)
 
 
 def test_ex_guard():

@@ -332,39 +332,51 @@ def test_closest_template_gap_zero_on_split_templates():
     assert res.heuristic == (res.gap > 0)
 
 
+def _brute_force_distance(g, r, k, n):
+    """The exact optimum over every vertex-level template with one whole
+    cluster per class and b = k - r split clusters whose pieces never share
+    a class."""
+    best = None
+    for leftover in combinations(range(k), k - r):
+        rest = [c for c in range(k) if c not in leftover]
+        free = [v for q in leftover for v in range(q * n, (q + 1) * n)]
+        for classes in product(range(r), repeat=len(free)):
+            used = [set(classes[j * n:(j + 1) * n]) for j in range(len(leftover))]
+            if any(x & y for x, y in combinations(used, 2)):
+                continue
+            class_of = [0] * (k * n)
+            for i, q in enumerate(rest):
+                for v in range(q * n, (q + 1) * n):
+                    class_of[v] = i
+            for v, c in zip(free, classes):
+                class_of[v] = c
+            d = _assignment_distance(g, class_of)
+            best = d if best is None else min(best, d)
+    return best
+
+
 def test_closest_template_lower_bound_below_brute_force():
     # lower_bound <= the exact optimum over every vertex-level template
-    # (k=5, r=3: one whole cluster per class, two split clusters) <= distance,
+    # (one whole cluster per class; two split clusters at k=5, r=3 and three
+    # at k=7, r=4, where owner maps replace the most allowances) <= distance,
     # and the bound is tight: leftover vertices of different clusters never
     # share a class, so the greedy is optimal per shape and the gap is 0
     rng = random.Random(12)
-    r, k, n = 3, 5, 2
-    params = AnalysisParams(r, k, n, 2)
-    for _ in range(12):
-        g = planted_template(rng, r, k, n)
-        host = PartitionedGraph([n] * k)
-        extra = [(u, v) for u in range(k * n) for v in range(u + 1, k * n)
-                 if host.part_of[u] != host.part_of[v] and rng.random() < 0.3]
-        g = PartitionedGraph([n] * k, sorted(set(g.edges()) ^ set(extra)))
-        best = None
-        for leftover in combinations(range(k), 2):
-            rest = [c for c in range(k) if c not in leftover]
-            free = [v for q in leftover for v in range(q * n, (q + 1) * n)]
-            for classes in product(range(r), repeat=len(free)):
-                used = [set(classes[:n]), set(classes[n:])]
-                if used[0] & used[1]:
-                    continue
-                class_of = [0] * (k * n)
-                for i, q in enumerate(rest):
-                    for v in range(q * n, (q + 1) * n):
-                        class_of[v] = i
-                for v, c in zip(free, classes):
-                    class_of[v] = c
-                d = _assignment_distance(g, class_of)
-                best = d if best is None else min(best, d)
-        res = closest_template(g, params)
-        assert 0 <= res.lower_bound <= best <= res.distance
-        assert res.gap == 0
+    for r, k, n in ((3, 5, 2), (4, 7, 1)):
+        params = AnalysisParams(r, k, n, 2)
+        for _ in range(12):
+            # one vertex per cluster cannot be split, so n = 1 starts from
+            # the standard template
+            g = (planted_template(rng, r, k, n) if n > 1
+                 else build_template(TemplateSpec.standard(r, k, n)))
+            host = PartitionedGraph([n] * k)
+            extra = [(u, v) for u in range(k * n) for v in range(u + 1, k * n)
+                     if host.part_of[u] != host.part_of[v] and rng.random() < 0.3]
+            g = PartitionedGraph([n] * k, sorted(set(g.edges()) ^ set(extra)))
+            best = _brute_force_distance(g, r, k, n)
+            res = closest_template(g, params)
+            assert 0 <= res.lower_bound <= best <= res.distance
+            assert res.gap == 0
     for _ in range(10):
         g = planted_template(rng, 2, 3, 4)
         res = closest_template(g, AnalysisParams(2, 3, 4, 2))
