@@ -8,7 +8,7 @@ analysis.
 from .graphs import GraphInvariantError, PartitionedGraph, canonical_json
 from .detectors import (Budget, BudgetExhausted, ForbiddenPattern, Witness,
                         find_biclique, find_complete_multipartite, find_pattern,
-                        find_star, verify_witness)
+                        verify_witness)
 from .constructions import (ConstructionError, ConstructionParams, Piece,
                             TemplateSpec, basic_construction, build_template,
                             chromatic_trivial_value, g_value,

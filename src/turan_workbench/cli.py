@@ -105,7 +105,8 @@ def _cmd_formulas(args, argv) -> int:
     if args.formula == "turan":
         _emit(constructions.turan_count(args.r, args.k), args.json)
     elif args.formula == "g":
-        _emit(constructions.g_value(args.n, args.r, args.k, args.t, args.z), args.json)
+        cp = ConstructionParams(args.n, args.r, args.k, args.t)
+        _emit(constructions.g_value(cp, args.z), args.json)
     else:
         pat = ForbiddenPattern.complete_multipartite(args.q, args.t)
         val = constructions.chromatic_trivial_value(args.k, pat)
@@ -237,10 +238,8 @@ def _cmd_ex(args, argv) -> int:
 
 def _cmd_analyze(args, argv) -> int:
     g = load_graph(args.graph)
-    k = len(g.part_sizes)
-    n = g.part_sizes[0]
     params = stability.AnalysisParams(
-        args.r, k, n, args.t,
+        args.r, args.t,
         gamma=Fraction(args.gamma) if args.gamma else Fraction(1, 1024),
         epsilon=Fraction(args.epsilon) if args.epsilon else Fraction(1, 8))
     if args.verb == "closest-template":
@@ -272,7 +271,7 @@ def _cmd_analyze(args, argv) -> int:
         return EXIT_OK if rep.bound_holds in (True, None) else EXIT_FOUND
     # structure
     z = g.mask([int(x) for x in args.z.split(",")]) if args.z else 0
-    rep = stability.structure_report(g, spec, z, args.t, params)
+    rep = stability.structure_report(g, spec, z, params)
     _emit(rep, args.json)
     return EXIT_OK
 

@@ -42,21 +42,6 @@ def turan_count(r: int, k: int) -> int:
     return (k * k - b * (a + 1) ** 2 - (r - b) * a * a) // 2
 
 
-def g_value(n: int, r: int, k: int, t: int, z_value: int) -> int:
-    """Lower-bound formula: t_r(k)n^2 + z + (t-1)(k-r-1)n + min(k-r-1, 2r-k)*floor((t-1)^2/4).
-
-    ``z_value`` stands in for z_t(n, n); supplying it is the caller's
-    responsibility (exact from the oracle when in range, otherwise a
-    construction value) and is recorded in output provenance.
-    """
-    if not (r < k <= 2 * r):
-        raise ConstructionError(f"need r < k <= 2r, got r={r}, k={k}")
-    if t < 2 or n < 1 or z_value < 0:
-        raise ConstructionError(f"need t >= 2, n >= 1, z >= 0 (t={t}, n={n}, z={z_value})")
-    return (turan_count(r, k) * n * n + z_value + (t - 1) * (k - r - 1) * n
-            + min(k - r - 1, 2 * r - k) * ((t - 1) ** 2 // 4))
-
-
 def chromatic_trivial_value(k: int, pattern) -> Optional[int]:
     """Coefficient C(k,2) when chi(pattern) > k (so ex_k(n, F) = C(k,2) n^2), else None."""
     if pattern.chromatic_number > k:
@@ -83,6 +68,8 @@ class TemplateSpec:
     ``cluster_classes[c]`` is the class of whole cluster c, or -1 for the
     b = k - a*r leftover clusters, whose vertices are split into pieces
     (at most one piece per class; the pieces of one cluster partition it).
+    Construction checks these rules (Definition 3.1) and raises
+    ConstructionError on any other spec, so every instance is a template.
     """
 
     r: int
@@ -91,7 +78,7 @@ class TemplateSpec:
     cluster_classes: tuple[int, ...]
     pieces: tuple[Piece, ...] = field(default=())
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         r, k, n = self.r, self.k, self.n
         if r < 1 or n < 1 or k < r:
             raise ConstructionError(f"bad template ranges r={r}, k={k}, n={n}")
@@ -121,21 +108,17 @@ class TemplateSpec:
         if any(tot != n for tot in per_cluster.values()):
             raise ConstructionError("piece sizes of each leftover cluster must sum to n")
 
-    # vertex layout: clusters are the host parts in index order; within a
-    # leftover cluster, pieces occupy consecutive ranges in piece order.
-
     def class_of_vertices(self) -> list[int]:
-        out = [0] * (self.k * self.n)
-        for c, cl in enumerate(self.cluster_classes):
-            if cl != -1:
-                for v in range(c * self.n, (c + 1) * self.n):
-                    out[v] = cl
-        offsets = {c: 0 for c, cl in enumerate(self.cluster_classes) if cl == -1}
+        """The class of every vertex, the one piece layout: clusters are the
+        host parts in index order, and within a leftover cluster the pieces
+        occupy consecutive ranges in piece order."""
+        n = self.n
+        out = [cl for cl in self.cluster_classes for _ in range(n)]
+        end: dict[int, int] = {}       # leftover cluster -> end of its last piece
         for p in self.pieces:
-            start = p.cluster * self.n + offsets[p.cluster]
-            for v in range(start, start + p.size):
-                out[v] = p.cls
-            offsets[p.cluster] += p.size
+            start = end.get(p.cluster, p.cluster * n)
+            out[start:start + p.size] = [p.cls] * p.size
+            end[p.cluster] = start + p.size
         return out
 
     def z_masks(self) -> list[int]:
@@ -147,19 +130,16 @@ class TemplateSpec:
                 masks[cl] |= ((1 << n) - 1) << (c * n)
         return masks
 
-    def w_masks(self) -> list[int]:
-        """Per class, its piece W_i (may be empty)."""
-        n = self.n
+    def u_masks(self) -> list[int]:
+        """Per class, all its vertices U_i = Z_i u W_i."""
         masks = [0] * self.r
-        offsets = {c: 0 for c, cl in enumerate(self.cluster_classes) if cl == -1}
-        for p in self.pieces:
-            start = p.cluster * n + offsets[p.cluster]
-            masks[p.cls] |= ((1 << p.size) - 1) << start
-            offsets[p.cluster] += p.size
+        for v, cl in enumerate(self.class_of_vertices()):
+            masks[cl] |= 1 << v
         return masks
 
-    def u_masks(self) -> list[int]:
-        return [z | w for z, w in zip(self.z_masks(), self.w_masks())]
+    def w_masks(self) -> list[int]:
+        """Per class, its piece W_i (may be empty)."""
+        return [u & ~z for u, z in zip(self.u_masks(), self.z_masks())]
 
     def to_document(self) -> dict:
         return {"r": self.r, "k": self.k, "n": self.n,
@@ -208,9 +188,7 @@ class TemplateSpec:
         for j, split in enumerate(splits):
             for cl, size in split:
                 pieces.append(Piece(cl, a * r + j, size))
-        spec = cls(r, k, n, tuple(assignment), tuple(pieces))
-        spec.validate()
-        return spec
+        return cls(r, k, n, tuple(assignment), tuple(pieces))
 
 
 def _int_seq(x, length: Optional[int] = None) -> bool:
@@ -222,7 +200,6 @@ def _int_seq(x, length: Optional[int] = None) -> bool:
 
 def build_template(spec: TemplateSpec) -> PartitionedGraph:
     """The template graph: all cross-class pairs except pairs inside one cluster."""
-    spec.validate()
     n, k = spec.n, spec.k
     return PartitionedGraph.from_rows([n] * k, cross_class_rows(n, spec.class_of_vertices()))
 
@@ -476,7 +453,18 @@ def basic_edge_count(p: ConstructionParams, class1_edges: int) -> int:
             + (p.t - 1) * (p.k - p.r - 1) * p.n)
 
 
-def improved_edge_count(p: ConstructionParams, class1_edges: int) -> int:
-    """g(n, r, k, t) with e(B) for z: b - 1 = k - r - 1 and b' = min(k-r-1, 2r-k),
-    and when b < 2 or k = 2r both moved-vertex terms vanish (the basic count)."""
-    return g_value(p.n, p.r, p.k, p.t, class1_edges)
+def g_value(p: ConstructionParams, z_value: int) -> int:
+    """Lower-bound formula g(n, r, k, t) = t_r(k)n^2 + z + (t-1)(k-r-1)n
+    + min(k-r-1, 2r-k)*floor((t-1)^2/4), the improved construction's edge
+    count with e(B) for z (when b < 2 or k = 2r the moved-vertex terms
+    vanish and it is the basic count).
+
+    ``z_value`` stands in for z_t(n, n); supplying it is the caller's
+    responsibility (exact from the oracle when in range, otherwise a
+    construction value) and is recorded in output provenance.
+    """
+    if z_value < 0:
+        raise ConstructionError(f"need z >= 0, got z={z_value}")
+    n, r, k, t = p.n, p.r, p.k, p.t
+    return (turan_count(r, k) * n * n + z_value + (t - 1) * (k - r - 1) * n
+            + min(k - r - 1, 2 * r - k) * ((t - 1) ** 2 // 4))

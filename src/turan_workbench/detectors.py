@@ -159,28 +159,12 @@ def verify_witness(g: PartitionedGraph, pattern: ForbiddenPattern, w: Witness) -
 # simple detectors
 
 
-def find_star(g: PartitionedGraph, t: int,
-              within: "int | None" = None) -> Optional[Witness]:
-    """First K_{1,t} with all t+1 vertices in ``within`` (None iff max degree <= t-1)."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    wm = g.universe_mask if within is None else g.mask(within)
-    for v in bits(wm):
-        leaves = g.neighbors(v) & wm
-        if leaves.bit_count() >= t:
-            picked = []
-            for u in bits(leaves):
-                picked.append(u)
-                if len(picked) == t:
-                    break
-            return Witness(((v,), tuple(picked)))
-    return None
-
-
 def find_biclique(g: PartitionedGraph, t: int, s: "int | None" = None,
                   within: "int | None" = None,
                   budget: "int | Budget | None" = None) -> Optional[Witness]:
-    """First K_{s,t} (s defaults to t) with both sides inside ``within``.
+    """First K_{s,t} (s defaults to t) with both sides inside ``within``;
+    s = 1 gives the first K_{1,t} (None iff every vertex of ``within`` has
+    fewer than t neighbours in it).
 
     Enumerates s-subsets A in ascending (canonical) order, intersecting
     neighbour rows as it goes; a witness needs >= t common neighbours
@@ -730,10 +714,9 @@ def contains_uniform_pattern(ctx: PackingContext, budget: Budget,
 
 def find_pattern(g: PartitionedGraph, pattern: ForbiddenPattern,
                  budget: "int | Budget | None" = DEFAULT_BUDGET) -> Optional[Witness]:
-    """Dispatch to the detector matching the pattern kind."""
-    if pattern.kind == "star":
-        return find_star(g, pattern.class_sizes[1])
-    if pattern.kind == "biclique":
+    """Dispatch to the detector matching the pattern kind: stars and
+    bicliques to ``find_biclique``, K_q(t) to ``find_complete_multipartite``."""
+    if pattern.kind in ("star", "biclique"):
         s, t = pattern.class_sizes
         return find_biclique(g, t, s=s, budget=budget)
     q = len(pattern.class_sizes)

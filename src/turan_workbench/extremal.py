@@ -17,8 +17,7 @@ from typing import Optional, Sequence
 from . import search
 from .constructions import (ConstructionParams, ConstructionError,
                             basic_construction, basic_edge_count, g_value,
-                            improved_construction, improved_edge_count,
-                            turan_count)
+                            improved_construction, turan_count)
 from .detectors import find_complete_multipartite
 from .graphs import PartitionedGraph
 from .zarankiewicz import OracleError, Record, ZarKey, check_canonical, z_exact
@@ -103,7 +102,7 @@ def achievable_construction_count(params: ConstructionParams,
     out = {}
     for name, builder, closed_form in (
             ("basic", basic_construction, basic_edge_count),
-            ("improved", improved_construction, improved_edge_count)):
+            ("improved", improved_construction, g_value)):
         try:
             g = builder(params, z_rec.witness)
         except ConstructionError:
@@ -132,7 +131,7 @@ def compare_with_g(n: int, r: int, k: int, t: int,
     rec = ex_exact(inst, budget=budget, cache=cache)
     z_rec = z_exact(ZarKey.of((n, n), t), budget=budget, cache=cache)
     cons = achievable_construction_count(params, z_rec)
-    g_val = g_value(n, r, k, t, z_rec.value)
+    g_val = g_value(params, z_rec.value)
     report = {
         "n": n, "r": r, "k": k, "t": t,
         "ex_value": rec.value,

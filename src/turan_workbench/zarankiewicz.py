@@ -450,7 +450,11 @@ def gap_checks(t: int, max_size: int, budget: "int | Budget | None" = None,
 
     (E3): z_t(m, n) - z_t(m-1, n) >= t - 1 for every consecutive pair.
     (E1)/(E2) are asymptotic statements and are reported, never asserted.
+    The grid holds both orientations of every size pair up to ``max_size``,
+    which must be at least 1; it is checked before any search.
     """
+    if max_size < 1:
+        raise OracleError(f"need max_size >= 1, got {max_size}")
     grid: dict[tuple[int, int], int] = {}
     for n in range(1, max_size + 1):
         for m in range(n, max_size + 1):
@@ -465,12 +469,11 @@ def gap_checks(t: int, max_size: int, budget: "int | Budget | None" = None,
     e3_excluded = []
     for n in range(1, max_size + 1):
         for m in range(2, max_size + 1):
-            if (m, n) in grid and (m - 1, n) in grid:
-                diff = grid[(m, n)] - grid[(m - 1, n)]
-                if n < t - 1:
-                    e3_excluded.append({"m": m, "n": n, "difference": diff})
-                elif diff < t - 1:
-                    e3_failures.append((m, n))
+            diff = grid[(m, n)] - grid[(m - 1, n)]
+            if n < t - 1:
+                e3_excluded.append({"m": m, "n": n, "difference": diff})
+            elif diff < t - 1:
+                e3_failures.append((m, n))
     e1_rows = []
     for n in E1_SIZES:
         tri = z_exact(ZarKey.of((n, n, n), t), budget=budget, cache=cache)
@@ -483,9 +486,8 @@ def gap_checks(t: int, max_size: int, budget: "int | Budget | None" = None,
     e2_rows = []
     for n in range(2, max_size + 1):
         for m in range(1, n):
-            if (m, n) in grid and (n, n) in grid:
-                e2_rows.append({"n": n, "m": m,
-                                "difference": grid[(n, n)] - grid[(m, n)]})
+            e2_rows.append({"n": n, "m": m,
+                            "difference": grid[(n, n)] - grid[(m, n)]})
     return {
         "t": t,
         "grid": {f"{m},{n}": v for (m, n), v in sorted(grid.items()) if m >= n},

@@ -19,12 +19,11 @@ from naive_oracles import (naive_contains_biclique, naive_contains_kqt,
 from turan_workbench.constructions import (ConstructionParams,
                                            basic_construction,
                                            basic_edge_count, build_template,
-                                           cayley_bipartite,
+                                           cayley_bipartite, g_value,
                                            improved_construction,
-                                           improved_edge_count,
                                            largest_sidon_set, turan_count)
 from turan_workbench.detectors import (find_biclique,
-                                       find_complete_multipartite, find_star)
+                                       find_complete_multipartite)
 from turan_workbench.extremal import compare_with_g, verify_turan_identity
 from turan_workbench.graphs import PartitionedGraph
 from turan_workbench.stability import (AnalysisParams, classify_atypical,
@@ -78,7 +77,7 @@ def test_criterion_02_construction_edge_counts(class1_n32, class1_n72):
         e_i = improved_construction(p, class1_n32).edge_count()
         if e_b != basic_edge_count(p, class1_n32.edge_count()):
             failures.append(("basic", 2, r, k, e_b))
-        if e_i != improved_edge_count(p, class1_n32.edge_count()):
+        if e_i != g_value(p, class1_n32.edge_count()):
             failures.append(("improved", 2, r, k, e_i))
         if e_b != e_i:     # the paper's remark: both coincide at t = 2
             failures.append(("coincide", 2, r, k, (e_b, e_i)))
@@ -88,7 +87,7 @@ def test_criterion_02_construction_edge_counts(class1_n32, class1_n72):
         e_i = improved_construction(p, class1_n72).edge_count()
         if e_b != basic_edge_count(p, class1_n72.edge_count()):
             failures.append(("basic", 3, r, k, e_b))
-        if e_i != improved_edge_count(p, class1_n72.edge_count()):
+        if e_i != g_value(p, class1_n72.edge_count()):
             failures.append(("improved", 3, r, k, e_i))
     ok = not failures
     report(2, ok, f"closed-form edge counts, exact integer equality, on "
@@ -177,7 +176,7 @@ def test_criterion_07_stability_round_trip():
     failures = []
     certified = runs = 0
     for (r, k, n) in configs:
-        params = AnalysisParams(r, k, n, 2)
+        params = AnalysisParams(r, 2)
         specs = list(enumerate_templates(r, k, n))
         for seed in range(100):
             rng = random.Random(seed)
@@ -240,7 +239,7 @@ def _seeded_k32_free_graph(seed: int):
 
 
 def test_criterion_08_high_degree_core_bound():
-    params = AnalysisParams(2, 2, 20, 2, epsilon=Fraction(1, 4),
+    params = AnalysisParams(2, 2, epsilon=Fraction(1, 4),
                             gamma=Fraction(1, 1024))
     bound = 2 * (2 - 1) * Fraction(4) ** (2 * 2)
     assert params.c0 == bound == 512
@@ -272,7 +271,7 @@ def test_criterion_09_template_exactness_grid():
     for k in range(2, 6):
         for r in range(1, k):
             for n in range(1, 4):
-                params = AnalysisParams(r, k, n, 2, epsilon=Fraction(1, 2))
+                params = AnalysisParams(r, 2, epsilon=Fraction(1, 2))
                 for spec in enumerate_templates(r, k, n):
                     checked += 1
                     g = build_template(spec)
@@ -300,7 +299,7 @@ def test_criterion_09_template_exactness_grid():
 def _detectors_vs_naive(g) -> list:
     mism = []
     for t in (1, 2):
-        if (find_star(g, t) is not None) != naive_contains_star(g, t):
+        if (find_biclique(g, t, s=1) is not None) != naive_contains_star(g, t):
             mism.append(("star", t))
     if (find_biclique(g, 2) is not None) != naive_contains_biclique(g, 2, 2):
         mism.append(("biclique", 2))

@@ -180,6 +180,22 @@ def test_zero_sizes_and_negative_budget_are_usage_errors(tmp_path, capsys):
                                                         "verdict": "budget-exceeded"}
 
 
+def test_check_free_star_spends_the_budget(tmp_path, capsys):
+    # a star is K_{1,t} and runs through the biclique detector, so --budget
+    # bounds it and the answer counts its nodes, as for ktt
+    star = tmp_path / "star.json"
+    save_graph(PartitionedGraph([1, 3], [(0, 1), (0, 2), (0, 3)]), star)
+    code, text = run(capsys, "check-free", str(star), "--pattern", "star", "--t", "3",
+                     "--json")
+    assert code == EXIT_FOUND
+    assert json.loads(text) == {"classes": [[0], [1, 2, 3]], "nodes": 2,
+                                "verdict": "witness"}
+    code, text = run(capsys, "check-free", str(star), "--pattern", "star", "--t", "3",
+                     "--budget", "0", "--json")
+    assert code == EXIT_BUDGET and json.loads(text) == {"nodes": 1,
+                                                        "verdict": "budget-exceeded"}
+
+
 def test_check_free_budget_exit(tmp_path, capsys):
     big = tmp_path / "k9.json"
     g = PartitionedGraph([1] * 9, [(u, v) for u in range(9) for v in range(u + 1, 9)])
@@ -238,6 +254,19 @@ def test_zar_and_gaps_cli(tmp_path, capsys):
     code, text = run(capsys, "zar", "gaps", "--t", "2", "--max", "3",
                      "--cache", str(tmp_path / "c.jsonl"), "--json")
     assert code == EXIT_OK and json.loads(text)["e3_asserted"]
+
+
+def test_zar_gaps_needs_max_of_at_least_one(tmp_path, capsys):
+    # an empty grid is a usage error raised before any search, so the (E1)
+    # searches write nothing to the cache
+    cache = tmp_path / "c.jsonl"
+    for top in ("0", "-2"):
+        code = cli_dispatch(["zar", "gaps", "--t", "2", "--max", top,
+                             "--cache", str(cache), "--json"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_USAGE, ""), top
+        assert captured.err.startswith("error: "), top
+        assert not cache.exists() or cache.read_text() == "", top
 
 
 def test_zar_exact_t1_cli(capsys):
@@ -418,6 +447,29 @@ def test_analyze_checks_the_spec_and_z_against_the_graph(tmp_path, capsys):
     code, text = run(capsys, "analyze", "structure", str(gpath), "--r", "2",
                      "--spec", str(specs["ok"]), "--z", "0,11", "--json")
     assert code == EXIT_OK and json.loads(text)["z_size"] == 2
+
+
+def test_analyze_rejects_specs_outside_the_template_family(tmp_path, capsys):
+    # a spec whose piece names a class past r, or that puts two whole
+    # clusters in one class, is not a template: every spec-reading verb
+    # exits 3 with an error line, core included (it raised IndexError on
+    # the first and answered the second)
+    from turan_workbench.constructions import TemplateSpec, build_template
+    gpath = tmp_path / "g.json"
+    save_graph(build_template(TemplateSpec.standard(2, 3, 4)), gpath)
+    head = {"r": 2, "k": 3, "n": 4}
+    docs = {"class5": dict(head, cluster_classes=[0, 1, -1], pieces=[[5, 2, 4]]),
+            "two_in_one": dict(head, cluster_classes=[0, 0, -1], pieces=[[1, 2, 4]])}
+    for name, doc in docs.items():
+        spath = tmp_path / f"{name}.json"
+        spath.write_text(json.dumps(doc))
+        for verb in ("core", "classify", "structure"):
+            code = cli_dispatch(["analyze", verb, str(gpath), "--r", "2",
+                                 "--spec", str(spath), "--json"])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (EXIT_USAGE, ""), (name, verb)
+            assert captured.err.startswith("error: "), (name, verb)
+            assert "Traceback" not in captured.err, (name, verb)
 
 
 def test_cache_path_from_environment(tmp_path, monkeypatch):

@@ -5,12 +5,11 @@ from turan_workbench.constructions import (ConstructionError, ConstructionParams
                                            basic_edge_count, build_template,
                                            cayley_bipartite,
                                            chromatic_trivial_value, g_value,
-                                           improved_construction,
-                                           improved_edge_count, largest_sidon_set,
+                                           improved_construction, largest_sidon_set,
                                            regular_c4free_bipartite, sidon_set,
                                            turan_count)
 from turan_workbench.detectors import (ForbiddenPattern, find_biclique,
-                                       find_complete_multipartite, find_star)
+                                       find_complete_multipartite)
 from turan_workbench.graphs import PartitionedGraph
 from naive_oracles import (naive_basic_construction, naive_improved_construction,
                            naive_is_sidon, naive_largest_sidon_set, naive_sidon_set,
@@ -42,13 +41,16 @@ def test_turan_count_equals_turan_graph():
 
 def test_g_value():
     # star and floor terms vanish at k = r+1, t = 2
-    assert g_value(5, 2, 3, 2, 7) == 2 * 25 + 7
+    assert g_value(ConstructionParams(5, 2, 3, 2), 7) == 2 * 25 + 7
     # full formula with the true t_3(5) = 8
     n = 4
-    assert g_value(n, 3, 5, 3, 11) == 8 * n * n + 11 + 2 * n + 1
-    assert g_value(2, 2, 3, 2, 3) == 11
+    assert g_value(ConstructionParams(n, 3, 5, 3), 11) == 8 * n * n + 11 + 2 * n + 1
+    assert g_value(ConstructionParams(2, 2, 3, 2), 3) == 11
+    # r, k, t and n are checked by ConstructionParams, z by g_value
     with pytest.raises(ConstructionError):
-        g_value(2, 2, 5, 2, 0)
+        ConstructionParams(2, 2, 5, 2)
+    with pytest.raises(ConstructionError):
+        g_value(ConstructionParams(2, 2, 3, 2), -1)
 
 
 def test_chromatic_trivial_value():
@@ -73,13 +75,32 @@ def test_template_edge_counts_and_splits():
 
 
 def test_template_spec_validation():
+    # Definition 3.1 is checked when a spec is constructed: no invalid spec exists
+    bad = [
+        ((0, 1, -1), (Piece(0, 2, 1), Piece(0, 2, 1))),   # two pieces, one class
+        ((0, 1, -1), (Piece(0, 2, 1),)),                  # sizes != n
+        ((0, 0, -1), (Piece(0, 2, 2),)),                  # two whole clusters, one class
+        ((0, 1, -1), (Piece(5, 2, 2),)),                  # piece class out of range
+        ((0, 1, -1), (Piece(0, 1, 2),)),                  # piece of a whole cluster
+        ((0, 1, 2), ()),                                  # whole-cluster class out of range
+        ((0, 1), ()),                                     # one entry short
+    ]
+    for classes, pieces in bad:
+        with pytest.raises(ConstructionError):
+            TemplateSpec(2, 3, 2, classes, pieces)
+        with pytest.raises(ConstructionError):
+            TemplateSpec.from_document({"r": 2, "k": 3, "n": 2,
+                                        "cluster_classes": list(classes),
+                                        "pieces": [[p.cls, p.cluster, p.size]
+                                                   for p in pieces]})
+    for r, k, n in ((0, 3, 2), (2, 1, 2), (2, 3, 0)):
+        with pytest.raises(ConstructionError):
+            TemplateSpec.standard(r, k, n)
     with pytest.raises(ConstructionError):
-        TemplateSpec(2, 3, 2, (0, 1, -1),
-                     (Piece(0, 2, 1), Piece(0, 2, 1))).validate()   # two pieces, one class
-    with pytest.raises(ConstructionError):
-        TemplateSpec(2, 3, 2, (0, 1, -1), (Piece(0, 2, 1),)).validate()  # sizes != n
-    with pytest.raises(ConstructionError):
-        TemplateSpec(2, 3, 2, (0, 0, -1), (Piece(0, 2, 2),)).validate()  # class counts
+        TemplateSpec.standard(2, 3, 2, splits=[[(0, 1), (0, 1)]])
+    spec = TemplateSpec(2, 3, 2, (0, 1, -1), (Piece(0, 2, 1), Piece(1, 2, 1)))
+    assert spec == TemplateSpec.standard(2, 3, 2, splits=[[(0, 1), (1, 1)]])
+    assert TemplateSpec.from_document(spec.to_document()) == spec
 
 
 def test_sidon_sets():
@@ -166,7 +187,7 @@ def test_basic_rejects_bad_class1():
 def test_improved_equals_basic_for_t2_and_degenerate(class1_32):
     for (r, k) in ((2, 3), (2, 4), (3, 4)):
         p = ConstructionParams(32, r, k, 2)
-        assert improved_edge_count(p, class1_32.edge_count()) \
+        assert g_value(p, class1_32.edge_count()) \
             == basic_edge_count(p, class1_32.edge_count())
         gi = improved_construction(p, class1_32)
         gb = basic_construction(p, class1_32)
@@ -178,7 +199,7 @@ def test_improved_monotonicity(class1_32):
     for (r, k, t) in ((3, 5, 2), (3, 5, 3), (4, 6, 3), (4, 7, 3)):
         p = ConstructionParams(32, r, k, t)
         e = class1_32.edge_count()
-        diff = improved_edge_count(p, e) - basic_edge_count(p, e)
+        diff = g_value(p, e) - basic_edge_count(p, e)
         assert diff == p.b_prime * ((t - 1) ** 2 // 4)
         assert diff >= 0
 
@@ -189,7 +210,7 @@ def test_improved_construction_t3_layout():
     b = cayley_bipartite(n, largest_sidon_set(n, node_cap=20_000))
     p = ConstructionParams(n, 3, 5, 3)
     g = improved_construction(p, b)
-    assert g.edge_count() == improved_edge_count(p, b.edge_count())
+    assert g.edge_count() == g_value(p, b.edge_count())
     assert g.edge_count() == 8 * n * n + b.edge_count() + 2 * 1 * n + 1
     # star rows: K_{1,t} only through star centers; class rows are K_{1,t}-free
     # detector cross-check on the row structure
@@ -202,13 +223,13 @@ def test_improved_construction_t3_layout():
         row2 |= 1 << v
     for v in list(range(4 * n, 5 * n))[1:]:   # V_{2,2} minus the moved vertex
         row2 |= 1 << v
-    assert find_star(g, 3, within=row2) is None
+    assert find_biclique(g, 3, s=1, within=row2) is None
 
 
 def test_improved_t2_freeness_spot(class1_32):
     p = ConstructionParams(32, 4, 7, 2)
     g = improved_construction(p, class1_32)
-    assert g.edge_count() == improved_edge_count(p, class1_32.edge_count())
+    assert g.edge_count() == g_value(p, class1_32.edge_count())
     assert find_complete_multipartite(g, 5, 2, budget=10**8) is None
 
 
@@ -219,7 +240,7 @@ def test_figure_layout_r5_k8_t3_edge_count():
     p = ConstructionParams(n, 5, 8, 3)
     g = improved_construction(p, b)
     assert p.b == 3 and p.b_prime == 2 and p.t_prime == 1
-    assert g.edge_count() == improved_edge_count(p, b.edge_count())
+    assert g.edge_count() == g_value(p, b.edge_count())
     assert g.edge_count() == (turan_count(5, 8) * n * n + b.edge_count()
                               + 2 * 2 * n + 2 * 1)
 
@@ -239,7 +260,7 @@ def test_star_row_witnesses_only_through_centers():
         star_row |= 1 << v
     for v in centers:
         star_row |= 1 << v
-    w = find_star(g, 3, within=star_row)
+    w = find_biclique(g, 3, s=1, within=star_row)
     assert w is not None
     assert w.classes[0][0] in centers
 

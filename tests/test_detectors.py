@@ -11,7 +11,7 @@ from turan_workbench.constructions import (ConstructionParams, basic_constructio
 from turan_workbench.detectors import (Budget, BudgetExhausted, ForbiddenPattern,
                                        PackingContext, Witness,
                                        contains_uniform_pattern, find_biclique,
-                                       find_complete_multipartite, find_star,
+                                       find_complete_multipartite,
                                        verify_witness)
 from turan_workbench.graphs import PartitionedGraph
 from turan_workbench.search import maximize_free
@@ -66,12 +66,12 @@ def max_valid_subset(g, mask, t):
 
 def test_find_star_examples():
     star3 = PartitionedGraph([1, 3], [(0, 1), (0, 2), (0, 3)])
-    w = find_star(star3, 3)
+    w = find_biclique(star3, 3, s=1)
     assert w is not None and verify_witness(star3, ForbiddenPattern.star(3), w)
     # (t-1)-regular graph has no K_{1,t}
     c6 = PartitionedGraph([1] * 6, [(i, (i + 1) % 6) for i in range(6)])
-    assert find_star(c6, 3) is None
-    assert find_star(c6, 2) is not None
+    assert find_biclique(c6, 3, s=1) is None
+    assert find_biclique(c6, 2, s=1) is not None
 
 
 def test_find_biclique_examples():
@@ -141,8 +141,8 @@ def test_biclique_within_restriction():
 
 def test_star_within_restriction():
     star3 = PartitionedGraph([1, 3], [(0, 1), (0, 2), (0, 3)])
-    assert find_star(star3, 3, within=[0, 1, 2]) is None
-    assert find_star(star3, 2, within=[0, 1, 2]) is not None
+    assert find_biclique(star3, 3, s=1, within=[0, 1, 2]) is None
+    assert find_biclique(star3, 2, s=1, within=[0, 1, 2]) is not None
 
 
 def test_kqt_witness_restricted_to_two_classes_is_biclique():
@@ -160,7 +160,7 @@ def test_detectors_against_naive_random_panel():
         n = rng.randint(2, 8)
         g = random_graph(rng, n, rng.choice([0.25, 0.5, 0.75]))
         for t in (1, 2, 3):
-            assert (find_star(g, t) is not None) == naive_contains_star(g, t)
+            assert (find_biclique(g, t, s=1) is not None) == naive_contains_star(g, t)
             assert (find_biclique(g, t) is not None) == naive_contains_biclique(g, t, t)
         for q, t in ((2, 2), (3, 1), (3, 2), (4, 1)):
             if q * t > n:

@@ -5,7 +5,8 @@ from itertools import combinations, product
 
 import pytest
 
-from turan_workbench.constructions import TemplateSpec, build_template, turan_count
+from turan_workbench.constructions import (ConstructionError, TemplateSpec, build_template,
+                                           turan_count)
 from turan_workbench.detectors import find_complete_multipartite
 from turan_workbench.graphs import PartitionedGraph
 from turan_workbench.stability import (AnalysisParams, _allowances,
@@ -43,10 +44,9 @@ def digest(values):
 
 def test_params_hierarchy():
     with pytest.raises(ValueError):
-        AnalysisParams(2, 3, 8, 2, gamma=Fraction(1, 2), epsilon=Fraction(1, 4))
-    p = AnalysisParams(2, 3, 8, 2, epsilon=Fraction(1, 4))
+        AnalysisParams(2, 2, gamma=Fraction(1, 2), epsilon=Fraction(1, 4))
+    p = AnalysisParams(2, 2, epsilon=Fraction(1, 4))
     assert p.c0 == 2 * 1 * Fraction(4) ** 4
-    assert p.min_degree_slack == 2 * 2 * Fraction(1, 1024) * 8
 
 
 def test_enumerate_templates_counts():
@@ -54,8 +54,13 @@ def test_enumerate_templates_counts():
     specs = list(enumerate_templates(2, 3, 2))
     # for each leftover cluster: W_1 = V_q, W_2 = V_q, and the 1+1 split
     assert len(specs) == 9
-    for spec in specs:
-        spec.validate()
+
+
+def test_closest_template_rejects_ragged_graphs():
+    # k and n come from the graph, so its parts must all have one size
+    g = PartitionedGraph([4, 4, 3], [(0, 4), (1, 9)])
+    with pytest.raises(ConstructionError, match="one size"):
+        closest_template(g, AnalysisParams(2, 2))
 
 
 def test_enumerate_guard():
@@ -64,7 +69,7 @@ def test_enumerate_guard():
 
 
 def test_closest_template_identity_and_deletions():
-    params = AnalysisParams(2, 3, 4, 2)
+    params = AnalysisParams(2, 2)
     spec = TemplateSpec.standard(2, 3, 4, splits=[[(0, 3), (1, 1)]])
     g = build_template(spec)
     res = closest_template(g, params)
@@ -77,7 +82,7 @@ def test_closest_template_identity_and_deletions():
 
 def test_closest_template_planted_flips():
     rng = random.Random(42)
-    params = AnalysisParams(2, 4, 6, 2)
+    params = AnalysisParams(2, 2)
     specs = list(enumerate_templates(2, 4, 6))
     for _ in range(15):
         spec = specs[rng.randrange(len(specs))]
@@ -108,7 +113,7 @@ def test_stable_partition_examples():
 def test_min_degree_audit_template_and_damage():
     spec = TemplateSpec.standard(3, 5, 3)
     g = build_template(spec)
-    params = AnalysisParams(3, 5, 3, 2, epsilon=Fraction(1, 2))
+    params = AnalysisParams(3, 2, epsilon=Fraction(1, 2))
     assert min_degree_audit(g, spec, params) == []
     # Z_i degrees are exactly (k-a)n - |W_i| on the template
     a = 5 // 3
@@ -132,12 +137,15 @@ def test_min_degree_audit_template_and_damage():
     assert v0 in flagged
     worst = min(violations, key=lambda viol: viol["margin"])
     assert worst["vertex"] == v0
+    # Z_1 vertices need (k-a)n - |W_1| - 2t*gamma*n, with n from the spec
+    assert worst["case"] == "Z_1"
+    assert worst["required"] == (5 - a) * 3 - 3 - 2 * 2 * Fraction(1, 1024) * 3
 
 
 def test_classify_template_trivial():
     spec = TemplateSpec.standard(2, 3, 3, splits=[[(0, 2), (1, 1)]])
     g = build_template(spec)
-    params = AnalysisParams(2, 3, 3, 2, epsilon=Fraction(1, 2))
+    params = AnalysisParams(2, 2, epsilon=Fraction(1, 2))
     dec = classify_atypical(g, spec, params)
     assert dec.w_doubleprime == 0 and dec.z_doubleprime == 0 and dec.ambiguous == 0
     for i in range(2):
@@ -151,7 +159,7 @@ def test_classify_planted_cross_vertex():
     # pattern and give it Z_1-neighbours instead
     spec = TemplateSpec.standard(2, 3, 4)
     g = build_template(spec)
-    params = AnalysisParams(2, 3, 4, 2, epsilon=Fraction(1, 2))
+    params = AnalysisParams(2, 2, epsilon=Fraction(1, 2))
     z0, z1 = spec.z_masks()
     v = next(iter(range(12)))             # vertex 0 lives in Z_1 (cluster 0)
     assert (z0 >> v) & 1
@@ -172,7 +180,7 @@ def test_classify_planted_cross_vertex():
 def test_classify_w_doubleprime():
     spec = TemplateSpec.standard(2, 3, 4)
     g = build_template(spec)
-    params = AnalysisParams(2, 3, 4, 2, epsilon=Fraction(1, 2))
+    params = AnalysisParams(2, 2, epsilon=Fraction(1, 2))
     w0 = spec.w_masks()[0]
     v = next(u for u in range(12) if (w0 >> u) & 1)
     # give the piece vertex eps*n neighbours in its own class's Z as well
@@ -189,7 +197,7 @@ def test_classify_w_doubleprime():
 def test_high_degree_core_template_and_planted():
     spec = TemplateSpec.standard(2, 4, 5)
     g = build_template(spec)
-    params = AnalysisParams(2, 4, 5, 2, epsilon=Fraction(1, 4))
+    params = AnalysisParams(2, 2, epsilon=Fraction(1, 4))
     rep = high_degree_core(g, spec.u_masks(), params)
     assert rep.core == 0 and rep.hypothesis_met
     assert rep.bound == 512
@@ -205,13 +213,14 @@ def test_structure_report_on_construction():
     g = basic_construction(ConstructionParams(n, 2, 4, 2), b)
     # k = 2r: classes are V_i u V_{i+2}; describe them as a template spec
     spec = TemplateSpec(2, 4, n, (0, 1, 0, 1), ())
-    rep = structure_report(g, spec, 0, 2)
+    params = AnalysisParams(2, 2)
+    rep = structure_report(g, spec, 0, params)
     assert rep["class1_ktt_free"] is True
     assert rep["other_classes_k1t_free"] == [True]
     assert rep["z_size"] == 0
     assert all(d == "1" for row in rep["densities"] for d in row if d is not None)
     # vacuous report when Z is the whole universe
-    rep2 = structure_report(g, spec, g.universe_mask, 2)
+    rep2 = structure_report(g, spec, g.universe_mask, params)
     assert rep2["class1_ktt_free"] is True
     assert rep2["other_classes_k1t_free"] == [True]
 
@@ -229,7 +238,7 @@ def test_closest_template_identity_exhaustive_small_grid():
     for k in range(2, 5):
         for r in range(1, k):
             for n in range(1, 4):
-                params = AnalysisParams(r, k, n, 2, epsilon=Fraction(1, 2))
+                params = AnalysisParams(r, 2, epsilon=Fraction(1, 2))
                 for spec in enumerate_templates(r, k, n):
                     res = closest_template(build_template(spec), params)
                     assert (res.distance, res.gap) == (0, 0), (r, k, n, spec)
@@ -241,7 +250,7 @@ def test_classify_partition_invariants_on_unambiguous_inputs():
     # Z'' and W'' partition the universe
     rng = random.Random(17)
     spec = TemplateSpec.standard(2, 3, 6, splits=[[(0, 4), (1, 2)]])
-    params = AnalysisParams(2, 3, 6, 2, epsilon=Fraction(1, 3))
+    params = AnalysisParams(2, 2, epsilon=Fraction(1, 3))
     base = build_template(spec)
     w_all = spec.w_masks()[0] | spec.w_masks()[1]
     checked = 0
@@ -314,7 +323,7 @@ def test_closest_template_pinned_planted(seed, shape, distance, class_digest):
     # which the greedy alone reproduces
     r, k, n = shape
     g = planted_template(random.Random(seed), r, k, n)
-    res = closest_template(g, AnalysisParams(r, k, n, 2))
+    res = closest_template(g, AnalysisParams(r, 2))
     assert (res.distance, digest(res.class_of)) == (distance, class_digest)
     assert res.heuristic == (res.gap > 0)
     assert (res.lower_bound, res.gap) == (distance, 0)
@@ -324,10 +333,10 @@ def test_closest_template_gap_zero_on_split_templates():
     # templates with two or more split clusters (b >= 2)
     for r, k, n in ((3, 5, 3), (4, 6, 1)):
         for spec in enumerate_templates(r, k, n):
-            res = closest_template(build_template(spec), AnalysisParams(r, k, n, 2))
+            res = closest_template(build_template(spec), AnalysisParams(r, 2))
             assert (res.distance, res.lower_bound, res.gap) == (0, 0, 0)
     spec = TemplateSpec.standard(4, 7, 5, splits=[[(0, 2), (2, 3)], [(1, 5)], [(3, 5)]])
-    res = closest_template(build_template(spec), AnalysisParams(4, 7, 5, 2))
+    res = closest_template(build_template(spec), AnalysisParams(4, 2))
     assert (res.distance, res.gap) == (0, 0)
     assert res.heuristic == (res.gap > 0)
 
@@ -363,7 +372,7 @@ def test_closest_template_lower_bound_below_brute_force():
     # share a class, so the greedy is optimal per shape and the gap is 0
     rng = random.Random(12)
     for r, k, n in ((3, 5, 2), (4, 7, 1)):
-        params = AnalysisParams(r, k, n, 2)
+        params = AnalysisParams(r, 2)
         for _ in range(12):
             # one vertex per cluster cannot be split, so n = 1 starts from
             # the standard template
@@ -379,5 +388,5 @@ def test_closest_template_lower_bound_below_brute_force():
             assert res.gap == 0
     for _ in range(10):
         g = planted_template(rng, 2, 3, 4)
-        res = closest_template(g, AnalysisParams(2, 3, 4, 2))
+        res = closest_template(g, AnalysisParams(2, 2))
         assert not res.heuristic and res.gap == 0
