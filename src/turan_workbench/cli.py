@@ -238,10 +238,9 @@ def _cmd_ex(args, argv) -> int:
 
 def _cmd_analyze(args, argv) -> int:
     g = load_graph(args.graph)
+    given = {"gamma": args.gamma, "epsilon": args.epsilon}
     params = stability.AnalysisParams(
-        args.r, args.t,
-        gamma=Fraction(args.gamma) if args.gamma else Fraction(1, 1024),
-        epsilon=Fraction(args.epsilon) if args.epsilon else Fraction(1, 8))
+        args.r, args.t, **{name: Fraction(v) for name, v in given.items() if v})
     if args.verb == "closest-template":
         res = stability.closest_template(g, params)
         _emit({"distance": res.distance, "lower_bound": res.lower_bound,

@@ -348,31 +348,16 @@ def _check_class1(class1: PartitionedGraph, n: int, t: int) -> None:
         raise ConstructionError(f"class-1 graph contains K_{{{t},{t}}}: {w.classes}")
 
 
-def _overlay_gate(n: int, t: int) -> None:
-    if t - 1 > 1 and n < 8 * (t - 1) ** 2:
-        raise ConstructionError(
-            f"(t-1)-regular C4-free overlays need n >= 8(t-1)^2 = {8 * (t - 1) ** 2}")
-
-
 def basic_construction(p: ConstructionParams,
                        class1_graph: PartitionedGraph) -> PartitionedGraph:
     """Blow-up with classes V_i u V_{i+r}: B on class 1, (t-1)-regular C4-free
     graphs on classes 2..k-r.  Edge count t_r(k)n^2 + e(B) + (t-1)(k-r-1)n."""
-    n, r, k, t = p.n, p.r, p.k, p.t
-    _check_class1(class1_graph, n, t)
-    if k - r - 1 >= 1:
-        _overlay_gate(n, t)
-    cls = [c % r for c in range(k) for _ in range(n)]      # cluster c in class c mod r
-    rows = cross_class_rows(n, cls)
-    _overlay(rows, class1_graph, 0, r * n)
-    for i in range(1, k - r):          # classes 2..k-r, 0-based rows 1..k-r-1
-        _overlay(rows, regular_c4free_bipartite(n, t - 1), i * n, (i + r) * n)
-    return PartitionedGraph.from_rows([n] * k, rows)
+    return _blowup(p, class1_graph, 0)
 
 
 def improved_construction(p: ConstructionParams,
                           class1_graph: PartitionedGraph) -> PartitionedGraph:
-    """The moved-vertex construction; falls back to basic when b < 2 or k = 2r.
+    """The moved-vertex construction; the basic one when b' = 0 (b < 2 or k = 2r).
 
     Moves the first t' vertices of clusters V_{i,1} and V_{i,2} from row i to
     row i+b-1 for i in [2, b'+1], overlays (t-1)-regular C4-free graphs on the
@@ -380,19 +365,26 @@ def improved_construction(p: ConstructionParams,
     K_{t',t'} on each receiving row.  Edge count
     t_r(k)n^2 + e(B) + (t-1)(b-1)n + b' * floor((t-1)^2/4).
     """
+    return _blowup(p, class1_graph, p.b_prime)
+
+
+def _blowup(p: ConstructionParams, class1_graph: PartitionedGraph,
+            bp: int) -> PartitionedGraph:
+    """The blow-up with ``bp`` moved-vertex rows (0: the basic construction)."""
     n, r, k, t = p.n, p.r, p.k, p.t
     b = p.b
-    if b < 2 or k == 2 * r:
-        return basic_construction(p, class1_graph)
     _check_class1(class1_graph, n, t)
-    if n < 8 * t * t:
-        raise ConstructionError(f"improved construction needs n >= 8t^2 = {8 * t * t}")
+    if bp:
+        if n < 8 * t * t:
+            raise ConstructionError(f"improved construction needs n >= 8t^2 = {8 * t * t}")
+    elif b >= 2 and t - 1 > 1 and n < 8 * (t - 1) ** 2:
+        raise ConstructionError(
+            f"(t-1)-regular C4-free overlays need n >= 8(t-1)^2 = {8 * (t - 1) ** 2}")
     tp = p.t_prime
-    bp = p.b_prime       # >= 1, since b >= 2 and k < 2r
     # V_{i,1} is cluster i-1 (i in [1,r]) and V_{i,2} is cluster r+i-1 (i in
     # [1,b]), both in row i-1 (0-based); the first t' vertices of V_{i,1}
     # and V_{i,2}, i in [2,b'+1], move to row i+b-2
-    cls = [c % r for c in range(k) for _ in range(n)]
+    cls = [c % r for c in range(k) for _ in range(n)]      # cluster c in class c mod r
     for i in range(2, bp + 2):
         for v in chain(range((i - 1) * n, (i - 1) * n + tp),
                        range((r + i - 1) * n, (r + i - 1) * n + tp)):

@@ -1,7 +1,7 @@
 """Exact ex(n_1, ..., n_k; K_q(t)) on tiny instances.
 
-Thin wrapper around the shared cross-pair branch and bound, plus the two
-reference checks: the exact multipartite Turan identity
+The search is ``zarankiewicz.exact_record`` (the instance picks the engine),
+plus the two reference checks: the exact multipartite Turan identity
 ex_k(n, K_{r+1}) = t_r(k) n^2, and the comparison against the lower-bound
 formula g(n, r, k, t).  The latter never asserts equality with g: that is a
 large-n theorem with an unspecified threshold, so only the direction
@@ -11,18 +11,15 @@ large-n theorem with an unspecified threshold, so only the direction
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional, Sequence
 
-from . import search
 from .constructions import (ConstructionParams, ConstructionError,
                             basic_construction, basic_edge_count, g_value,
                             improved_construction, turan_count)
 from .detectors import find_complete_multipartite
 from .graphs import PartitionedGraph
-from .zarankiewicz import OracleError, Record, ZarKey, check_canonical, z_exact
-
-PAIR_LIMIT = 64      # exact-mode guard: number of cross pairs
+from .zarankiewicz import (OracleError, Record, ZarKey, check_canonical, exact_record,
+                           z_exact)
 
 
 @dataclass(frozen=True)
@@ -53,20 +50,14 @@ class ExInstance:
 
 def ex_exact(inst: ExInstance, budget: "int | Budget | None" = None,
              cache=None) -> Record:
-    """Exact maximum edges of a K_q(t)-free graph in G(n_1, ..., n_k)."""
+    """Exact maximum edges of a K_q(t)-free graph in G(n_1, ..., n_k)
+    (``exact_record``); ``cache`` is consulted and filled as in ``z_exact``."""
     if cache is not None:
         hit = cache.get_ex(inst)
         if hit is not None:
             return hit
-    npairs = sum(a * b for a, b in combinations(inst.part_sizes, 2))
-    if npairs > PAIR_LIMIT:
-        raise OracleError(
-            f"instance has {npairs} cross pairs, over the exact-mode guard {PAIR_LIMIT}")
-    outcome = search.maximize_free(inst.part_sizes, inst.q, inst.t, budget=budget)
-    rec = Record(inst, outcome.value, outcome.graph,
-                 "exact" if outcome.exact else "lower_bound_only")
-    rec.check()
-    if cache is not None and outcome.exact:
+    rec = exact_record(inst, budget)
+    if cache is not None and rec.status == "exact":
         cache.put_ex(rec)
     return rec
 

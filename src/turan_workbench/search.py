@@ -43,13 +43,13 @@ per-block headroom is the current block's room plus a precomputed suffix
 sum of the later blocks' caps (the convexity bound for K_2(t), the block's
 pair count otherwise; the bound never exceeds the pair count).
 
-Used directly by the extremal-search module and, for part counts >= 3, by
-the Zarankiewicz oracle (z_t^{(a)} is exactly ex(n_1..n_a; K_2(t))).
+``zarankiewicz.exact_record`` sends every z key and ex instance here except
+those with two parts and q = 2, which go to the bipartite row engine
+(z_t^{(a)} is exactly ex(n_1..n_a; K_2(t))).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 from math import comb
@@ -127,20 +127,13 @@ def _biclique_cap(sizes: tuple[int, ...], t: int) -> int:
     return best
 
 
-@dataclass
-class SearchOutcome:
-    value: int
-    graph: PartitionedGraph
-    exact: bool
-    nodes: int
-
-
 def maximize_free(part_sizes: Sequence[int], q: int, t: int,
-                  budget: "int | Budget | None" = None) -> SearchOutcome:
+                  budget: "int | Budget | None" = None
+                  ) -> tuple[int, PartitionedGraph, bool]:
     """Exact max edge count of a K_q(t)-free graph in G(n_1, ..., n_k).
 
-    Returns the best graph found; ``exact`` is False when the budget ran out
-    first (the value is then only a lower bound).
+    Returns (value, the best graph found, exact); ``exact`` is False when
+    the budget ran out first (the value is then only a lower bound).
     """
     host = PartitionedGraph(part_sizes)
     rows = [0] * host.num_vertices
@@ -220,5 +213,4 @@ def maximize_free(part_sizes: Sequence[int], q: int, t: int,
     except BudgetExhausted:
         exact = False
 
-    return SearchOutcome(max(best, 0), PartitionedGraph.from_rows(part_sizes, best_rows),
-                         exact, bud.used)
+    return max(best, 0), PartitionedGraph.from_rows(part_sizes, best_rows), exact

@@ -25,8 +25,10 @@ per process.  ``kst_upper`` is the same convexity bound solved for the edge
 count (an explicit, checkable form of the Kovari--Sos--Turan inequality),
 taken in both orientations.
 
-Multipartite instances (three or more parts) are exactly ex(n_1..n_a; K_2(t))
-and delegate to the shared cross-pair branch and bound.
+z_t^(a) is exactly ex(n_1..n_a; K_2(t)), so z keys and ex instances share
+one record path, ``exact_record``: two parts with q = 2 go to the row engine
+above, every other instance to the shared cross-pair branch and bound, each
+under its own size guard (``check_size``).
 
 Every exact record carries a witness that is re-verified (edge count plus
 detector) before the record is trusted, including on cache load.
@@ -50,7 +52,8 @@ from .constructions import cayley_bipartite, largest_sidon_set
 if TYPE_CHECKING:
     from .extremal import ExInstance
 
-PRODUCT_LIMIT = 4096   # exact-mode guard: part-size product, and 2^n rows
+PRODUCT_LIMIT = 4096   # row-engine guard: m*n, and the 2^n rows of the smaller side
+PAIR_LIMIT = 64        # pair-engine guard: number of cross pairs
 E1_SIZES = (2,)        # gap_checks: the n whose z_t^(3)(n) is tabulated
 
 
@@ -60,10 +63,11 @@ class OracleError(ValueError):
 
 @dataclass(frozen=True)
 class ZarKey:
-    """Canonical cache key: part sizes sorted descending, plus t."""
+    """Canonical cache key: part sizes sorted descending, plus t (q is 2)."""
 
     part_sizes: tuple[int, ...]
     t: int
+    q = 2
 
     def __post_init__(self):
         check_canonical(self.part_sizes, 2, t=self.t)
@@ -199,10 +203,11 @@ class _TSubsetCounts:
         planes[top] &= ~s
 
 
-def _z_bipartite(m: int, n: int, t: int, budget: Budget) -> tuple[int, list[int], bool]:
+def _z_bipartite(m: int, n: int, t: int,
+                 budget: Budget) -> tuple[int, PartitionedGraph, bool]:
     """Max edges of a K_{t,t}-free bipartite graph with m rows over n columns.
 
-    Returns (value, row masks, exact).  Assumes m >= n (canonical key order).
+    Returns (value, witness, exact).  Assumes m >= n (canonical key order).
 
     Rows are chosen in non-increasing order, and the columns are kept lex
     non-increasing from column n-1 down to 0, compared from row 0 on
@@ -219,11 +224,15 @@ def _z_bipartite(m: int, n: int, t: int, budget: Budget) -> tuple[int, list[int]
     saturated column t-subsets (``_TSubsetCounts``); the per-(n, t) tables
     come from ``_row_tables``.
     """
+    def witness(rows: Sequence[int]) -> PartitionedGraph:
+        return PartitionedGraph([m, n], [(i, m + j) for i, row in enumerate(rows)
+                                         for j in bits(row)])
+
     full = (1 << n) - 1
     if min(m, n) < t:
-        return m * n, [full] * m, True
+        return m * n, witness([full] * m), True
     if t == 1:   # K_{1,1} is a single edge
-        return 0, [0] * m, True
+        return 0, witness([]), True
     tables = _row_tables(n, t)
     tsub, popcount, by_popcount = tables.tsub, tables.popcount, tables.by_popcount
     star_cap = (t - 1) * comb(n, t)
@@ -301,53 +310,62 @@ def _z_bipartite(m: int, n: int, t: int, budget: Budget) -> tuple[int, list[int]
     except BudgetExhausted:
         exact = False
     del rec   # rec refers to itself; drop the cycle so the memo is freed now
-    return best, best_rows + [0] * (m - len(best_rows)), exact
+    return best, witness(best_rows), exact
 
 
-def _rows_to_graph(m: int, n: int, rowmasks: Sequence[int]) -> PartitionedGraph:
-    edges = []
-    for i, row in enumerate(rowmasks):
-        for j in bits(row):
-            edges.append((i, m + j))
-    return PartitionedGraph([m, n], edges)
+# ---------------------------------------------------------------------------
+# one record path for z keys and ex instances
+
+
+def _on_rows(key: "ZarKey | ExInstance") -> bool:
+    """Whether the key goes to the row engine: two parts and q = 2."""
+    return len(key.part_sizes) == 2 and key.q == 2
+
+
+def check_size(key: "ZarKey | ExInstance") -> None:
+    """Raise unless the key's engine takes it.  The row engine tabulates all
+    2^n rows of the smaller side before it consults the budget, so it takes
+    m*n and 2^n up to PRODUCT_LIMIT; the pair engine takes PAIR_LIMIT cross
+    pairs."""
+    sizes = key.part_sizes
+    if _on_rows(key):
+        if max(sizes[0] * sizes[1], 1 << sizes[1]) > PRODUCT_LIMIT:
+            raise OracleError(f"instance {sizes}: m*n and 2^n must be at most "
+                              f"{PRODUCT_LIMIT} (exact-mode size guard)")
+    elif (npairs := sum(a * b for a, b in combinations(sizes, 2))) > PAIR_LIMIT:
+        raise OracleError(
+            f"instance has {npairs} cross pairs, over the exact-mode guard {PAIR_LIMIT}")
+
+
+def exact_record(key: "ZarKey | ExInstance",
+                 budget: "int | Budget | None" = None) -> Record:
+    """The checked record of a search on the key's engine (module docstring).
+
+    Budget exhaustion degrades to a ``lower_bound_only`` record with the best
+    graph found.
+    """
+    check_size(key)
+    bud = as_budget(budget)
+    if _on_rows(key):
+        value, witness, exact = _z_bipartite(*key.part_sizes, key.t, bud)
+    else:
+        value, witness, exact = search.maximize_free(key.part_sizes, key.q, key.t,
+                                                     budget=bud)
+    rec = Record(key, value, witness, "exact" if exact else "lower_bound_only")
+    rec.check()
+    return rec
 
 
 def z_exact(key: ZarKey, budget: "int | Budget | None" = None,
             cache=None) -> Record:
-    """Exact z for the key (bipartite rows search, or the pair engine for a >= 3).
-
-    Budget exhaustion degrades to a ``lower_bound_only`` record with the best
-    graph found.  ``cache`` (a ResultCache) is consulted and filled when given.
-    """
+    """Exact z for the key (``exact_record``); ``cache`` (a ResultCache) is
+    consulted and, with exact records, filled when given."""
     if cache is not None:
         hit = cache.get_zar(key)
         if hit is not None:
             return hit
-    sizes = key.part_sizes
-    t = key.t
-    prod = 1
-    for s in sizes:
-        prod *= s
-    if prod > PRODUCT_LIMIT:
-        raise OracleError(
-            f"instance {sizes} exceeds the exact-mode size guard ({PRODUCT_LIMIT})")
-    # the row engine's tables cover all 2^n rows of the smaller side before
-    # the budget is consulted
-    if len(sizes) == 2 and 1 << sizes[1] > PRODUCT_LIMIT:
-        raise OracleError(
-            f"instance {sizes}: 2^{sizes[1]} rows exceed the exact-mode size "
-            f"guard ({PRODUCT_LIMIT})")
-    bud = as_budget(budget)
-    if len(sizes) == 2:
-        m, n = sizes
-        value, rowmasks, exact = _z_bipartite(m, n, t, bud)
-        witness = _rows_to_graph(m, n, rowmasks)
-    else:
-        outcome = search.maximize_free(sizes, 2, t, budget=bud)
-        value, witness, exact = outcome.value, outcome.graph, outcome.exact
-    rec = Record(key, value, witness, "exact" if exact else "lower_bound_only")
-    rec.check()
-    if cache is not None and exact:
+    rec = exact_record(key, budget)
+    if cache is not None and rec.status == "exact":
         cache.put_zar(rec)
     return rec
 
@@ -451,10 +469,12 @@ def gap_checks(t: int, max_size: int, budget: "int | Budget | None" = None,
     (E3): z_t(m, n) - z_t(m-1, n) >= t - 1 for every consecutive pair.
     (E1)/(E2) are asymptotic statements and are reported, never asserted.
     The grid holds both orientations of every size pair up to ``max_size``,
-    which must be at least 1; it is checked before any search.
+    which must be at least 1 and within the size guard; both are checked
+    before any search.
     """
     if max_size < 1:
         raise OracleError(f"need max_size >= 1, got {max_size}")
+    check_size(ZarKey.of((max_size, max_size), t))   # the grid's largest key
     grid: dict[tuple[int, int], int] = {}
     for n in range(1, max_size + 1):
         for m in range(n, max_size + 1):

@@ -269,6 +269,36 @@ def test_zar_gaps_needs_max_of_at_least_one(tmp_path, capsys):
         assert not cache.exists() or cache.read_text() == "", top
 
 
+def test_zar_gaps_checks_the_size_guard_before_searching(tmp_path, capsys):
+    # the grid's largest key (13, 13) has 2^13 rows, over the row engine's
+    # guard: the command fails before it searches or caches a smaller cell
+    cache = tmp_path / "c.jsonl"
+    code = cli_dispatch(["zar", "gaps", "--t", "13", "--max", "13",
+                         "--cache", str(cache), "--json"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_USAGE, "")
+    assert "exact-mode size guard" in captured.err
+    assert not cache.exists() or cache.read_text() == ""
+
+
+def test_size_guard_follows_the_instance(tmp_path, capsys):
+    # two parts with q = 2 take the row engine's guard whatever the command:
+    # (9, 9) has 81 cross pairs, over the pair engine's 64, but a row search
+    # that runs out of budget gives a lower bound
+    cache = str(tmp_path / "c.jsonl")
+    code, text = run(capsys, "ex", "exact", "--sizes", "9,9", "--q", "2", "--t", "2",
+                     "--budget", "1", "--cache", cache, "--json")
+    assert code == EXIT_BUDGET and json.loads(text)["status"] == "lower_bound_only"
+    # three parts take the pair engine's guard, zar keys too: (5, 5, 5) has
+    # 75 cross pairs
+    for argv in (["zar", "exact", "--sizes", "5,5,5", "--t", "2", "--budget", "1"],
+                 ["ex", "exact", "--sizes", "5,5,5", "--q", "2", "--t", "2"]):
+        code = cli_dispatch(argv + ["--cache", cache, "--json"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_USAGE, ""), argv
+        assert "75 cross pairs" in captured.err, argv
+
+
 def test_zar_exact_t1_cli(capsys):
     code, text = run(capsys, "zar", "exact", "--sizes", "3,2", "--t", "1", "--json")
     assert code == EXIT_OK and json.loads(text)["value"] == 0

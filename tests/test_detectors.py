@@ -321,9 +321,10 @@ def test_packing_lemma_for_uniform_classes_up_to_two():
 def test_maximize_free_pinned_values_and_nodes(sizes, q, t, value, nodes):
     # node counts are deterministic: any drift in the probe DFS, in the
     # branch and bound or in its symmetry breaking changes them
-    out = maximize_free(sizes, q, t)
-    assert (out.value, out.nodes, out.exact) == (value, nodes, True)
-    assert find_complete_multipartite(out.graph, q, t) is None
+    budget = Budget(None)
+    got, g, exact = maximize_free(sizes, q, t, budget=budget)
+    assert (got, budget.used, exact) == (value, nodes, True)
+    assert find_complete_multipartite(g, q, t) is None
 
 
 def test_supply_exact_matches_brute_force():

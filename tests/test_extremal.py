@@ -2,7 +2,7 @@ import pytest
 
 from naive_oracles import naive_ex
 from turan_workbench import extremal
-from turan_workbench.detectors import find_complete_multipartite
+from turan_workbench.detectors import Budget, find_complete_multipartite
 from turan_workbench.extremal import (ExInstance, compare_with_g, ex_exact,
                                       verify_turan_identity)
 from turan_workbench.zarankiewicz import OracleError
@@ -84,6 +84,24 @@ def test_compare_with_g_raises_on_a_closed_form_mismatch(monkeypatch):
     monkeypatch.setattr(extremal, "basic_edge_count", lambda p, e: real(p, e) + 1)
     with pytest.raises(AssertionError, match="internal error: basic"):
         compare_with_g(2, 2, 3, 2)
+
+
+def test_ex_exact_on_two_parts_runs_the_row_engine():
+    # the row engine proves z_2(8,8) = 24 in 28,149 nodes; the cross-pair
+    # engine reaches only a lower bound within this budget
+    budget = Budget(30_000)
+    rec = ex_exact(ExInstance.of((8, 8), 2, 2), budget=budget)
+    assert (rec.value, rec.status, budget.used) == (24, "exact", 28_149)
+    rec.check()
+
+
+def test_compare_with_g_on_the_bipartite_case():
+    # r = 1, k = 2: ex_2(8, K_2(2)) = z_2(8, 8) = g(8, 1, 2, 2); both searches
+    # fit in the shared budget
+    rep = compare_with_g(8, 1, 2, 2, budget=100_000)
+    assert (rep["ex_value"], rep["ex_status"]) == (24, "exact")
+    assert (rep["g_z_provenance"], rep["gap_to_g"]) == ("exact", 0)
+    assert rep["ex_ge_construction"] is True
 
 
 def test_ex_guard():

@@ -197,14 +197,19 @@ def test_z_exact_deterministic_witness():
 def test_bipartite_dual_route_agreement():
     # the row-based search and the cross-pair engine are independent exact
     # routes to the same bipartite values; the pair engine breaks no column
-    # symmetry, so an unsound column constraint in the row engine shows here
+    # symmetry, so an unsound column constraint in the row engine shows here.
+    # ex(m, n; K_2(t)) is z_t(m, n), so ex_exact gives the same exact record
+    from turan_workbench.extremal import ExInstance, ex_exact
     from turan_workbench.search import maximize_free
     for t in (2, 3):
         for m in range(1, 7):
             for n in range(1, m + 1):
                 row_value = z_exact(ZarKey.of((m, n), t)).value
-                pair = maximize_free((m, n), 2, t)
-                assert pair.exact and pair.value == row_value, (m, n, t)
+                pair_value, _, exact = maximize_free((m, n), 2, t)
+                assert exact and pair_value == row_value, (m, n, t)
+                rec = ex_exact(ExInstance((m, n), 2, t))
+                assert (rec.value, rec.status) == (row_value, "exact"), (m, n, t)
+                rec.check()
 
 
 def test_multipartite_z_against_naive():
@@ -239,10 +244,10 @@ def test_row_engine_pinned_outputs(m, n, t):
     from turan_workbench.zarankiewicz import _z_bipartite
     value, nodes, rows = ROW_ENGINE_PINS[(m, n, t)]
     budget = Budget(None)
-    got_value, got_rows, exact = _z_bipartite(m, n, t, budget)
+    got_value, g, exact = _z_bipartite(m, n, t, budget)
     assert (got_value, budget.used, exact) == (value, nodes, True)
     if rows is not None:
-        assert got_rows == rows
+        assert [g.neighbors(i) >> m for i in range(m)] == rows
 
 
 def test_z2_diagonal_matches_oeis_a001197():
