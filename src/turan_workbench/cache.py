@@ -14,9 +14,11 @@ cache file per process, keyed by (type, sizes, q, t); the last valid line
 for a key wins.  The index is tied
 to the file's bytes, not to its mtime, which is too coarse to see a rewrite
 of the same size within one clock tick.  Every lookup reads the file: if its
-bytes are unchanged the lookup is a dict hit; any change (an append
-included) rebuilds the index from every line, which costs a dict lookup per
-line already seen.  Each distinct line is parsed once per process,
+bytes are unchanged the lookup is a dict hit.  If they extend the old bytes
+and those ended in a newline (an append), only the new lines are indexed;
+any other change (a torn tail, its completion, a rewrite or a truncation)
+rebuilds the index from every line, which costs a dict lookup per line
+already seen.  Each distinct line is parsed once per process,
 and checked once per process (witness hash, then the record's own ``check``:
 edge count and detector) before it is first returned.  Verdicts are keyed by
 the line's exact bytes, so a record is only ever returned from bytes that
@@ -161,20 +163,28 @@ class _Index:
 
     def __init__(self) -> None:
         self.data = b""     # the file's bytes when last read
+        self.newlines = 0   # newlines in ``data``
         self.entries: dict[tuple, list[tuple[int, bytes]]] = {}   # key -> (lineno, line)
         self.corrupt: list[int] = []
 
     def refresh(self, data: bytes) -> None:
-        if data == self.data:
+        old = self.data
+        if data == old:
             return
-        self.entries, self.corrupt = {}, []
-        for lineno, line in enumerate(data.split(b"\n"), 1):
+        if old.endswith(b"\n") and data.startswith(old):
+            # an append: the old lines keep their numbers and entries
+            done, tail = self.newlines, data[len(old):]
+        else:
+            self.entries, self.corrupt = {}, []
+            done, tail = 0, data
+        for lineno, line in enumerate(tail.split(b"\n"), done + 1):
             key = _memo_key(line)
             if key is _CORRUPT:
                 self.corrupt.append(lineno)
             elif key is not None:
                 self.entries.setdefault(key, []).append((lineno, line))
         self.data = data
+        self.newlines = done + tail.count(b"\n")
 
     def lines_for(self, key: tuple) -> list[tuple[int, "bytes | None"]]:
         """(lineno, line) of the candidate lines for ``key`` and (lineno,

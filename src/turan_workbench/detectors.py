@@ -40,23 +40,24 @@ question itself, and the DFS over the same vertices answers that directly.
 It is enumerated in ascending order.  The blow-up constructions split into
 many regions, and their supplies prove freeness at or near the root.
 
-A seeded search first applies the degree filter to the seeds alone: a seed
-needs total - t neighbours, and the seeds' common
-neighbourhood needs every copy vertex outside the classes that hold them.
-It takes a few popcounts and settles many branch-and-bound probes before
-the DFS starts.  The DFS returns the components of the first set that
-packs, and only ``run`` packs them into witness classes.  With classes
-of t <= 2 vertices packing cannot fail (see
-:class:`PackingContext`), so there the DFS leaf does not pack, and a probe
-that reads only the yes/no answer never packs at all.
+The DFS returns the components of the first set that packs, and only
+``run`` packs them into witness classes.  With classes of t <= 2 vertices
+packing cannot fail (see :class:`PackingContext`), so there the DFS leaf
+does not pack.  The engine's per-graph state (complement rows, part lookup,
+regions) lives in a :class:`PackingContext`; ``find_complete_multipartite``
+builds one per graph and runs its DFS.
 
-The engine's per-graph state (complement rows, part lookup, regions) lives
-in a :class:`PackingContext`, built once; its ``run`` is the seeded DFS.
-``find_complete_multipartite`` builds a supply-bounded context per graph.
-The branch-and-bound engines build one context without supply bounds per
-search and keep it equal to their graph by flipping single edges (one bit
-in each of two complement rows), then probe it with
-:func:`contains_uniform_pattern`.
+The cross-pair branch and bound and the greedy K_{t,t}-free construction ask
+another question: their graph is K_q(t)-free and they add one edge uv.
+:func:`contains_uniform_pattern` answers it on their adjacency rows,
+anchored at the new edge, with no context and no complement.  Any new copy
+puts u and v in two different classes (a copy with both in one class, or
+missing either, was there before), so it is u's class {u} + A' with A' in
+N(v), v's class {v} + B' with B' in N(u) and adjacent to all of A', and a
+K_{q-2}(t) inside the common neighbourhood C of those two classes -- the
+edge-local reduction of Chiba and Nishizeki, "Arboricity and subgraph
+listing algorithms", SIAM J. Comput. 1985.  For t = 1 that is a K_{q-2}
+inside N(u) & N(v).
 """
 
 from __future__ import annotations
@@ -212,25 +213,21 @@ class PackingContext:
     """Per-graph state of the complement-packing K_q(t) search.
 
     Built once from a host graph and the pattern K_q(t); :meth:`run` is the
-    seeded DFS on it.  Holds the complement rows ``H`` (``H[v]``: the
+    DFS on it.  Holds the complement rows ``H`` (``H[v]``: the
     non-neighbours of v), the host parts, which give the per-part
     pigeonhole caps, and the regions.
 
-    Without supply bounds a branch-and-bound caller builds the context from
-    its starting graph and keeps it in sync with its own graph through
-    :meth:`flip`, one edge at a time, instead of building a context per
-    probe.  With ``use_supply`` the complement's components are computed
-    first.  If the graph is one component and one cross-part blob, the
-    context is built as without supplies (one region, ascending order, no
-    in-DFS refine).  Otherwise the vertices are split once into *regions*:
-    non-adjacency components, each further split into cross-part
-    non-adjacency blobs when that lowers the bound (any partition gives a
-    sound bound, since a valid set restricted to a region is still valid
-    there).  Vertices are enumerated region-by-region, scarcest supply
-    first, so the tightest decisions are made at the top of the tree.
-    Regions and supplies describe the graph as built, so a supply-bounded
-    context must not be flipped.  The supply DFS spends on ``budget``
-    (unlimited when None), which :meth:`run` replaces with its own.
+    The complement's components are computed first.  If the graph is one
+    component and one cross-part blob, the whole vertex set is one region
+    with no supply (ascending order, no in-DFS refine; ``split`` is False).
+    Otherwise the vertices are split once into *regions*: non-adjacency
+    components, each further split into cross-part non-adjacency blobs when
+    that lowers the bound (any partition gives a sound bound, since a valid
+    set restricted to a region is still valid there).  Vertices are
+    enumerated region-by-region, scarcest supply first, so the tightest
+    decisions are made at the top of the tree.  The supply DFS spends on
+    ``budget`` (unlimited when None), which :meth:`run` replaces with its
+    own.
 
     The DFS enumerates the regions in their order, each in ascending vertex
     order, so a node's place in that order is a pointer ``(r, lo)``: region
@@ -240,14 +237,6 @@ class PackingContext:
     r gets ``(r, v + 1)``.  Before bounding, each node runs the degree
     filter of the module docstring on the chosen vertices plus the
     candidates.  It spends no budget and changes no witness.
-
-    A seeded search applies that filter to the seeds alone before adding
-    any, and returns None when a seed has fewer than total - t neighbours,
-    or when the seeds' common neighbourhood (seeds excluded) holds fewer
-    than total - min(|seed|, q) t vertices.  A copy through the seeds puts
-    them in at most |seed| classes, and every copy vertex outside those
-    classes is adjacent to all of them, so the test is sound whether the
-    seeds are adjacent or not.  It spends no budget.
 
     The DFS leaf packs its components only when packing can fail
     (``pack_can_fail``).  Packing lemma: q classes of t <= 2 vertices take
@@ -259,7 +248,7 @@ class PackingContext:
     """
 
     def __init__(self, g: PartitionedGraph, q: int, t: int,
-                 use_supply: bool = False, budget: Optional[Budget] = None):
+                 budget: Optional[Budget] = None):
         self.rows = rows = g.rows()
         self.universe = universe = g.universe_mask
         self.q, self.t, self.total = q, t, q * t
@@ -278,13 +267,11 @@ class PackingContext:
         self._supply_memo: dict[int, int] = {}
         self.regions = [universe]
         self.region_supply = [universe.bit_count()]
-        if use_supply:
-            comps = self._components(universe, cross_part_only=False)
-            if len(comps) > 1 or len(self._components(universe, True)) > 1:
-                self._build_regions(comps)
-            else:
-                use_supply = False   # one region: its supply only relaxes the DFS
-        self.use_supply = use_supply
+        comps = self._components(universe, cross_part_only=False)
+        # one region: its supply only relaxes the DFS, so none is built
+        self.split = len(comps) > 1 or len(self._components(universe, True)) > 1
+        if self.split:
+            self._build_regions(comps)
         # later[r] = the vertices of the regions after region r
         self.later = [0] * len(self.regions)
         for r in range(len(self.regions) - 1, 0, -1):
@@ -311,11 +298,6 @@ class PackingContext:
                                      rg.bit_count(), rg & -rg))
         self.regions = regions
         self.region_supply = [supply[rg] for rg in regions]
-
-    def flip(self, u: int, v: int) -> None:
-        """Toggle the edge (u, v) of two universe vertices."""
-        self.H[u] ^= 1 << v
-        self.H[v] ^= 1 << u
 
     # -- complement components -------------------------------------------
 
@@ -511,11 +493,14 @@ class PackingContext:
 
     # -- main DFS -------------------------------------------------------------
 
-    def run(self, budget: Budget, seed: Sequence[int] = ()
-            ) -> Optional[tuple[tuple[int, ...], ...]]:
-        """Least copy of the pattern through every seed vertex (its classes,
-        sorted), or None; the DFS spends one unit of ``budget`` per node."""
-        comps = self._leaf(budget, seed)
+    def run(self, budget: Budget) -> Optional[tuple[tuple[int, ...], ...]]:
+        """Least copy of the pattern (its classes, sorted), or None; the DFS
+        spends one unit of ``budget`` per node, and none when the graph has
+        fewer than qt vertices."""
+        self.budget = budget
+        if self.universe.bit_count() < self.total:
+            return None
+        comps = self._dfs([], 0, 0, 0, [], 0, 0)
         if comps is None:
             return None
         classes = []
@@ -525,37 +510,6 @@ class PackingContext:
                 members.extend(bits(cm))
             classes.append(tuple(sorted(members)))
         return tuple(sorted(classes))
-
-    def _leaf(self, budget: Budget, seed: Sequence[int]
-              ) -> Optional[list[tuple[int, int]]]:
-        """The non-adjacency components of the first set through the seed
-        that packs (those of the least copy), or None.
-
-        Before adding a seed it applies the degree filter to the seeds alone
-        (see the class docstring), which spends no budget.
-        """
-        self.budget = budget
-        total = self.total
-        H = self.H
-        universe = self.universe
-        # a copy vertex misses at most t - 1 copy vertices
-        slack = universe.bit_count() - 1 - total + self.t
-        common = universe
-        for v in seed:
-            if H[v].bit_count() > slack:
-                return None
-            common &= ~(H[v] | 1 << v)
-        # any j seed vertices lie in at most min(j, q) classes of t
-        if common.bit_count() < total - min(len(seed), self.q) * self.t:
-            return None
-        state: Optional[tuple[list[tuple[int, int]], int, int]] = ([], 0, 0)
-        smask = 0
-        for v in seed:
-            state = self._add(v, *state)
-            if state is None:
-                return None
-            smask |= 1 << v
-        return self._dfs(list(seed), smask, 0, 0, *state)
 
     def _add(self, v: int, comps: list[tuple[int, int]], blocked: int, seen1: int
              ) -> Optional[tuple[list[tuple[int, int]], int, int]]:
@@ -655,7 +609,7 @@ class PackingContext:
                 bound_b += cap if cap < sup else sup
         if bound_a < total or bound_b < total:
             return None
-        if self.use_supply and min(bound_a, bound_b) - total < _REFINE_SLACK:
+        if self.split and min(bound_a, bound_b) - total < _REFINE_SLACK:
             ref_a = 0
             ref_b = len(chosen) + att_term
             for rg, sup in zip(regions, self.region_supply):
@@ -691,7 +645,7 @@ def find_complete_multipartite(g: PartitionedGraph, q: int, t: int,
     if q < 1 or t < 1:
         raise ValueError("q and t must be >= 1")
     bud = as_budget(budget)
-    ctx = PackingContext(g, q, t, use_supply=True, budget=bud)
+    ctx = PackingContext(g, q, t, budget=bud)
     classes = ctx.run(bud)
     if classes is None:
         return None
@@ -701,15 +655,86 @@ def find_complete_multipartite(g: PartitionedGraph, q: int, t: int,
     return w
 
 
-def contains_uniform_pattern(ctx: PackingContext, budget: Budget,
-                             seed: Sequence[int] = ()) -> bool:
-    """Whether the context's graph has a copy of its pattern through ``seed``.
+def contains_uniform_pattern(rows: Sequence[int], u: int, v: int, q: int, t: int,
+                             budget: Budget) -> bool:
+    """Whether adding the edge uv to the graph of ``rows`` creates a K_q(t).
 
-    Used by the branch-and-bound engines after each edge inclusion: the graph
-    was pattern-free before, so any new copy must contain both endpoints.
-    It runs ``run``'s search on the same nodes but builds no witness.
+    Precondition: the graph of ``rows`` (one adjacency mask per vertex) is
+    K_q(t)-free and does not hold uv; the answer is then whether the graph
+    plus uv has a copy through u and v.  ``search.maximize_free`` and the
+    greedy ``zarankiewicz._greedy_ktt_free`` keep that invariant and probe
+    each new edge before they add it.
+
+    The search is anchored at the new edge (module docstring).  It takes
+    A' from N(v) and then B' from N(u) & N(A'), t - 1 vertices each, and
+    places the q - 2 other classes one at a time inside C = N(A + B): each
+    class is the lowest vertex x left in C plus t - 1 vertices of C above x,
+    and the classes after it lie above x in the common neighbourhood of the
+    classes fixed so far.  Popcount pretests spend no budget: the probe
+    needs |N(u) & N(v)| >= (q - 2) t, a vertex joins A', B' or a class only
+    if enough of the common neighbourhood stays for the classes after it,
+    and p classes are placed only from at least p t vertices.  It spends one
+    unit of ``budget`` per (A', B') pair and one per class it fixes.
     """
-    return ctx._leaf(budget, seed) is not None
+    nu, nv = rows[u], rows[v]
+    if (nu & nv).bit_count() < (q - 2) * t:
+        return False
+    if t == 1:
+        # A' and B' are empty: one (A', B') pair, and C = N(u) & N(v)
+        budget.spend()
+        return q == 2 or _place(rows, nu & nv, q - 2, 1, budget.spend)
+    return _pick_a(rows, nv, nu, nu & nv, t - 1, q - 2, t, budget.spend)
+
+
+def _pick_a(rows: Sequence[int], pool: int, cu: int, cuv: int, k: int, p: int,
+            t: int, spend) -> bool:
+    """Extend A' by k vertices of ``pool`` (part of N(v)), lowest bit first,
+    then take B' from ``cu``.  ``cu`` = N(u) & N(A') holds B' and C, and
+    ``cuv`` = cu & N(v) holds C, where p classes of t are still to go."""
+    if not k:
+        return _fill(rows, cu, cuv, t - 1, p, t, spend)
+    rest = p * t
+    while pool.bit_count() >= k:
+        low = pool & -pool
+        pool ^= low
+        row = rows[low.bit_length() - 1]
+        nxt = cuv & row
+        if nxt.bit_count() >= rest and _pick_a(rows, pool, cu & row, nxt, k - 1, p, t,
+                                               spend):
+            return True
+    return False
+
+
+def _fill(rows: Sequence[int], pool: int, common: int, k: int, p: int, t: int,
+          spend) -> bool:
+    """Complete a class with k more vertices of ``pool``, lowest bit first,
+    spend a node on it, then place the p classes after it inside
+    ``common``, the vertices adjacent to every vertex fixed so far."""
+    if not k:
+        spend()
+        return not p or _place(rows, common, p, t, spend)
+    need = p * t
+    while pool.bit_count() >= k:
+        low = pool & -pool
+        pool ^= low
+        nxt = common & rows[low.bit_length() - 1]
+        if nxt.bit_count() >= need and _fill(rows, pool, nxt, k - 1, p, t, spend):
+            return True
+    return False
+
+
+def _place(rows: Sequence[int], cand: int, p: int, t: int, spend) -> bool:
+    """Place p classes of t inside ``cand``, the lowest vertex's class
+    first: the lowest vertex x left plus t - 1 vertices above it, with the
+    classes after it above x and adjacent to all of its class."""
+    need = p * t
+    while cand.bit_count() >= need:
+        low = cand & -cand
+        cand ^= low      # the vertices above x
+        nxt = cand & rows[low.bit_length() - 1]
+        if nxt.bit_count() >= need - t and _fill(rows, cand, nxt, t - 1, p - 1, t, spend):
+            return True
+    return False
 
 
 def find_pattern(g: PartitionedGraph, pattern: ForbiddenPattern,

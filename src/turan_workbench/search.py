@@ -4,15 +4,11 @@ Branch and bound over the cross pairs of a k-partite host in canonical
 order (part pair, then local indices), include-branch first so dense
 incumbents are found early.  The include branch is feasible iff adding the
 pair creates no forbidden copy; since the current graph is pattern-free,
-any new copy must contain both endpoints, so feasibility is a K_q(t) search
-seeded with the new edge (``contains_uniform_pattern``).  The probe pays
-only for its yes/no answer: it first applies the detector's degree filter
-to the edge's two ends, a few popcounts that settle about half the probes
-before any DFS node, and it never packs a witness when packing cannot fail
-(t <= 2).  Every probe runs on one ``PackingContext`` built per search:
-the search flips the probed edge into it and out again, and keeps it
-flipped in while the include branch is open, so the context always holds
-the search's current graph.
+any new copy must use the new edge between two classes, so feasibility is a
+K_q(t) search anchored at that edge (``contains_uniform_pattern``).  The
+probe runs on the search's own adjacency rows before the edge is added, and
+pays only for its yes/no answer: popcount pretests on the common
+neighbourhoods settle most probes before they spend a node.
 
 Vertices of one host part are interchangeable, so the search skips every
 graph that swapping two consecutive vertices of a part makes lex-larger
@@ -55,8 +51,7 @@ from itertools import combinations
 from math import comb
 from typing import Sequence
 
-from .detectors import (Budget, BudgetExhausted, PackingContext, as_budget,
-                        contains_uniform_pattern)
+from .detectors import Budget, BudgetExhausted, as_budget, contains_uniform_pattern
 from .graphs import PartitionedGraph
 
 
@@ -161,7 +156,6 @@ def maximize_free(part_sizes: Sequence[int], q: int, t: int,
     exact = True
     pattern_fits = q * t <= host.num_vertices
     used_block = [0] * len(block_cap)
-    ctx = PackingContext(host, q, t)
     # tied[x]: x - 1 lies in x's part and their rows agree on every pair
     # decided so far (see the module docstring)
     tied = [x > 0 and host.part_of[x - 1] == host.part_of[x]
@@ -185,10 +179,7 @@ def maximize_free(part_sizes: Sequence[int], q: int, t: int,
         tie_v = tied[v] and rows[v - 1] >> u & 1
         if (used_block[b] < block_cap[b] and (tie_u or not tied[u])
                 and (tie_v or not tied[v])):
-            # a budget exhaustion inside the probe abandons the search, so
-            # the context needs no restoring on that path
-            ctx.flip(u, v)
-            if not pattern_fits or not contains_uniform_pattern(ctx, bud, (u, v)):
+            if not pattern_fits or not contains_uniform_pattern(rows, u, v, q, t, bud):
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
                 used_block[b] += 1
@@ -196,7 +187,6 @@ def maximize_free(part_sizes: Sequence[int], q: int, t: int,
                 used_block[b] -= 1
                 rows[u] &= ~(1 << v)
                 rows[v] &= ~(1 << u)
-            ctx.flip(u, v)
         # excluding the pair ends a tie whose predecessor has the edge
         if tie_u:
             tied[u] = False

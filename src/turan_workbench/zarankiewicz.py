@@ -44,8 +44,8 @@ from math import comb
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import search
-from .detectors import (Budget, BudgetExhausted, PackingContext, as_budget,
-                        contains_uniform_pattern, find_biclique)
+from .detectors import (Budget, BudgetExhausted, as_budget, contains_uniform_pattern,
+                        find_biclique)
 from .graphs import PartitionedGraph, bits
 from .constructions import cayley_bipartite, largest_sidon_set
 
@@ -237,14 +237,19 @@ def _z_bipartite(m: int, n: int, t: int,
     tsub, popcount, by_popcount = tables.tsub, tables.popcount, tables.by_popcount
     star_cap = (t - 1) * comb(n, t)
     cost_of = [comb(p, t) for p in range(n + 1)]
-    # cost_table[q][e] = min star cost of e edges over q rows; bisect for bounds
-    cost_table = [[search.min_star_cost(e, q, t) for e in range(q * n + 1)]
-                  for q in range(m + 1)]
+    # cost_table[q][e] = min star cost of e edges over q rows, bisected for
+    # bounds; a row is built on first use, so the work before the first
+    # spend() does not grow with m
+    cost_table: list[Optional[list[int]]] = [None] * (m + 1)
 
     def max_edges(q: int, cap: int) -> int:
         if cap < 0:
             return -1
-        return bisect_right(cost_table[q], cap) - 1
+        costs = cost_table[q]
+        if costs is None:
+            costs = cost_table[q] = [search.min_star_cost(e, q, t)
+                                     for e in range(q * n + 1)]
+        return bisect_right(costs, cap) - 1
 
     # (rows_left, stars_left, best - cur) -> (admissible flag per popcount,
     # ascending rows of the admissible popcounts)
@@ -399,14 +404,10 @@ def _greedy_ktt_free(n: int, t: int, seed: int, budget: Budget) -> PartitionedGr
     rng = random.Random(seed)
     pairs = [(i, n + j) for i in range(n) for j in range(n)]
     rng.shuffle(pairs)
-    host = PartitionedGraph([n, n])
     rows = [0] * (2 * n)
-    ctx = PackingContext(host, 2, t)
 
     def try_add(u: int, v: int) -> bool:
-        ctx.flip(u, v)
-        if contains_uniform_pattern(ctx, budget, (u, v)):
-            ctx.flip(u, v)
+        if contains_uniform_pattern(rows, u, v, 2, t, budget):
             return False
         rows[u] |= 1 << v
         rows[v] |= 1 << u

@@ -3,9 +3,10 @@ once per distinct line, and fed by other processes' appends."""
 
 import multiprocessing
 import os
+import random
 import warnings
 
-from turan_workbench.cache import ResultCache
+from turan_workbench.cache import ResultCache, _Index
 from turan_workbench.extremal import ExInstance, ex_exact
 from turan_workbench.zarankiewicz import Record, ZarKey, z_exact
 
@@ -134,3 +135,40 @@ def test_torn_tail_is_looked_at_until_a_writer_ends_it(tmp_path):
     path.write_bytes(line * 2)              # the writer finished the line
     hit, messages = _lookup(store, ZarKey.of((2, 2), 2))
     assert hit is not None and not messages
+
+
+def test_incremental_index_equals_a_fresh_build():
+    # appends index only their new lines; a torn tail, its completion, a
+    # rewrite of the same length and a truncation rebuild the index; after
+    # every step the index equals one built from the same bytes
+    rng = random.Random(17)
+    lines = [b'{"type":"zar","sizes":[%d,%d],"t":2,"status":"exact","value":%d}'
+             % (rng.randint(1, 4), rng.randint(1, 4), rng.randint(0, 9))
+             for _ in range(12)]
+    lines += [b'{"type":"ex","sizes":[2,2,2],"q":3,"t":1,"status":"exact","value":8}',
+              b'{"type":"zar","sizes":[2,2],"t":2,"status":"lower_bound_only"}',
+              b"{not json", b"[1, 2]", b""]
+    index = _Index()
+    data = b""
+    steps = {"append": 0, "rebuild": 0}
+    for _ in range(400):
+        step = rng.choice(["append", "append", "torn", "complete", "rewrite", "truncate"])
+        if step == "append" or not data:
+            data += rng.choice(lines) + b"\n"
+        elif step == "torn":
+            line = rng.choice(lines)
+            data += line[:rng.randint(0, len(line))]
+        elif step == "complete":
+            data += b"\n"
+        elif step == "rewrite":
+            i = rng.randrange(len(data))
+            data = data[:i] + bytes([rng.choice(b'0123456789"{}')]) + data[i + 1:]
+        else:
+            data = data[:rng.randrange(len(data))]
+        old = index.data
+        steps["append" if old.endswith(b"\n") and data.startswith(old) else "rebuild"] += 1
+        index.refresh(data)
+        fresh = _Index()
+        fresh.refresh(data)
+        assert (index.entries, index.corrupt) == (fresh.entries, fresh.corrupt)
+    assert min(steps.values()) >= 100

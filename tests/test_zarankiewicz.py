@@ -1,3 +1,4 @@
+import hashlib
 import time
 
 import pytest
@@ -142,6 +143,25 @@ def test_z_lower_construction_t3():
     # determinism per seed
     again = z_lower_construction(5, 3, seed=1)
     assert again.witness == rec.witness
+
+
+@pytest.mark.parametrize("n, seed, digest", [
+    (5, 1, "534489399b16adece24269c31028a7ce2f9750c711ec4722058254a9edcc0536"),
+    (10, 0, "258afa149a24ce20ba2e01a5eb437498cdc66f96e751f8b73fa8d3106f182fe1"),
+    (16, 0, "8c74925917d1fdb233168209e8ade83d26930086e5b0faf68beaa2dbf5c8f9c9"),
+])
+def test_z_lower_construction_t3_pinned_witness(n, seed, digest):
+    # the greedy's K_{3,3} probe decides every insertion as the packing DFS
+    # did, so the graph keeps the bytes it had under that probe
+    rec = z_lower_construction(n, 3, seed)
+    assert hashlib.sha256(rec.witness.canonical_json().encode()).hexdigest() == digest
+
+
+def test_row_engine_spends_before_tabulating_every_row_count():
+    # the star-cost bound of q rows is built when q is first reached, so a
+    # budget of one node stops a long thin key at its greedy lower bound
+    rec = z_exact(ZarKey.of((1024, 4), 2), budget=1)
+    assert (rec.status, rec.value) == ("lower_bound_only", 1027)
 
 
 def test_gap_checks_e3():
