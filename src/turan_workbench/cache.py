@@ -7,22 +7,24 @@ A writer holds an exclusive ``flock`` on the file while it appends its line
 in one write, so concurrent appends by separate processes never interleave,
 and it first ends a torn last line left by a crashed writer.
 
-Zar and ex results are both one ``Record`` type, told apart by their key:
-a table maps each type tag to its key class and key fields, so there is one
+Zar and ex results are both one ``Record`` type, told apart by their key: a
+table maps each type tag to its key class and key fields, so there is one
 lookup path and one append path.  Lookups are served from one index per
-cache file per process, keyed by (type, sizes, q, t); the last valid line
-for a key wins.  The index is tied
-to the file's bytes, not to its mtime, which is too coarse to see a rewrite
-of the same size within one clock tick.  Every lookup reads the file: if its
-bytes are unchanged the lookup is a dict hit.  If they extend the old bytes
-and those ended in a newline (an append), only the new lines are indexed;
-any other change (a torn tail, its completion, a rewrite or a truncation)
-rebuilds the index from every line, which costs a dict lookup per line
-already seen.  Each distinct line is parsed once per process,
-and checked once per process (witness hash, then the record's own ``check``:
-edge count and detector) before it is first returned.  Verdicts are keyed by
-the line's exact bytes, so a record is only ever returned from bytes that
-were verified.
+cache file per process, keyed by (sizes, q, t) with q = 2 for a zar line:
+z_t is ex(...; K_2(t)), so a zar line answers an ex lookup with q = 2 and
+the other way round, returned under the key asked for.  Each line keeps the
+type tag it was written with.  The last valid line for a key wins.  The
+index is tied to the file's bytes, not to its mtime, which is too coarse to
+see a rewrite of the same size within one clock tick.  Every lookup reads
+the file: if its bytes are unchanged the lookup is a dict hit.  If they
+extend the old bytes and those ended in a newline (an append), only the new
+lines are indexed; any other change (a torn tail, its completion, a rewrite
+or a truncation) rebuilds the index from every line, which costs a dict
+lookup per line already seen.  Each distinct line is parsed once per
+process, and checked once per process (witness hash, then the record's own
+``check``: edge count and detector) before it is first returned.  Verdicts
+are keyed by the line's exact bytes, so a record is only ever returned from
+bytes that were verified.
 
 The cache path comes from the TURAN_WORKBENCH_CACHE environment variable
 when not given explicitly.
@@ -30,7 +32,7 @@ when not given explicitly.
 
 from __future__ import annotations
 
-import copy
+import dataclasses
 import fcntl
 import hashlib
 import json
@@ -67,8 +69,7 @@ _TAGS = {key_cls: tag for tag, (key_cls, _) in _KEY_TYPES.items()}
 
 
 def _index_key(key) -> tuple:
-    tag = _TAGS[type(key)]
-    return (tag, key.part_sizes) + tuple(getattr(key, f) for f in _KEY_TYPES[tag][1])
+    return (key.part_sizes, key.q, key.t)
 
 
 def _document(rec: Record) -> dict:
@@ -114,8 +115,8 @@ def _line_key(line: bytes):
     if tag not in _KEY_TYPES or doc.get("status") != "exact":
         return None
     try:
-        key = ((tag, tuple(doc.get("sizes", ())))
-               + tuple(doc.get(f) for f in _KEY_TYPES[tag][1]))
+        key = (tuple(doc.get("sizes", ())), doc.get("q") if tag == "ex" else 2,
+               doc.get("t"))
         hash(key)
     except TypeError:   # sizes not a list, or a field that is no scalar
         return None
@@ -215,12 +216,13 @@ class ResultCache:
                     continue
                 result = _checked(line)
                 if isinstance(result, str):
-                    warnings.warn(f"{self.path}:{lineno}: invalid {_TAGS[type(key)]} "
-                                  f"record skipped ({result})")
+                    warnings.warn(f"{self.path}:{lineno}: invalid record skipped "
+                                  f"({result})")
                     continue
                 best = result
-        # a copy, so a caller that changes its record cannot change the memo
-        return copy.copy(best)
+        # a new record under the asked key, so a caller that changes it cannot
+        # change the memo
+        return None if best is None else dataclasses.replace(best, key=key)
 
     def _put(self, rec: Record) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)

@@ -31,8 +31,10 @@ bound:
   are its components, each split into its blobs when that lowers the bound,
   and each region gets a supply -- an upper bound on how many vertices
   any valid set can take from it, computed by a cheap structural ladder
-  (see ``_supply``) and memoized.  Regions are enumerated scarcest supply
-  first, each in ascending vertex order.
+  (for t = 2: no P3, no C4, a minimum-degree-3 core of fewer than five
+  vertices, each one popcount test; see ``_supply_uncached``) and
+  memoized.  Regions are enumerated scarcest supply first, each in
+  ascending vertex order.
 
 A graph whose complement is one component and one blob (a random graph,
 typically) gets no supplies: its one region's supply is a relaxation of the
@@ -45,7 +47,8 @@ The DFS returns the components of the first set that packs, and only
 packing cannot fail (see :class:`PackingContext`), so there the DFS leaf
 does not pack.  The engine's per-graph state (complement rows, part lookup,
 regions) lives in a :class:`PackingContext`; ``find_complete_multipartite``
-builds one per graph and runs its DFS.
+builds one per graph and runs its DFS, unless the graph has fewer than qt
+vertices, when it answers None with no context and no node.
 
 The cross-pair branch and bound and the greedy K_{t,t}-free construction ask
 another question: their graph is K_q(t)-free and they add one edge uv.
@@ -71,7 +74,6 @@ from .graphs import PartitionedGraph, bits
 
 DEFAULT_BUDGET = 10**8
 
-_LADDER_PAIR_CAP = 250_000   # pair-enumeration cap in the z>=4 ladder step
 _SUPPLY_EXACT_CAP = 24       # run the exact supply DFS only below this size
 _REFINE_SLACK = 2            # refine supplies when the cheap bound is this tight
 
@@ -225,9 +227,9 @@ class PackingContext:
     that lowers the bound (any partition gives a sound bound, since a valid
     set restricted to a region is still valid there).  Vertices are
     enumerated region-by-region, scarcest supply first, so the tightest
-    decisions are made at the top of the tree.  The supply DFS spends on
-    ``budget`` (unlimited when None), which :meth:`run` replaces with its
-    own.
+    decisions are made at the top of the tree.  The supply DFS and
+    :meth:`run` spend on the one ``budget`` the context is built with
+    (unlimited when None).
 
     The DFS enumerates the regions in their order, each in ascending vertex
     order, so a node's place in that order is a pointer ``(r, lo)``: region
@@ -248,9 +250,9 @@ class PackingContext:
     """
 
     def __init__(self, g: PartitionedGraph, q: int, t: int,
-                 budget: Optional[Budget] = None):
+                 budget: "int | Budget | None" = None):
         self.rows = rows = g.rows()
-        self.universe = universe = g.universe_mask
+        universe = g.universe_mask
         self.q, self.t, self.total = q, t, q * t
         # packing can fail only for t >= 3 (class docstring)
         self.pack_can_fail = t > 2
@@ -324,88 +326,51 @@ class PackingContext:
 
     def _supply(self, mask: int) -> int:
         """Upper bound on |S'| over S' subset of mask with non-adjacency
-        components of size <= t.  Exact for t=2 up to the caps."""
-        s = mask.bit_count()
+        components of size <= t: the ladder of ``_supply_uncached``, never
+        above the per-part pigeonhole within the mask, memoized."""
         t = self.t
-        if s <= t:
-            return s
-        cached = self._supply_memo.get(mask)
-        if cached is not None:
-            return cached
-        val = self._supply_uncached(mask, s, t)
-        # never worse than the per-part pigeonhole within the mask
-        cap = 0
-        for pm in self.part_masks:
-            inter = mask & pm
-            if inter:
-                cap += min(inter.bit_count(), t)
-                if cap >= val:
-                    break
-        else:
-            val = min(val, cap)
-        self._supply_memo[mask] = val
+        if mask.bit_count() <= t:
+            return mask.bit_count()
+        val = self._supply_memo.get(mask)
+        if val is None:
+            val = min(self._supply_uncached(mask),
+                      sum(min((mask & pm).bit_count(), t) for pm in self.part_masks))
+            self._supply_memo[mask] = val
         return val
 
-    def _supply_uncached(self, mask: int, s: int, t: int) -> int:
+    def _supply_uncached(self, mask: int) -> int:
+        """The supply ladder.  A vertex of a valid set S' has at least
+        |S'| - t neighbours in S'.  For t = 2 three popcount tests on the
+        graph inside the mask come first: no vertex of two neighbours gives
+        2 (a valid triple holds a P3); no pair of two common neighbours
+        gives 3 (a valid 4-set is K_4 minus a matching, so it holds a C4);
+        a minimum-degree-3 core (Seidman 1983) of fewer than 5 vertices
+        gives 4 (a valid set of 5 or more has minimum degree 3).  Every t
+        then ends in one tail, on the core with floor 4 for t = 2 and on the
+        mask with floor t otherwise: the degree bound min(size, max degree
+        + t), made exact by ``_supply_exact`` when at most
+        ``_SUPPLY_EXACT_CAP`` vertices remain and it is above the floor.
+        """
         rows = self.rows
+        t = floor = self.t
         if t == 2:
-            maxdeg = 0
-            verts = []
-            for v in bits(mask):
-                d = (rows[v] & mask).bit_count()
-                if d > maxdeg:
-                    maxdeg = d
-                verts.append(v)
-            if maxdeg < 2:
-                return 2          # no P_3 inside, so no valid triple
-            # size >= 4 requires a C4: a pair with two common neighbours
-            seen: set[tuple[int, int]] = set()
-            pair_known = None     # None = inconclusive
-            work = 0
-            for v in verts:
-                nb = rows[v] & mask
-                if nb.bit_count() < 2:
-                    continue
-                nbl = list(bits(nb))
-                stop = False
-                for pr in combinations(nbl, 2):
-                    work += 1
-                    if pr in seen:
-                        pair_known = True
-                        stop = True
-                        break
-                    seen.add(pr)
-                    if work > _LADDER_PAIR_CAP:
-                        stop = True
-                        break
-                if stop:
-                    break
-            else:
-                pair_known = False
-            if pair_known is False:
+            nbrs = [rows[v] & mask for v in bits(mask)]
+            if all(nb.bit_count() < 2 for nb in nbrs):
+                return 2
+            if not any((a & b).bit_count() > 1
+                       for i, a in enumerate(nbrs) for b in nbrs[i + 1:]):
                 return 3
-            # size >= 5 needs min G-degree >= 3 inside the set: peel a kernel
-            kern = mask
-            while True:
-                nk = 0
-                for v in bits(kern):
-                    if (rows[v] & kern).bit_count() >= 3:
-                        nk |= 1 << v
-                if nk == kern:
-                    break
-                kern = nk
-            ks = kern.bit_count()
-            if ks < 5:
+            peeled = 0
+            while peeled != mask:
+                peeled = mask
+                mask = sum(1 << v for v in bits(peeled) if (rows[v] & peeled).bit_count() > 2)
+            if mask.bit_count() < 5:
                 return 4
-            if ks <= _SUPPLY_EXACT_CAP:
-                return max(4, self._supply_exact(kern, 4))
-            maxdeg_k = max((rows[v] & kern).bit_count() for v in bits(kern))
-            return max(4, min(ks, maxdeg_k + 2))
-        # generic t: degree bound, exact DFS when small
-        maxdeg = max((rows[v] & mask).bit_count() for v in bits(mask))
-        ub = min(s, maxdeg + t)
-        if s <= _SUPPLY_EXACT_CAP and ub > t:
-            return self._supply_exact(mask, t)
+            floor = 4
+        s = mask.bit_count()
+        ub = min(s, max((rows[v] & mask).bit_count() for v in bits(mask)) + t)
+        if s <= _SUPPLY_EXACT_CAP and ub > floor:
+            return self._supply_exact(mask, floor)
         return ub
 
     def _supply_exact(self, mask: int, floor: int) -> int:
@@ -493,13 +458,9 @@ class PackingContext:
 
     # -- main DFS -------------------------------------------------------------
 
-    def run(self, budget: Budget) -> Optional[tuple[tuple[int, ...], ...]]:
+    def run(self) -> Optional[tuple[tuple[int, ...], ...]]:
         """Least copy of the pattern (its classes, sorted), or None; the DFS
-        spends one unit of ``budget`` per node, and none when the graph has
-        fewer than qt vertices."""
-        self.budget = budget
-        if self.universe.bit_count() < self.total:
-            return None
+        spends one unit of the context's budget per node."""
         comps = self._dfs([], 0, 0, 0, [], 0, 0)
         if comps is None:
             return None
@@ -644,9 +605,9 @@ def find_complete_multipartite(g: PartitionedGraph, q: int, t: int,
     """First K_q(t) in the host, or None; raises BudgetExhausted on truncation."""
     if q < 1 or t < 1:
         raise ValueError("q and t must be >= 1")
-    bud = as_budget(budget)
-    ctx = PackingContext(g, q, t, budget=bud)
-    classes = ctx.run(bud)
+    if q * t > g.num_vertices:
+        return None     # no copy fits, so no context is built and no node spent
+    classes = PackingContext(g, q, t, budget=budget).run()
     if classes is None:
         return None
     w = Witness(classes)

@@ -172,3 +172,24 @@ def test_incremental_index_equals_a_fresh_build():
         fresh.refresh(data)
         assert (index.entries, index.corrupt) == (fresh.entries, fresh.corrupt)
     assert min(steps.values()) >= 100
+
+
+def test_z_and_ex_with_q_2_share_one_record(tmp_path):
+    # z_t is ex(...; K_2(t)): whichever is asked first, the other is a hit on
+    # its line, returned under the key asked for, and the line keeps its tag
+    zar_first = tmp_path / "zar.jsonl"
+    rec = z_exact(ZarKey.of((2, 2, 2), 2), cache=ResultCache(zar_first))
+    inst = ExInstance((2, 2, 2), 2, 2)
+    hit = ResultCache(zar_first).get_ex(inst)
+    assert (hit.key, hit.value, hit.witness, hit.status) == (inst, 7, rec.witness, "exact")
+    assert ex_exact(inst, cache=ResultCache(zar_first)) == hit
+    assert zar_first.read_bytes().count(b"\n") == 1 and b'"type":"zar"' in zar_first.read_bytes()
+    ex_first = tmp_path / "ex.jsonl"
+    rec = ex_exact(ExInstance((4, 4), 2, 2), cache=ResultCache(ex_first))
+    key = ZarKey.of((4, 4), 2)
+    hit = ResultCache(ex_first).get_zar(key)
+    assert (hit.key, hit.value, hit.witness) == (key, 9, rec.witness)
+    assert z_exact(key, cache=ResultCache(ex_first)) == hit
+    assert ex_first.read_bytes().count(b"\n") == 1 and b'"type":"ex"' in ex_first.read_bytes()
+    # another q is another quantity
+    assert ResultCache(zar_first).get_ex(ExInstance((2, 2, 2), 3, 2)) is None

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import warnings
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from turan_workbench.cache import ResultCache
 from turan_workbench.cli import (EXIT_BUDGET, EXIT_FOUND, EXIT_OK, EXIT_USAGE,
                                  cli_dispatch, load_graph, save_graph)
+from turan_workbench.detectors import Budget, PackingContext
 from turan_workbench.graphs import PartitionedGraph, canonical_json
 from turan_workbench.zarankiewicz import ZarKey, z_exact
 
@@ -178,6 +180,20 @@ def test_zero_sizes_and_negative_budget_are_usage_errors(tmp_path, capsys):
                      "--t", "1", "--budget", "0", "--json")
     assert code == EXIT_BUDGET and json.loads(text) == {"nodes": 1,
                                                         "verdict": "budget-exceeded"}
+
+
+def test_check_free_of_a_pattern_larger_than_the_graph_spends_no_node(tmp_path, capsys):
+    # K_4(3) needs 12 vertices and this graph has 9, so the answer is free
+    # with no node spent; building the supply regions would spend some
+    rng = random.Random(0)
+    g = PartitionedGraph([3, 3, 3], [(u, v) for u in range(9) for v in range(u + 1, 9)
+                                     if u // 3 != v // 3 and rng.random() < 0.85])
+    assert PackingContext(g, 4, 3, budget=Budget(None)).budget.used > 0
+    path = tmp_path / "g.json"
+    save_graph(g, path)
+    code, text = run(capsys, "check-free", str(path), "--pattern", "kqt", "--q", "4",
+                     "--t", "3", "--json")
+    assert code == EXIT_OK and json.loads(text) == {"nodes": 0, "verdict": "free"}
 
 
 def test_check_free_star_spends_the_budget(tmp_path, capsys):

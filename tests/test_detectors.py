@@ -1,5 +1,6 @@
 import hashlib
 import random
+from itertools import combinations
 
 import pytest
 
@@ -360,7 +361,7 @@ def test_supply_context_without_budget_matches_budgeted():
         budgeted = PackingContext(*args, budget=Budget(None))
         assert (bare.regions, bare.region_supply, bare.split) == \
             (budgeted.regions, budgeted.region_supply, budgeted.split)
-        assert bare.run(Budget(None)) == budgeted.run(Budget(None))
+        assert bare.run() == budgeted.run()
         split += bare.split
     assert split > 0
 
@@ -420,3 +421,95 @@ def test_construction_node_counts_pinned():
     # the other 15 are decided at the root
     assert {key: n for key, n in nodes.items() if n > 1} == {
         ("improved", 3, 5): 543, ("improved", 4, 6): 671, ("improved", 4, 7): 799}
+
+
+def test_region_supplies_pinned():
+    # the regions and supplies of the 18 n=32 constructions (their t = 2
+    # ladders end at 2, at 3 and in the degree tail) and of 80 seeded dense
+    # hosts whose complement splits (t in {1, 2, 3}, every rung of the
+    # ladder), pinned from the ladder whose C4 step enumerated neighbour
+    # pairs under a step cap
+    class1 = z_lower_construction(32, 2).witness
+    constructions = []
+    for r in (2, 3, 4):
+        for k in range(r + 1, 2 * r + 1):
+            for build in (basic_construction, improved_construction):
+                ctx = PackingContext(build(ConstructionParams(32, r, k, 2), class1), r + 1, 2)
+                constructions.append((ctx.regions, ctx.region_supply))
+    rng = random.Random(71)
+    split = []
+    while len(split) < 80:
+        sizes = [rng.randint(2, 6) for _ in range(rng.randint(3, 6))]
+        q, t = rng.choice([(2, 2), (3, 2), (4, 2), (3, 1), (3, 3)])
+        ctx = PackingContext(random_partite(rng, sizes, rng.choice([0.75, 0.85, 0.92])), q, t)
+        if ctx.split:
+            split.append((ctx.regions, ctx.region_supply))
+    assert hashlib.sha256(repr(constructions).encode()).hexdigest()[:16] == "a89e24f0fb31bdb6"
+    assert hashlib.sha256(repr(split).encode()).hexdigest()[:16] == "ecbd0edd5075cc83"
+
+
+def test_t2_supply_ladder_against_naive():
+    # on seeded masks the ladder never undercuts the largest valid subset,
+    # and its first two tests decide exactly the P3-free and the C4-free
+    # masks, both predicates checked vertex by vertex
+    rng = random.Random(37)
+    rungs = {2: 0, 3: 0, 4: 0, "tail": 0}
+    for _ in range(240):
+        n = rng.randint(4, 10)
+        p = rng.choice([0.15, 0.3, 0.5, 0.7, 0.9])
+        if rng.random() < 0.5:
+            g = random_graph(rng, n, p)
+        else:
+            g = random_partite(rng, [rng.randint(1, 3) for _ in range(n // 2)], p)
+        verts = [v for v in range(g.num_vertices) if rng.random() < 0.8]
+        if len(verts) < 3:
+            continue
+        mask = sum(1 << v for v in verts)
+
+        def adj(a, b):
+            return g.neighbors(a) >> b & 1
+
+        p3 = any(adj(a, b) and adj(b, c) for b in verts
+                 for a, c in combinations([v for v in verts if v != b], 2))
+        c4 = any(adj(a, b) and adj(b, c) and adj(c, d) and adj(d, a)
+                 for w in combinations(verts, 4)
+                 for a, b, c, d in (w, (w[0], w[2], w[1], w[3]), (w[0], w[1], w[3], w[2])))
+        ctx = PackingContext(g, 2, 2)
+        got = ctx._supply_uncached(mask)
+        if not p3:
+            assert got == 2
+        elif not c4:
+            assert got == 3
+        else:
+            assert got >= 4
+        assert ctx._supply(mask) >= max_valid_subset(g, mask, 2)
+        rungs[got if got <= 4 else "tail"] += 1
+    assert min(rungs.values()) >= 20, rungs
+    # the core can miss every valid 4-set, so the tail keeps the floor 4: a
+    # Petersen graph (minimum degree 3, no C4) beside a C4, whose vertices
+    # the peeling drops
+    petersen = ([(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+                + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+    g = PartitionedGraph([1] * 14, petersen + [(10, 11), (11, 12), (12, 13), (10, 13)])
+    assert max_valid_subset(g, g.universe_mask, 2) == 4
+    assert PackingContext(g, 2, 2)._supply_uncached(g.universe_mask) == 4
+
+
+def test_pattern_larger_than_the_host_spends_nothing():
+    # with qt above the vertex count no copy fits: the detector answers None
+    # before it builds a context, so it spends no node, where building the
+    # regions would have spent supply nodes on many of these hosts
+    rng = random.Random(29)
+    hosts = would_spend = 0
+    while hosts < 300:
+        sizes = [rng.randint(1, 6) for _ in range(rng.randint(3, 5))]
+        q, t = rng.randint(2, 5), rng.randint(1, 5)
+        if q * t <= sum(sizes):
+            continue
+        hosts += 1
+        g = random_partite(rng, sizes, rng.choice([0.5, 0.75, 0.9]))
+        budget = Budget(None)
+        assert find_complete_multipartite(g, q, t, budget=budget) is None
+        assert budget.used == 0
+        would_spend += PackingContext(g, q, t, budget=Budget(None)).budget.used > 0
+    assert would_spend >= 100
