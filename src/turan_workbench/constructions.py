@@ -27,7 +27,7 @@ from math import comb
 from typing import Iterable, Optional, Sequence
 
 from .detectors import find_biclique
-from .graphs import PartitionedGraph
+from .graphs import PartitionedGraph, check_vertex_count
 
 
 class ConstructionError(ValueError):
@@ -201,6 +201,7 @@ def _int_seq(x, length: Optional[int] = None) -> bool:
 def build_template(spec: TemplateSpec) -> PartitionedGraph:
     """The template graph: all cross-class pairs except pairs inside one cluster."""
     n, k = spec.n, spec.k
+    check_vertex_count(k * n)
     return PartitionedGraph.from_rows([n] * k, cross_class_rows(n, spec.class_of_vertices()))
 
 
@@ -306,6 +307,7 @@ def regular_c4free_bipartite(n: int, t: int) -> PartitionedGraph:
     """
     if t < 1 or n < 1:
         raise ConstructionError("need n, t >= 1")
+    check_vertex_count(2 * n)
     return cayley_bipartite(n, sidon_set(n, t))
 
 
@@ -373,6 +375,7 @@ def _blowup(p: ConstructionParams, class1_graph: PartitionedGraph,
     """The blow-up with ``bp`` moved-vertex rows (0: the basic construction)."""
     n, r, k, t = p.n, p.r, p.k, p.t
     b = p.b
+    check_vertex_count(k * n)
     _check_class1(class1_graph, n, t)
     if bp:
         if n < 8 * t * t:

@@ -32,9 +32,11 @@ bound:
   and each region gets a supply -- an upper bound on how many vertices
   any valid set can take from it, computed by a cheap structural ladder
   (for t = 2: no P3, no C4, a minimum-degree-3 core of fewer than five
-  vertices, each one popcount test; see ``_supply_uncached``) and
-  memoized.  Regions are enumerated scarcest supply first, each in
-  ascending vertex order.
+  vertices, each one popcount test, then the degree bound; see
+  ``_supply_uncached``), never above the per-part bound, and memoized.
+  Every node bounds each region by the supply of what is still available
+  there.  Regions are enumerated scarcest supply first, each in ascending
+  vertex order.
 
 A graph whose complement is one component and one blob (a random graph,
 typically) gets no supplies: its one region's supply is a relaxation of the
@@ -73,9 +75,6 @@ from typing import Optional, Sequence
 from .graphs import PartitionedGraph, bits
 
 DEFAULT_BUDGET = 10**8
-
-_SUPPLY_EXACT_CAP = 24       # run the exact supply DFS only below this size
-_REFINE_SLACK = 2            # refine supplies when the cheap bound is this tight
 
 
 class BudgetExhausted(RuntimeError):
@@ -221,15 +220,17 @@ class PackingContext:
 
     The complement's components are computed first.  If the graph is one
     component and one cross-part blob, the whole vertex set is one region
-    with no supply (ascending order, no in-DFS refine; ``split`` is False).
-    Otherwise the vertices are split once into *regions*: non-adjacency
-    components, each further split into cross-part non-adjacency blobs when
-    that lowers the bound (any partition gives a sound bound, since a valid
-    set restricted to a region is still valid there).  Vertices are
-    enumerated region-by-region, scarcest supply first, so the tightest
-    decisions are made at the top of the tree.  The supply DFS and
-    :meth:`run` spend on the one ``budget`` the context is built with
-    (unlimited when None).
+    with no supply (ascending order; ``split`` is False), and the DFS
+    bounds it by the part cap alone.  Otherwise the vertices are split once
+    into *regions*: non-adjacency components, each further split into
+    cross-part non-adjacency blobs when that lowers the bound (any
+    partition gives a sound bound, since a valid set restricted to a region
+    is still valid there).  Vertices are enumerated region-by-region,
+    scarcest supply first, so the tightest decisions are made at the top of
+    the tree, and every DFS node bounds each region by the supply of its
+    available vertices (``region_bound``), which is never above their part
+    cap.  Building the context spends nothing; only :meth:`run` spends, on
+    the ``budget`` the context is built with (unlimited when None).
 
     The DFS enumerates the regions in their order, each in ascending vertex
     order, so a node's place in that order is a pointer ``(r, lo)``: region
@@ -256,13 +257,13 @@ class PackingContext:
         self.q, self.t, self.total = q, t, q * t
         # packing can fail only for t >= 3 (class docstring)
         self.pack_can_fail = t > 2
-        self.part_masks = [g.part_mask(i) for i in range(len(g.part_sizes))]
+        part_masks = [g.part_mask(i) for i in range(len(g.part_sizes))]
         self.budget = as_budget(budget)
         self.H = [universe & ~(row | 1 << v) for v, row in enumerate(rows)]
-        self.part_mask_of = [self.part_masks[p] for p in g.part_of]
-        # per-part caps in the DFS bound: a part of at most t vertices never
-        # binds, so those vertices are counted by one popcount
-        self.big_parts = [pm for pm in self.part_masks if pm.bit_count() > t]
+        self.part_mask_of = [part_masks[p] for p in g.part_of]
+        # ``_part_cap``: a part of at most t vertices never binds, so those
+        # vertices are counted by one popcount
+        self.big_parts = [pm for pm in part_masks if pm.bit_count() > t]
         self.small_mask = universe
         for pm in self.big_parts:
             self.small_mask &= ~pm
@@ -274,6 +275,9 @@ class PackingContext:
         self.split = len(comps) > 1 or len(self._components(universe, True)) > 1
         if self.split:
             self._build_regions(comps)
+        # what bounds a region's available vertices in the DFS: the supply
+        # on split hosts, else the part cap
+        self.region_bound = self._supply if self.split else self._part_cap
         # later[r] = the vertices of the regions after region r
         self.later = [0] * len(self.regions)
         for r in range(len(self.regions) - 1, 0, -1):
@@ -324,17 +328,26 @@ class PackingContext:
 
     # -- supply bounds ------------------------------------------------------
 
+    def _part_cap(self, mask: int) -> int:
+        """The per-part pigeonhole: a valid set takes at most t vertices of
+        each host part, so at most sum over parts of min(|mask & part|, t)
+        vertices of the mask."""
+        t = self.t
+        cap = (mask & self.small_mask).bit_count()
+        for pm in self.big_parts:
+            c = (mask & pm).bit_count()
+            cap += c if c < t else t
+        return cap
+
     def _supply(self, mask: int) -> int:
         """Upper bound on |S'| over S' subset of mask with non-adjacency
         components of size <= t: the ladder of ``_supply_uncached``, never
-        above the per-part pigeonhole within the mask, memoized."""
-        t = self.t
-        if mask.bit_count() <= t:
+        above the part cap of the mask, memoized."""
+        if mask.bit_count() <= self.t:
             return mask.bit_count()
         val = self._supply_memo.get(mask)
         if val is None:
-            val = min(self._supply_uncached(mask),
-                      sum(min((mask & pm).bit_count(), t) for pm in self.part_masks))
+            val = min(self._supply_uncached(mask), self._part_cap(mask))
             self._supply_memo[mask] = val
         return val
 
@@ -345,14 +358,14 @@ class PackingContext:
         2 (a valid triple holds a P3); no pair of two common neighbours
         gives 3 (a valid 4-set is K_4 minus a matching, so it holds a C4);
         a minimum-degree-3 core (Seidman 1983) of fewer than 5 vertices
-        gives 4 (a valid set of 5 or more has minimum degree 3).  Every t
-        then ends in one tail, on the core with floor 4 for t = 2 and on the
-        mask with floor t otherwise: the degree bound min(size, max degree
-        + t), made exact by ``_supply_exact`` when at most
-        ``_SUPPLY_EXACT_CAP`` vertices remain and it is above the floor.
+        gives 4 (a valid set of 5 or more has minimum degree 3, so it lies
+        in the core).  Every t then ends in the degree bound min(size, max
+        degree + t), for t = 2 on that core (of at least 5 vertices, each of
+        degree at least 3, so the bound is at least 5) and otherwise on the
+        mask.
         """
         rows = self.rows
-        t = floor = self.t
+        t = self.t
         if t == 2:
             nbrs = [rows[v] & mask for v in bits(mask)]
             if all(nb.bit_count() < 2 for nb in nbrs):
@@ -366,67 +379,7 @@ class PackingContext:
                 mask = sum(1 << v for v in bits(peeled) if (rows[v] & peeled).bit_count() > 2)
             if mask.bit_count() < 5:
                 return 4
-            floor = 4
-        s = mask.bit_count()
-        ub = min(s, max((rows[v] & mask).bit_count() for v in bits(mask)) + t)
-        if s <= _SUPPLY_EXACT_CAP and ub > floor:
-            return self._supply_exact(mask, floor)
-        return ub
-
-    def _supply_exact(self, mask: int, floor: int) -> int:
-        """Exact max valid subset of a small mask via its own DFS.
-
-        Returns max(floor, that maximum) capped at |mask|.  A host part is
-        independent, so the vertices a valid set takes from one part share a
-        non-adjacency component: at most t of them.  The DFS therefore stops
-        extending once (vertices chosen) + (sum over parts of min(vertices
-        left in the part, t - vertices chosen from it)) cannot beat the best,
-        and skips a vertex whose part already has t chosen.  The cap only
-        prunes, so the value is the one the uncapped DFS returns.
-        """
-        t = self.t
-        best = min(floor, mask.bit_count())
-        verts = list(bits(mask))
-        budget = self.budget
-        # part index of each position; left[i][p] = vertices of part p at
-        # positions >= i; taken[p] = chosen vertices of part p
-        parts: dict[int, int] = {}
-        part_of = [parts.setdefault(self.part_mask_of[v], len(parts)) for v in verts]
-        left = [[0] * len(parts) for _ in range(len(verts) + 1)]
-        for i in range(len(verts) - 1, -1, -1):
-            row = left[i]
-            row[:] = left[i + 1]
-            row[part_of[i]] += 1
-        taken = [0] * len(parts)
-
-        def rec(idx: int, size: int, comps: list[tuple[int, int]]) -> None:
-            nonlocal best
-            budget.spend()
-            if size > best:
-                best = size
-            # cap: how many more vertices positions >= i can still add
-            cap = 0
-            for p, rem in enumerate(left[idx]):
-                room = t - taken[p]
-                cap += rem if rem < room else room
-            for i in range(idx, len(verts)):
-                if size + cap <= best:
-                    return
-                p = part_of[i]
-                room = t - taken[p]
-                if left[i][p] <= room:
-                    cap -= 1    # the part's term after position i
-                if not room:
-                    continue    # v would join its part's full component
-                state = self._add(verts[i], comps, 0, 0)
-                if state is None:
-                    continue
-                taken[p] += 1
-                rec(i + 1, size + 1, state[0])
-                taken[p] -= 1
-
-        rec(0, 0, [])
-        return best
+        return min(mask.bit_count(), max((rows[v] & mask).bit_count() for v in bits(mask)) + t)
 
     # -- packing ------------------------------------------------------------
 
@@ -540,48 +493,29 @@ class PackingContext:
                 return None
             avail ^= drop
         above = avail ^ smask
-        # Two complementary decompositions bound |S'|:
-        #  A. per region: everything available there obeys the region supply;
+        # Two complementary decompositions bound |S'|, each counting a
+        # region's vertices by ``region_bound`` of them.  Every rung of the
+        # ladder, the core and the part cap shrink with the mask, so that
+        # bound is never above the region's own supply.
+        #  A. per region: everything available there;
         #  B. candidates with a non-edge into S merge into chosen components,
         #     so collectively they fit those components' leftover capacity,
-        #     while untouched candidates still obey the region supplies.
+        #     while untouched candidates are counted per region.
         att = above & seen1
         free = above & ~seen1
         att_term = min(att.bit_count(), t * len(comps) - len(chosen))
         bound_a = 0
         bound_b = len(chosen) + att_term
-        small = self.small_mask
-        big = self.big_parts
-        for rg, sup in zip(regions, self.region_supply):
-            # per region: min(supply, at most t vertices per host part)
-            sub_a = avail & rg
-            sub_b = free & rg
-            if sub_a:
-                cap = (sub_a & small).bit_count()
-                for pm in big:
-                    c = (sub_a & pm).bit_count()
-                    cap += c if c < t else t
-                bound_a += cap if cap < sup else sup
-            if sub_b:
-                cap = (sub_b & small).bit_count()
-                for pm in big:
-                    c = (sub_b & pm).bit_count()
-                    cap += c if c < t else t
-                bound_b += cap if cap < sup else sup
+        region_bound = self.region_bound
+        for rg in regions:
+            sub = avail & rg
+            if sub:
+                bound_a += region_bound(sub)
+            sub = free & rg
+            if sub:
+                bound_b += region_bound(sub)
         if bound_a < total or bound_b < total:
             return None
-        if self.split and min(bound_a, bound_b) - total < _REFINE_SLACK:
-            ref_a = 0
-            ref_b = len(chosen) + att_term
-            for rg, sup in zip(regions, self.region_supply):
-                sub_a = avail & rg
-                if sub_a:
-                    ref_a += min(self._supply(sub_a), sup)
-                sub_b = free & rg
-                if sub_b:
-                    ref_b += min(self._supply(sub_b), sup)
-            if ref_a < total or ref_b < total:
-                return None
         for r in range(r0, len(regions)):
             todo = above & regions[r]
             while todo:

@@ -30,6 +30,17 @@ class GraphInvariantError(ValueError):
     """An input would violate the k-partite host invariants."""
 
 
+def check_vertex_count(count: int) -> None:
+    """Reject a graph of more than ``MAX_DOCUMENT_VERTICES`` vertices, the
+    most a graph document may hold: documents are checked before they are
+    parsed, and builders before they allocate a host they could not write
+    and read back."""
+    if count > MAX_DOCUMENT_VERTICES:
+        raise GraphInvariantError(
+            f"a graph document may have at most {MAX_DOCUMENT_VERTICES} vertices, "
+            f"got {count}")
+
+
 def bits(mask: int) -> Iterator[int]:
     """Iterate set bit positions of ``mask`` in ascending order."""
     while mask:
@@ -213,9 +224,7 @@ class PartitionedGraph:
             raise GraphInvariantError(f"malformed graph document: {exc}") from exc
         if type(parts) is not list or not set(map(type, parts)) <= {int}:
             raise GraphInvariantError(f"part sizes must be a list of integers, got {parts!r}")
-        if sum(parts) > MAX_DOCUMENT_VERTICES:
-            raise GraphInvariantError(
-                f"a graph document may have at most {MAX_DOCUMENT_VERTICES} vertices")
+        check_vertex_count(sum(parts))
         try:
             pairs = (type(edges) is list and set(map(len, edges)) <= {2}
                      and set(map(type, chain.from_iterable(edges))) <= {int})

@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from . import search
 from .detectors import (Budget, BudgetExhausted, as_budget, contains_uniform_pattern,
                         find_biclique)
-from .graphs import PartitionedGraph, bits
+from .graphs import PartitionedGraph, bits, check_vertex_count
 from .constructions import cayley_bipartite, largest_sidon_set
 
 if TYPE_CHECKING:
@@ -387,6 +387,7 @@ def z_lower_construction(n: int, t: int, seed: int = 0,
     t=3: seeded greedy edge insertion with K_{3,3} feasibility, plus a
          single improvement pass (local search); deterministic per seed.
     """
+    check_vertex_count(2 * n)
     if t == 2:
         s = largest_sidon_set(n)
         g = cayley_bipartite(n, s)

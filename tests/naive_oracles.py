@@ -75,12 +75,13 @@ def naive_contains_kqt_through(g: PartitionedGraph, q: int, t: int, seed) -> boo
                for extra in combinations(rest, q * t - len(seed)))
 
 
-def naive_lex_least_kqt(g: PartitionedGraph, q: int, t: int):
-    """The first qt-subset of the vertices, in lex order, that spans a
-    K_q(t), as a sorted tuple; None if the graph has no K_q(t)."""
-    for sub in combinations(range(g.num_vertices), q * t):
+def naive_lex_least_kqt(g: PartitionedGraph, q: int, t: int, order=None):
+    """The first qt-subset of the vertices, in lex order over ``order``
+    (default: ascending), that spans a K_q(t), as a sorted tuple; None if
+    the graph has no K_q(t)."""
+    for sub in combinations(range(g.num_vertices) if order is None else order, q * t):
         if naive_contains_kqt(g, q, t, sub):
-            return sub
+            return tuple(sorted(sub))
     return None
 
 

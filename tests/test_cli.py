@@ -8,7 +8,6 @@ import pytest
 from turan_workbench.cache import ResultCache
 from turan_workbench.cli import (EXIT_BUDGET, EXIT_FOUND, EXIT_OK, EXIT_USAGE,
                                  cli_dispatch, load_graph, save_graph)
-from turan_workbench.detectors import Budget, PackingContext
 from turan_workbench.graphs import PartitionedGraph, canonical_json
 from turan_workbench.zarankiewicz import ZarKey, z_exact
 
@@ -128,6 +127,31 @@ def test_check_free_rejects_oversized_documents(tmp_path, capsys):
     assert "at most 65536 vertices" in err
 
 
+def test_builders_reject_hosts_past_the_document_limit(tmp_path, capsys):
+    # a host check-free could not read back is a usage error, before any
+    # host is allocated or file written: one vertex over the limit, or two
+    # for the builders on two n-sets
+    class1 = tmp_path / "b.json"
+    save_graph(PartitionedGraph([1, 1]), class1)
+    out = tmp_path / "g.json"
+    for argv in (["construct", "template", "--n", "65537", "--r", "1", "--k", "1"],
+                 ["construct", "c4free", "--n", "32769", "--t", "2"],
+                 ["construct", "basic", "--n", "1", "--r", "32769", "--k", "65537",
+                  "--class1", str(class1)],
+                 ["construct", "improved", "--n", "1", "--r", "32769", "--k", "65537",
+                  "--class1", str(class1)]):
+        code = cli_dispatch(argv + ["--out", str(out), "--json"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_USAGE, ""), argv
+        assert "at most 65536 vertices" in captured.err
+        assert not out.exists() and not (tmp_path / "g.json.manifest.json").exists()
+    code = cli_dispatch(["zar", "lower", "--n", "32769", "--t", "2", "--json",
+                         "--cache", str(tmp_path / "c.jsonl")])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_USAGE, "")
+    assert "at most 65536 vertices" in captured.err
+
+
 def test_construct_manifest_hashes_the_written_bytes(tmp_path, capsys):
     out = tmp_path / "t.json"
     assert cli_dispatch(["construct", "template", "--r", "2", "--k", "3", "--n", "3",
@@ -184,11 +208,10 @@ def test_zero_sizes_and_negative_budget_are_usage_errors(tmp_path, capsys):
 
 def test_check_free_of_a_pattern_larger_than_the_graph_spends_no_node(tmp_path, capsys):
     # K_4(3) needs 12 vertices and this graph has 9, so the answer is free
-    # with no node spent; building the supply regions would spend some
+    # with no node spent
     rng = random.Random(0)
     g = PartitionedGraph([3, 3, 3], [(u, v) for u in range(9) for v in range(u + 1, 9)
                                      if u // 3 != v // 3 and rng.random() < 0.85])
-    assert PackingContext(g, 4, 3, budget=Budget(None)).budget.used > 0
     path = tmp_path / "g.json"
     save_graph(g, path)
     code, text = run(capsys, "check-free", str(path), "--pattern", "kqt", "--q", "4",

@@ -10,13 +10,34 @@ from turan_workbench.constructions import (ConstructionError, ConstructionParams
                                            turan_count)
 from turan_workbench.detectors import (ForbiddenPattern, find_biclique,
                                        find_complete_multipartite)
-from turan_workbench.graphs import PartitionedGraph
+from turan_workbench.graphs import (MAX_DOCUMENT_VERTICES, GraphInvariantError,
+                                   PartitionedGraph)
+from turan_workbench.zarankiewicz import z_lower_construction
 from naive_oracles import (naive_basic_construction, naive_improved_construction,
                            naive_is_sidon, naive_largest_sidon_set, naive_sidon_set,
                            naive_template)
 
 # the (r, k) grid of the n = 32 constructions that the CLI panel certifies
 CERTIFY_GRID = [(r, k) for r in (2, 3, 4) for k in range(r + 1, 2 * r + 1)]
+
+
+def test_builders_reject_hosts_past_the_document_limit():
+    # one vertex over the limit, or two for the builders on two n-sets; each
+    # raises before it allocates the host (or checks the class-1 graph, or
+    # searches for a Sidon set)
+    top = MAX_DOCUMENT_VERTICES
+    builds = [
+        lambda: build_template(TemplateSpec.standard(1, 1, top + 1)),
+        lambda: regular_c4free_bipartite(top // 2 + 1, 2),
+        lambda: basic_construction(ConstructionParams(1, top // 2 + 1, top + 1, 2),
+                                   PartitionedGraph([1, 1])),
+        lambda: improved_construction(ConstructionParams(1, top // 2 + 1, top + 1, 2),
+                                      PartitionedGraph([1, 1])),
+        lambda: z_lower_construction(top // 2 + 1, 2),
+    ]
+    for build in builds:
+        with pytest.raises(GraphInvariantError, match="at most 65536 vertices"):
+            build()
 
 
 def test_turan_count_small_values():
