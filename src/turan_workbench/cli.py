@@ -21,7 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import constructions, extremal, stability, zarankiewicz
+from . import constructions, extremal, search, stability, zarankiewicz
 from .cache import ResultCache, witness_hash
 from .constructions import ConstructionError, ConstructionParams, TemplateSpec
 from .detectors import (Budget, BudgetExhausted, ForbiddenPattern, find_pattern)
@@ -84,6 +84,17 @@ def _emit(obj, as_json: bool) -> None:
             sys.stdout.write(json.dumps(obj, indent=2, default=str) + "\n")
         else:
             sys.stdout.write(f"{obj}\n")
+
+
+def _emit_record(head: dict, rec: zarankiewicz.Record, as_json: bool) -> int:
+    """Emit an exact search's answer and return its exit code; a record cut
+    short by the budget adds the host's static cap as ``upper_bound``."""
+    out = {**head, "value": rec.value, "status": rec.status,
+           "witness_sha256": witness_hash(rec.witness)}
+    if rec.status != "exact":
+        out["upper_bound"] = search.static_cap(rec.key.part_sizes, rec.key.q, rec.key.t)
+    _emit(out, as_json)
+    return EXIT_OK if rec.status == "exact" else EXIT_BUDGET
 
 
 def _sizes(text: str) -> tuple[int, ...]:
@@ -193,10 +204,8 @@ def _cmd_zar(args, argv) -> int:
         _need(args, "sizes")
         rec = zarankiewicz.z_exact(zarankiewicz.ZarKey.of(_sizes(args.sizes), args.t),
                                    budget=budget, cache=cache)
-        _emit({"sizes": list(rec.key.part_sizes), "t": rec.key.t,
-               "value": rec.value, "status": rec.status,
-               "witness_sha256": witness_hash(rec.witness)}, args.json)
-        return EXIT_OK if rec.status == "exact" else EXIT_BUDGET
+        return _emit_record({"sizes": list(rec.key.part_sizes), "t": rec.key.t},
+                            rec, args.json)
     if args.zcmd == "lower":
         _need(args, "n")
         rec = zarankiewicz.z_lower_construction(args.n, args.t, seed=args.seed or 0,
@@ -217,10 +226,8 @@ def _cmd_ex(args, argv) -> int:
         _need(args, "sizes", "q")
         inst = extremal.ExInstance.of(_sizes(args.sizes), args.q, args.t)
         rec = extremal.ex_exact(inst, budget=budget, cache=cache)
-        _emit({"sizes": list(inst.part_sizes), "q": inst.q, "t": inst.t,
-               "value": rec.value, "status": rec.status,
-               "witness_sha256": witness_hash(rec.witness)}, args.json)
-        return EXIT_OK if rec.status == "exact" else EXIT_BUDGET
+        return _emit_record({"sizes": list(inst.part_sizes), "q": inst.q, "t": inst.t},
+                            rec, args.json)
     if args.excmd == "turan":
         _need(args, "n", "k", "r")
         rep = extremal.verify_turan_identity(args.n, args.k, args.r,

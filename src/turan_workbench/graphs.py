@@ -53,9 +53,17 @@ def bits(mask: int) -> Iterator[int]:
 _BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
 
 
+# set_bits lists masks of at most this many set bits lowest bit first: below
+# about 8-10 bits that beats the byte table, whatever the mask's length
+_FEW_BITS = 8
+
+
 def set_bits(mask: int) -> list[int]:
-    """The set bit positions of a nonnegative ``mask``, ascending, one byte
-    at a time (faster than :func:`bits` on long, dense rows)."""
+    """The set bit positions of a nonnegative ``mask``, ascending: lowest bit
+    first on a few bits, else one byte at a time (faster than :func:`bits`
+    on long, dense rows)."""
+    if mask.bit_count() <= _FEW_BITS:
+        return list(bits(mask))
     data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
     return [base + i for base, byte in zip(range(0, 8 * len(data), 8), data)
             if byte for i in _BYTE_BITS[byte]]

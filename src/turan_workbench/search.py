@@ -39,6 +39,20 @@ per-block headroom is the current block's room plus a precomputed suffix
 sum of the later blocks' caps (the convexity bound for K_2(t), the block's
 pair count otherwise; the bound never exceeds the pair count).
 
+Every search also has a static cap on the whole host (``static_cap``): the
+recursive K_2(t) bound above for q = 2; for t = 1 and 3 <= q <= N, Turan's
+theorem (1941), by which a K_q-free graph on N vertices has at most
+t_{q-1}(N) edges, taken with the cross-pair count; otherwise the cross-pair
+count, which bounds nothing.  On k parts of n with r dividing k, Turan's
+bound t_r(kn) equals the value t_r(k) n^2, so the Turan identity is proven
+as soon as its first optimum is found.  The search ends once the incumbent
+meets the cap.  Neither the cap nor the stop changes a witness: while the
+incumbent is below the true value, which is at most the cap,
+``min(cur + headroom, cap) <= best`` holds only where ``cur + headroom <=
+best`` does, so no branch is cut before the first optimum is found, and
+the witness is that first optimum (later graphs replace it only when
+strictly larger).
+
 ``zarankiewicz.exact_record`` sends every z key and ex instance here except
 those with two parts and q = 2, which go to the bipartite row engine
 (z_t^{(a)} is exactly ex(n_1..n_a; K_2(t))).
@@ -51,6 +65,7 @@ from itertools import combinations
 from math import comb
 from typing import Sequence
 
+from .constructions import turan_count
 from .detectors import Budget, BudgetExhausted, as_budget, contains_uniform_pattern
 from .graphs import PartitionedGraph
 
@@ -122,6 +137,20 @@ def _biclique_cap(sizes: tuple[int, ...], t: int) -> int:
     return best
 
 
+def static_cap(part_sizes: Sequence[int], q: int, t: int) -> int:
+    """Upper bound on the edges of a K_q(t)-free graph in G(n_1, ..., n_k):
+    ``biclique_host_cap`` for q = 2; for t = 1 and 3 <= q <= N, Turan's
+    bound t_{q-1}(N) on K_q-free graphs with N vertices, or the cross-pair
+    count when that is smaller; otherwise the cross-pair count."""
+    if q == 2:
+        return biclique_host_cap(part_sizes, t)
+    n = sum(part_sizes)
+    pairs = (n * n - sum(s * s for s in part_sizes)) // 2
+    if t == 1 and q <= n:
+        return min(pairs, turan_count(q - 1, n))
+    return pairs
+
+
 def maximize_free(part_sizes: Sequence[int], q: int, t: int,
                   budget: "int | Budget | None" = None
                   ) -> tuple[int, PartitionedGraph, bool]:
@@ -145,7 +174,7 @@ def maximize_free(part_sizes: Sequence[int], q: int, t: int,
         block_cap.append(kst_upper_raw(m, n, t) if q == 2 else m * n)
         block_end.append(len(pairs))
     total = len(pairs)
-    static_cap = biclique_host_cap(part_sizes, t) if q == 2 else total
+    cap = static_cap(part_sizes, q, t)
     # later_room[b]: room in the (untouched) blocks after b
     later_room = [0] * len(block_cap)
     for b in range(len(block_cap) - 2, -1, -1):
@@ -163,15 +192,17 @@ def maximize_free(part_sizes: Sequence[int], q: int, t: int,
 
     def rec(idx: int, cur: int) -> None:
         nonlocal best, best_rows
+        if best >= cap:     # the incumbent meets the cap: no branch can beat it
+            return
         bud.spend()
         if cur > best:
             best = cur
             best_rows = list(rows)
-        if idx == total or cur >= static_cap:
+        if idx == total:
             return
         u, v, b = pairs[idx]
         headroom = min(block_end[b] - idx, block_cap[b] - used_block[b]) + later_room[b]
-        if min(cur + headroom, static_cap) <= best:
+        if min(cur + headroom, cap) <= best:
             return
         # tie_u: u is tied and its predecessor has the edge (u - 1, v); a tied
         # vertex may take the pair only then (likewise v with (u, v - 1))

@@ -9,7 +9,7 @@ from turan_workbench.cache import ResultCache
 from turan_workbench.cli import (EXIT_BUDGET, EXIT_FOUND, EXIT_OK, EXIT_USAGE,
                                  cli_dispatch, load_graph, save_graph)
 from turan_workbench.graphs import PartitionedGraph, canonical_json
-from turan_workbench.zarankiewicz import ZarKey, z_exact
+from turan_workbench.zarankiewicz import ZarKey, kst_upper, z_exact
 
 
 def run(capsys, *argv):
@@ -336,6 +336,27 @@ def test_size_guard_follows_the_instance(tmp_path, capsys):
         captured = capsys.readouterr()
         assert (code, captured.out) == (EXIT_USAGE, ""), argv
         assert "75 cross pairs" in captured.err, argv
+
+
+def test_truncated_answers_report_an_upper_bound(tmp_path, capsys):
+    # a search cut short by the budget reports the host's static cap: for
+    # (4,4,4)/K_3 Turan's bound t_2(12) = 36, at least the value 32; an exact
+    # answer keeps its keys
+    cache = str(tmp_path / "c.jsonl")
+    code, text = run(capsys, "ex", "exact", "--sizes", "4,4,4", "--q", "3", "--t", "1",
+                     "--budget", "1000", "--cache", cache, "--json")
+    rep = json.loads(text)
+    assert code == EXIT_BUDGET and rep["status"] == "lower_bound_only"
+    assert rep["upper_bound"] == 36 >= 32 >= rep["value"]
+    # two parts with q = 2: the row engine's KST bound
+    code, text = run(capsys, "zar", "exact", "--sizes", "9,9", "--t", "2",
+                     "--budget", "100", "--cache", cache, "--json")
+    rep = json.loads(text)
+    assert code == EXIT_BUDGET and rep["upper_bound"] == kst_upper(9, 9, 2) >= 29
+    code, text = run(capsys, "ex", "exact", "--sizes", "3,3,3", "--q", "3", "--t", "1",
+                     "--cache", cache, "--json")
+    assert code == EXIT_OK and sorted(json.loads(text)) == [
+        "q", "sizes", "status", "t", "value", "witness_sha256"]
 
 
 def test_zar_exact_t1_cli(capsys):

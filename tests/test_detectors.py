@@ -319,12 +319,13 @@ def test_packing_lemma_for_uniform_classes_up_to_two():
 
 
 @pytest.mark.parametrize("sizes, q, t, value, nodes", [
-    ((2, 2, 2, 2), 3, 1, 16, 7_772),
+    ((2, 2, 2, 2), 3, 1, 16, 154),
     ((2, 2, 2, 2), 4, 1, 20, 3_079),
     ((3, 3, 3), 3, 2, 24, 386),
     ((2, 2, 2), 2, 2, 7, 146),
     ((3, 3, 3), 3, 1, 18, 17_098),
     ((3, 3, 3), 2, 2, 13, 23_408),
+    ((3, 3, 3, 3), 3, 1, 36, 1_853),
 ])
 def test_maximize_free_pinned_values_and_nodes(sizes, q, t, value, nodes):
     # node counts are deterministic: any drift in the probe DFS, in the

@@ -4,7 +4,8 @@ every value of the unconstrained search, and its witnesses are lex-leaders."""
 from itertools import combinations
 
 from naive_oracles import naive_contains_kqt, naive_ex
-from turan_workbench.search import maximize_free
+from turan_workbench.constructions import turan_count
+from turan_workbench.search import maximize_free, static_cap
 from turan_workbench.zarankiewicz import ZarKey, z_exact
 
 # part sizes -> {(q, t): ex(part sizes; K_q(t))}, as the search computed them
@@ -101,3 +102,23 @@ def test_tripartite_zarankiewicz_is_exact():
     rec = z_exact(ZarKey.of((3, 3, 3), 2))
     assert (rec.value, rec.status) == (13, "exact")
     rec.check()
+
+
+def test_static_cap_bounds_every_value():
+    # the cap is at least every sweep value, and at least the exhaustive
+    # value on hosts of at most 9 cross pairs for q <= 4 and t <= 2
+    for sizes, cases in SWEEP_VALUES.items():
+        for (q, t), value in cases.items():
+            assert static_cap(sizes, q, t) >= value, (sizes, q, t)
+    for sizes in [(2, 1), (3, 2), (3, 3), (1, 1, 1), (2, 1, 1), (3, 1, 1), (2, 2, 1),
+                  (1, 1, 1, 1), (2, 1, 1, 1)]:
+        assert sum(a * b for a, b in combinations(sizes, 2)) <= 9
+        for q in (2, 3, 4):
+            for t in (1, 2):
+                assert static_cap(sizes, q, t) >= naive_ex(sizes, q, t), (sizes, q, t)
+    # on the Turan-identity hosts, k parts of n with r dividing k, Turan's
+    # bound t_r(kn) is the value t_r(k) n^2 itself
+    for n in range(1, 5):
+        for k in range(2, 7):
+            for r in (r for r in range(1, k + 1) if k % r == 0):
+                assert static_cap((n,) * k, r + 1, 1) == turan_count(r, k) * n * n, (n, k, r)
