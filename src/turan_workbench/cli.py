@@ -21,7 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import constructions, extremal, search, stability, zarankiewicz
+from . import constructions, extremal, stability, zarankiewicz
 from .cache import ResultCache, witness_hash
 from .constructions import ConstructionError, ConstructionParams, TemplateSpec
 from .detectors import (Budget, BudgetExhausted, ForbiddenPattern, find_pattern)
@@ -92,7 +92,7 @@ def _emit_record(head: dict, rec: zarankiewicz.Record, as_json: bool) -> int:
     out = {**head, "value": rec.value, "status": rec.status,
            "witness_sha256": witness_hash(rec.witness)}
     if rec.status != "exact":
-        out["upper_bound"] = search.static_cap(rec.key.part_sizes, rec.key.q, rec.key.t)
+        out["upper_bound"] = rec.upper_bound()
     _emit(out, as_json)
     return EXIT_OK if rec.status == "exact" else EXIT_BUDGET
 
@@ -234,13 +234,16 @@ def _cmd_ex(args, argv) -> int:
                                              budget=budget, cache=cache)
         rep.pop("witness")
         _emit(rep, args.json)
+        if rep["status"] != "exact":
+            return EXIT_BUDGET
         return EXIT_OK if rep["holds"] else EXIT_FOUND
     _need(args, "n", "r", "k")
     rep = extremal.compare_with_g(args.n, args.r, args.k, args.t,
                                   budget=budget, cache=cache)
     _emit(rep, args.json)
-    ok = rep.get("ex_ge_construction", True)
-    return EXIT_OK if ok else EXIT_FOUND
+    if rep["ex_status"] != "exact" or rep["g_z_provenance"] != "exact":
+        return EXIT_BUDGET
+    return EXIT_OK if rep.get("ex_ge_construction", True) else EXIT_FOUND
 
 
 def _cmd_analyze(args, argv) -> int:

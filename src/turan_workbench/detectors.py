@@ -12,18 +12,30 @@ set S has non-adjacency components of size <= t that pack into q groups of t
 (vertices in different groups must be adjacent, and every non-adjacent pair
 must share a group).  The DFS adds vertices in a fixed order and returns the
 first set that packs, so its witness is the least one in that order; sound
-pruning never changes it.  It prunes with a degree filter and two kinds of
-bound:
+pruning never changes it.  It prunes with two core filters, two kinds of
+bound and two checks in its candidate loop:
 
 * degree: a copy vertex is adjacent to every copy vertex outside its own
   class, so it has at least total - t = (q - 1) t neighbours among the
-  chosen vertices and the candidates.  Every node drops the candidates
-  below that, to a fixpoint, and gives up when a chosen vertex falls below
-  it or fewer than total vertices remain (the minimum-degree core of
-  Seidman, "Network structure and minimum degree", Social Networks 1983).
-  A dropped vertex lies in no copy of the subtree, so the filter cuts only
-  subtrees the DFS would have left empty-handed, and the first set found
-  is the same;
+  chosen vertices and the candidates.  Every node keeps only the (q - 1)
+  t-core of those (the minimum-degree core of Seidman, "Network structure
+  and minimum degree", Social Networks 1983), and gives up when a chosen
+  vertex falls out of it or fewer than total vertices remain.  A dropped
+  vertex lies in no copy of the subtree, so the filter cuts only subtrees
+  the DFS would have left empty-handed, and the first set found is the
+  same;
+* neighbourhood core: the same core one level down.  Let x be a vertex of
+  a copy inside the available vertices A.  The copy minus x's class is a
+  K_{q-1}(t) inside N(x) & A, each of its vertices has (q - 2) t
+  neighbours in it, so it lies in the (q - 2) t-core of N(x) & A, and that
+  core keeps at least (q - 1) t vertices.  A vertex whose core is smaller
+  lies in no copy inside A.  ``run`` drops such vertices from a root pool,
+  every node tests its newest chosen vertex against its own filtered
+  available vertices, and every node passes those down as its children's
+  pool.  For q = 2 the degree filter implies the test, and hosts whose
+  complement splits skip it: there the region supplies decide at or near
+  the root, and on the n = 32 constructions the test cut no node while
+  doubling their DFS time;
 * per host part: a part is independent, so a copy meets it in one class
   (at most t vertices);
 * per region: when the host's complement splits into several non-adjacency
@@ -36,13 +48,19 @@ bound:
   ``_supply_uncached``), never above the per-part bound, and memoized.
   Every node bounds each region by the supply of what is still available
   there.  Regions are enumerated scarcest supply first, each in ascending
-  vertex order.
+  vertex order;
+* children: a child taken at candidate v needs qt - |chosen| - 1 more
+  vertices, all from the candidates after v and outside the child's
+  blocked set.  The loop stops once the candidates after v are too few,
+  and skips a child whose unblocked ones are too few, so neither spends a
+  node (the child would give up at its first size test).
 
 A graph whose complement is one component and one blob (a random graph,
 typically) gets no supplies: its one region's supply is a relaxation of the
 question itself, and the DFS over the same vertices answers that directly.
-It is enumerated in ascending order.  The blow-up constructions split into
-many regions, and their supplies prove freeness at or near the root.
+It is enumerated in ascending order, and the neighbourhood cores prune it.
+The blow-up constructions split into many regions, and their supplies prove
+freeness at or near the root.
 
 The DFS returns the components of the first set that packs, and only
 ``run`` packs them into witness classes.  With classes of t <= 2 vertices
@@ -72,7 +90,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .graphs import PartitionedGraph, bits
+from .graphs import PartitionedGraph, bits, set_bits
 
 DEFAULT_BUDGET = 10**8
 
@@ -220,8 +238,9 @@ class PackingContext:
 
     The complement's components are computed first.  If the graph is one
     component and one cross-part blob, the whole vertex set is one region
-    with no supply (ascending order; ``split`` is False), and the DFS
-    bounds it by the part cap alone.  Otherwise the vertices are split once
+    with no supply (ascending order; ``split`` is False): the DFS bounds it
+    by the part cap and, for q >= 3, prunes it by the neighbourhood-core
+    test (``nbhd_core``).  Otherwise the vertices are split once
     into *regions*: non-adjacency components, each further split into
     cross-part non-adjacency blobs when that lowers the bound (any
     partition gives a sound bound, since a valid set restricted to a region
@@ -237,9 +256,19 @@ class PackingContext:
     r from vertex lo on, then every later region whole (``later[r]``).  Its
     candidates are those vertices minus the chosen and blocked ones, taken
     lowest bit first, region by region; a child taken at vertex v in region
-    r gets ``(r, v + 1)``.  Before bounding, each node runs the degree
+    r gets ``(r, v + 1)``.  A node's candidates lie inside the pool its
+    parent passed down: the parent's filtered available vertices, or at
+    the root ``root_pool()``.  Before bounding, each node runs the degree
     filter of the module docstring on the chosen vertices plus the
-    candidates.  It spends no budget and changes no witness.
+    candidates, then, when ``nbhd_core`` is set, the neighbourhood-core
+    test on its newest chosen vertex; its candidate loop skips the children
+    that cannot fill the copy.  None of these spends budget or changes the
+    witness.
+
+    Why split hosts skip the neighbourhood-core test: its proof holds on
+    any host, but there the region supplies already decide at or near the
+    root.  On the 18 n = 32 constructions it cut no node and doubled their
+    DFS time.
 
     The DFS leaf packs its components only when packing can fail
     (``pack_can_fail``).  Packing lemma: q classes of t <= 2 vertices take
@@ -253,7 +282,7 @@ class PackingContext:
     def __init__(self, g: PartitionedGraph, q: int, t: int,
                  budget: "int | Budget | None" = None):
         self.rows = rows = g.rows()
-        universe = g.universe_mask
+        self.universe = universe = g.universe_mask
         self.q, self.t, self.total = q, t, q * t
         # packing can fail only for t >= 3 (class docstring)
         self.pack_can_fail = t > 2
@@ -278,12 +307,13 @@ class PackingContext:
         # what bounds a region's available vertices in the DFS: the supply
         # on split hosts, else the part cap
         self.region_bound = self._supply if self.split else self._part_cap
+        # the neighbourhood-core test runs on one-region hosts, for q >= 3
+        # (for q = 2 the degree filter implies it)
+        self.nbhd_core = not self.split and q > 2
         # later[r] = the vertices of the regions after region r
         self.later = [0] * len(self.regions)
         for r in range(len(self.regions) - 1, 0, -1):
             self.later[r - 1] = self.later[r] | self.regions[r]
-        # (v, 1 << v) for every vertex: the degree filter's scan
-        self.vertex_bits = [(v, 1 << v) for v in bits(universe)]
 
     def _build_regions(self, comps: list[int]) -> None:
         """Split the universe into regions with their supplies, ranked for
@@ -325,6 +355,22 @@ class PackingContext:
             comps.append(comp)
             rest &= ~comp
         return comps
+
+    def _core(self, mask: int, k: int) -> int:
+        """The k-core of the graph inside ``mask``: the vertices left once
+        every vertex with fewer than k neighbours among those left is
+        peeled, to a fixpoint (Seidman 1983).  It is the largest subset of
+        the mask with minimum degree k, so the order of peeling does not
+        matter."""
+        rows = self.rows
+        while True:
+            keep = mask
+            for v in set_bits(mask):
+                if (rows[v] & keep).bit_count() < k:
+                    keep ^= 1 << v
+            if keep == mask:
+                return mask
+            mask = keep
 
     # -- supply bounds ------------------------------------------------------
 
@@ -373,10 +419,7 @@ class PackingContext:
             if not any((a & b).bit_count() > 1
                        for i, a in enumerate(nbrs) for b in nbrs[i + 1:]):
                 return 3
-            peeled = 0
-            while peeled != mask:
-                peeled = mask
-                mask = sum(1 << v for v in bits(peeled) if (rows[v] & peeled).bit_count() > 2)
+            mask = self._core(mask, 3)
             if mask.bit_count() < 5:
                 return 4
         return min(mask.bit_count(), max((rows[v] & mask).bit_count() for v in bits(mask)) + t)
@@ -414,7 +457,7 @@ class PackingContext:
     def run(self) -> Optional[tuple[tuple[int, ...], ...]]:
         """Least copy of the pattern (its classes, sorted), or None; the DFS
         spends one unit of the context's budget per node."""
-        comps = self._dfs([], 0, 0, 0, [], 0, 0)
+        comps = self._dfs([], 0, 0, 0, [], 0, 0, self.root_pool())
         if comps is None:
             return None
         classes = []
@@ -460,8 +503,28 @@ class PackingContext:
                     blocked |= H[u]
         return keep, blocked, seen1 | hv
 
+    def root_pool(self) -> int:
+        """The vertices the DFS may take: all of them, minus, on one-region
+        hosts with q >= 3, each vertex that fails the neighbourhood-core test
+        against the pool, in ascending order.  A vertex that fails lies in no
+        copy inside the pool, so every copy stays inside it."""
+        pool = self.universe
+        if self.nbhd_core:
+            for x in set_bits(pool):
+                if not self._nbhd_ok(x, pool):
+                    pool ^= 1 << x
+        return pool
+
+    def _nbhd_ok(self, x: int, avail: int) -> bool:
+        """Whether x passes the neighbourhood-core test inside ``avail``: a
+        copy through x leaves a K_{q-1}(t) in N(x) & avail once x's class is
+        taken out, so the (q - 2) t-core there keeps at least (q - 1) t
+        vertices."""
+        return self._core(self.rows[x] & avail, self.total - 2 * self.t).bit_count() \
+            >= self.total - self.t
+
     def _dfs(self, chosen: list[int], smask: int, r0: int, lo: int,
-             comps: list[tuple[int, int]], blocked: int, seen1: int
+             comps: list[tuple[int, int]], blocked: int, seen1: int, pool: int
              ) -> Optional[list[tuple[int, int]]]:
         self.budget.spend()
         total = self.total
@@ -470,28 +533,17 @@ class PackingContext:
                 return None
             return comps
         t = self.t
-        H = self.H
-        vertex_bits = self.vertex_bits
         regions = self.regions
         # avail: the chosen vertices plus the candidates (region r0 from
-        # vertex lo on and the later regions whole, minus the blocked ones)
-        avail = (((regions[r0] & -(1 << lo)) | self.later[r0]) & ~blocked) | smask
-        # degree filter: a copy vertex misses at most t - 1 copy vertices,
-        # so at most |avail| - 1 - (total - t) of avail
-        while True:
-            size = avail.bit_count()
-            if size < total:
-                return None
-            slack = size - 1 - total + t
-            drop = 0
-            for v, low in vertex_bits:
-                if avail & low and (H[v] & avail).bit_count() > slack:
-                    drop |= low
-            if not drop:
-                break
-            if drop & smask:
-                return None
-            avail ^= drop
+        # vertex lo on and the later regions whole, inside the pool, minus
+        # the blocked ones)
+        avail = (((regions[r0] & -(1 << lo)) | self.later[r0]) & pool & ~blocked) | smask
+        # degree filter: a copy vertex has (q - 1) t neighbours in the copy
+        avail = self._core(avail, total - t)
+        if avail.bit_count() < total or smask & ~avail:
+            return None
+        if self.nbhd_core and chosen and not self._nbhd_ok(chosen[-1], avail):
+            return None
         above = avail ^ smask
         # Two complementary decompositions bound |S'|, each counting a
         # region's vertices by ``region_bound`` of them.  Every rung of the
@@ -516,17 +568,24 @@ class PackingContext:
                 bound_b += region_bound(sub)
         if bound_a < total or bound_b < total:
             return None
+        # a child taken at v takes its other ``need`` vertices from ``rest``,
+        # the candidates after v, minus its own blocked ones
+        need = total - len(chosen) - 1
         for r in range(r0, len(regions)):
             todo = above & regions[r]
+            rest_later = above & self.later[r]
             while todo:
                 low = todo & -todo
                 todo ^= low
+                rest = todo | rest_later
+                if rest.bit_count() < need:
+                    return None
                 v = low.bit_length() - 1
                 state = self._add(v, comps, blocked, seen1)
-                if state is None:
+                if state is None or (rest & ~state[1]).bit_count() < need:
                     continue
                 chosen.append(v)
-                found = self._dfs(chosen, smask | low, r, v + 1, *state)
+                found = self._dfs(chosen, smask | low, r, v + 1, *state, avail)
                 chosen.pop()
                 if found is not None:
                     return found

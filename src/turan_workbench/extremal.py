@@ -65,18 +65,26 @@ def ex_exact(inst: ExInstance, budget: "int | Budget | None" = None,
 def verify_turan_identity(n: int, k: int, r: int,
                           budget: "int | Budget | None" = None,
                           cache=None) -> dict:
-    """Check ex_k(n, K_{r+1}) == t_r(k) n^2 by exact search; returns a report."""
+    """Check ex_k(n, K_{r+1}) == t_r(k) n^2 by exact search; returns a report.
+
+    A search cut short by the budget decides nothing: ``holds`` is then None
+    and the report adds the host's static cap as ``upper_bound``.
+    """
     inst = ExInstance((n,) * k, r + 1, 1)
     expected = turan_count(r, k) * n * n
     rec = ex_exact(inst, budget=budget, cache=cache)
-    return {
+    exact = rec.status == "exact"
+    report = {
         "n": n, "k": k, "r": r,
         "search_value": rec.value,
         "formula_value": expected,
         "status": rec.status,
-        "holds": rec.status == "exact" and rec.value == expected,
+        "holds": rec.value == expected if exact else None,
         "witness": rec.witness.to_document(),
     }
+    if not exact:
+        report["upper_bound"] = rec.upper_bound()
+    return report
 
 
 def achievable_construction_count(params: ConstructionParams,
@@ -116,6 +124,9 @@ def compare_with_g(n: int, r: int, k: int, t: int,
 
     Asserts only ex >= achievable construction count (when a construction is
     defined at this n); equality with g needs n >= n_0 and is NOT asserted.
+    ``gap_to_g`` is None unless both the ex search and the z search are
+    exact, and an ex search cut short by the budget adds the host's static
+    cap as ``upper_bound``.
     """
     params = ConstructionParams(n, r, k, t)
     inst = ExInstance((n,) * k, r + 1, t)
@@ -129,10 +140,13 @@ def compare_with_g(n: int, r: int, k: int, t: int,
         "ex_status": rec.status,
         "g_value": g_val,
         "g_z_provenance": z_rec.status,
-        "gap_to_g": rec.value - g_val,
+        "gap_to_g": (rec.value - g_val
+                     if rec.status == z_rec.status == "exact" else None),
         "construction": cons,
         "note": "equality with g is a large-n theorem and is not asserted",
     }
+    if rec.status != "exact":
+        report["upper_bound"] = rec.upper_bound()
     if cons is not None and rec.status == "exact":
         report["ex_ge_construction"] = rec.value >= cons["best"]
     return report

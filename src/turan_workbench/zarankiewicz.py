@@ -114,6 +114,12 @@ class Record:
         if self.key.find_copy(self.witness) is not None:
             raise OracleError("witness contains the forbidden pattern")
 
+    def upper_bound(self) -> int:
+        """An upper bound on the key's exact value, the host's static cap
+        (``search.static_cap``): what a record cut short by the budget
+        reports beside its lower bound."""
+        return search.static_cap(self.key.part_sizes, self.key.q, self.key.t)
+
 
 # ---------------------------------------------------------------------------
 # the Kovari--Sos--Turan convexity bound

@@ -64,6 +64,20 @@ def naive_contains_kqt(g: PartitionedGraph, q: int, t: int, verts=None) -> bool:
     return rec([], verts, -1)
 
 
+def naive_kqt_holds_vertex(g: PartitionedGraph, q: int, t: int, x: int) -> bool:
+    """Whether some K_q(t) copy holds the vertex x: x's class is x plus
+    t - 1 other vertices, and the other q - 1 classes are disjoint t-subsets
+    of the vertices adjacent to every vertex of that class."""
+    others = [v for v in range(g.num_vertices) if v != x]
+    for rest in combinations(others, t - 1):
+        cl = (x,) + rest
+        common = [v for v in others if v not in rest
+                  and all(g.has_edge(u, v) for u in cl)]
+        if naive_contains_kqt(g, q - 1, t, common):
+            return True
+    return False
+
+
 def naive_contains_kqt_through(g: PartitionedGraph, q: int, t: int, seed) -> bool:
     """Whether some K_q(t) copy contains every vertex of ``seed``: some
     qt-subset of the vertices that holds the seed spans one."""

@@ -339,9 +339,9 @@ def test_size_guard_follows_the_instance(tmp_path, capsys):
 
 
 def test_truncated_answers_report_an_upper_bound(tmp_path, capsys):
-    # a search cut short by the budget reports the host's static cap: for
-    # (4,4,4)/K_3 Turan's bound t_2(12) = 36, at least the value 32; an exact
-    # answer keeps its keys
+    # a search cut short by the budget reports the host's static cap and
+    # exits 2: for (4,4,4)/K_3 Turan's bound t_2(12) = 36, at least the
+    # value 32; an exact answer keeps its keys
     cache = str(tmp_path / "c.jsonl")
     code, text = run(capsys, "ex", "exact", "--sizes", "4,4,4", "--q", "3", "--t", "1",
                      "--budget", "1000", "--cache", cache, "--json")
@@ -357,6 +357,24 @@ def test_truncated_answers_report_an_upper_bound(tmp_path, capsys):
                      "--cache", cache, "--json")
     assert code == EXIT_OK and sorted(json.loads(text)) == [
         "q", "sizes", "status", "t", "value", "witness_sha256"]
+    # a truncated Turan identity decides nothing: holds is null, exit 2
+    code, text = run(capsys, "ex", "turan", "--n", "4", "--k", "3", "--r", "2",
+                     "--budget", "100", "--cache", cache, "--json")
+    rep = json.loads(text)
+    assert code == EXIT_BUDGET and rep["holds"] is None
+    assert rep["upper_bound"] == 36 >= 32 >= rep["search_value"]
+    code, text = run(capsys, "ex", "turan", "--n", "1", "--k", "3", "--r", "2",
+                     "--cache", cache, "--json")
+    assert code == EXIT_OK and sorted(json.loads(text)) == [
+        "formula_value", "holds", "k", "n", "r", "search_value", "status"]
+    # ex compare with both searches cut short: no gap to g, exit 2; the ex
+    # search's cap is the 54 cross pairs of (3,3,3,3)
+    code, text = run(capsys, "ex", "compare", "--n", "3", "--r", "2", "--k", "4",
+                     "--t", "2", "--budget", "100", "--cache", cache, "--json")
+    rep = json.loads(text)
+    assert code == EXIT_BUDGET and rep["gap_to_g"] is None
+    assert rep["ex_status"] == rep["g_z_provenance"] == "lower_bound_only"
+    assert rep["upper_bound"] == 54 >= rep["ex_value"]
 
 
 def test_zar_exact_t1_cli(capsys):

@@ -1,12 +1,13 @@
 import hashlib
 import random
 from itertools import combinations
+from math import comb, factorial
 
 import pytest
 
 from naive_oracles import (naive_contains_biclique, naive_contains_kqt,
                            naive_contains_kqt_through, naive_contains_star,
-                           naive_lex_least_kqt)
+                           naive_kqt_holds_vertex, naive_lex_least_kqt)
 from turan_workbench.constructions import (ConstructionParams, basic_construction,
                                            improved_construction)
 from turan_workbench.detectors import (Budget, BudgetExhausted, ForbiddenPattern,
@@ -200,6 +201,71 @@ def test_witness_is_lex_least_on_single_region_graphs():
     assert found >= 60
 
 
+def test_root_pool_keeps_every_copy_on_one_region_hosts():
+    # on one-region hosts the DFS starts from the root pool, which drops
+    # the vertices that fail the neighbourhood-core test; a dropped vertex
+    # must lie in no copy, and the witness stays the lex-least copy.  Hosts
+    # have at most 20 vertices, fewer where the naive lex-least search
+    # (qt-subsets times their class partitions) would be slow.
+    rng = random.Random(5)
+    kinds = [(q, t) for q in (2, 3, 4) for t in (1, 2, 3)]
+    hosts = found = 0
+    dropped = dict.fromkeys(kinds, 0)
+    while hosts < 100:
+        q, t = rng.choice(kinds)
+        n = rng.randint(q * t, 20)
+        partitions = factorial(q * t) // (factorial(t) ** q * factorial(q))
+        if comb(n, q * t) * partitions > 1_000_000:
+            continue
+        if rng.random() < 0.5:
+            g = random_graph(rng, n, rng.choice([0.5, 0.65, 0.8]))
+        else:
+            sizes = [rng.randint(1, 4) for _ in range(rng.randint(3, 7))]
+            while sum(sizes) > n:
+                sizes.pop()
+            if q * t > sum(sizes):
+                continue
+            g = random_partite(rng, sizes, rng.choice([0.6, 0.75, 0.9]))
+        ctx = PackingContext(g, q, t)
+        if ctx.split:
+            continue
+        hosts += 1
+        gone = g.universe_mask & ~ctx.root_pool()
+        for x in bits(gone):
+            assert not naive_kqt_holds_vertex(g, q, t, x), (g.rows(), q, t, x)
+        dropped[q, t] += gone.bit_count()
+        w = find_complete_multipartite(g, q, t)
+        if w is None:
+            assert not naive_contains_kqt(g, q, t)
+        else:
+            assert tuple(sorted(w.vertices())) == naive_lex_least_kqt(g, q, t)
+            found += 1
+    # q = 2 skips the test (the degree filter implies it)
+    assert all(dropped[2, t] == 0 for t in (1, 2, 3))
+    assert all(dropped[q, t] > 0 for q in (3, 4) for t in (1, 2, 3)), dropped
+    assert found >= 50
+
+
+def test_core_matches_brute_force():
+    # _core(mask, k) is the k-core: the largest subset of the mask whose
+    # induced graph has minimum degree k, here the union of every subset
+    # with that minimum degree, found by trying them all
+    rng = random.Random(41)
+    for _ in range(80):
+        n = rng.randint(1, 10)
+        g = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]))
+        ctx = PackingContext(g, 2, 1)
+        mask = sum(1 << v for v in range(n) if rng.random() < 0.8)
+        verts = list(bits(mask))
+        for k in range(5):
+            want = 0
+            for sub in range(1 << len(verts)):
+                members = [v for i, v in enumerate(verts) if sub >> i & 1]
+                if all(sum(g.has_edge(u, v) for u in members) >= k for v in members):
+                    want |= sum(1 << v for v in members)
+            assert ctx._core(mask, k) == want, (g.rows(), mask, k)
+
+
 def test_witness_is_least_in_region_order_on_split_hosts():
     # on a host whose complement splits, the DFS takes the regions in their
     # order, each ascending, so its witness is the least qt-subset in that
@@ -380,7 +446,7 @@ def test_find_complete_multipartite_pinned_witnesses():
             assert verify_witness(g, ForbiddenPattern.complete_multipartite(q, t), w)
         found.append(w.classes if w else None)
         nodes += budget.used
-    assert nodes == 2_338
+    assert nodes == 1_238
     assert sum(w is None for w in found) == 31
     assert hashlib.sha256(repr(found).encode()).hexdigest()[:16] == "024507d724136bca"
 
@@ -438,7 +504,7 @@ def test_find_complete_multipartite_pinned_single_region_panel():
             assert (w is not None) == naive_contains_kqt(g, q, t)
         found.append(w.classes if w else None)
         nodes.append(budget.used)
-    assert sum(nodes[:24]) == 2_241
+    assert sum(nodes[:24]) == 249
     assert sum(w is None for w in found) == 15
     assert hashlib.sha256(repr(found).encode()).hexdigest()[:16] == "612bff57e0934c88"
 
@@ -458,7 +524,7 @@ def test_construction_node_counts_pinned():
                 nodes[name, r, k] = budget.used
     # the other 15 are decided at the root
     assert {key: n for key, n in nodes.items() if n > 1} == {
-        ("improved", 3, 5): 543, ("improved", 4, 6): 671, ("improved", 4, 7): 799}
+        ("improved", 3, 5): 458, ("improved", 4, 6): 578, ("improved", 4, 7): 768}
 
 
 def test_region_supplies_pinned():
