@@ -14,9 +14,10 @@ from .constructions import (ConstructionError, ConstructionParams, Piece,
                             chromatic_trivial_value, g_value,
                             improved_construction, regular_c4free_bipartite,
                             sidon_set, turan_count)
-from .zarankiewicz import (OracleError, Record, ZarKey, gap_checks, kst_upper,
-                           stack_e1_construction, z_exact, z_lower_construction)
-from .extremal import ExInstance, compare_with_g, ex_exact, verify_turan_identity
+from .zarankiewicz import (ExInstance, OracleError, Record, ZarKey, gap_checks,
+                           kst_upper, stack_e1_construction, z_exact,
+                           z_lower_construction)
+from .extremal import compare_with_g, ex_exact, verify_turan_identity
 from .stability import (AnalysisParams, AtypicalDecomposition, ClosestTemplateResult,
                         CoreReport, classify_atypical, closest_template,
                         enumerate_templates, high_degree_core, min_degree_audit,

@@ -7,20 +7,20 @@ A writer holds an exclusive ``flock`` on the file while it appends its line
 in one write, so concurrent appends by separate processes never interleave,
 and it first ends a torn last line left by a crashed writer.
 
-Zar and ex results are both one ``Record`` type, told apart by their key: a
-table maps each type tag to its key class and key fields, so there is one
-lookup path and one append path.  Lookups are served from one index per
-cache file per process, keyed by (sizes, q, t) with q = 2 for a zar line:
-z_t is ex(...; K_2(t)), so a zar line answers an ex lookup with q = 2 and
-the other way round, returned under the key asked for.  Each line keeps the
-type tag it was written with.  The last valid line for a key wins.  The
-index is tied to the file's bytes, not to its mtime, which is too coarse to
-see a rewrite of the same size within one clock tick.  Every lookup reads
-the file: if its bytes are unchanged the lookup is a dict hit.  If they
-extend the old bytes and those ended in a newline (an append), only the new
-lines are indexed; any other change (a torn tail, its completion, a rewrite
-or a truncation) rebuilds the index from every line, which costs a dict
-lookup per line already seen.  Each distinct line is parsed once per
+z_t is ex(...; K_2(t)), so every result is one ``Record`` whose key is an
+``ExInstance``, with one lookup and one append (the zar and ex method names
+are the same methods).  A record with q = 2 is written as a "zar" line,
+which has no q field; every other record is an "ex" line.  Readers accept
+both tags on any instance, so an "ex" line with q = 2 is a hit too.
+Lookups are served from one index per cache file per process, keyed by
+(sizes, q, t) with q = 2 for a zar line.  The last valid line for a key
+wins.  The index is tied to the file's bytes, not to its mtime, which is
+too coarse to see a rewrite of the same size within one clock tick.  Every
+lookup reads the file: if its bytes are unchanged the lookup is a dict hit.
+If they extend the old bytes and those ended in a newline (an append), only
+the new lines are indexed; any other change (a torn tail, its completion, a
+rewrite or a truncation) rebuilds the index from every line, which costs a
+dict lookup per line already seen.  Each distinct line is parsed once per
 process, and checked once per process (witness hash, then the record's own
 ``check``: edge count and detector) before it is first returned.  Verdicts
 are keyed by the line's exact bytes, so a record is only ever returned from
@@ -41,9 +41,8 @@ import threading
 import warnings
 from pathlib import Path
 
-from .extremal import ExInstance
 from .graphs import PartitionedGraph, canonical_json
-from .zarankiewicz import OracleError, Record, ZarKey
+from .zarankiewicz import ExInstance, OracleError, Record
 
 ENV_VAR = "TURAN_WORKBENCH_CACHE"
 DEFAULT_FILENAME = "turan_workbench_cache.jsonl"
@@ -62,23 +61,11 @@ def default_cache_path() -> Path:
     return Path(os.environ.get(ENV_VAR, DEFAULT_FILENAME))
 
 
-# type tag -> (key class, key fields after the part sizes); a key is
-# ``key_cls(sizes, *fields)``
-_KEY_TYPES = {"zar": (ZarKey, ("t",)), "ex": (ExInstance, ("q", "t"))}
-_TAGS = {key_cls: tag for tag, (key_cls, _) in _KEY_TYPES.items()}
-
-
-def _index_key(key) -> tuple:
-    return (key.part_sizes, key.q, key.t)
-
-
 def _document(rec: Record) -> dict:
     key = rec.key
-    tag = _TAGS[type(key)]
-    doc = {"type": tag, "sizes": list(key.part_sizes)}
-    doc.update((f, getattr(key, f)) for f in _KEY_TYPES[tag][1])
-    doc.update(value=rec.value, status=rec.status,
-               witness=rec.witness.to_document(),
+    doc = {"type": "zar"} if key.q == 2 else {"type": "ex", "q": key.q}
+    doc.update(sizes=list(key.part_sizes), t=key.t, value=rec.value,
+               status=rec.status, witness=rec.witness.to_document(),
                witness_sha256=witness_hash(rec.witness))
     return doc
 
@@ -89,9 +76,9 @@ def _record(doc: dict) -> Record:
     digest = witness_hash(witness)
     if digest != doc.get("witness_sha256"):
         raise OracleError("witness hash mismatch")
-    key_cls, fields = _KEY_TYPES[doc["type"]]
-    key = key_cls(tuple(doc["sizes"]), *(doc[f] for f in fields))
-    rec = Record(key, doc["value"], witness, doc["status"])
+    q = doc["q"] if doc["type"] == "ex" else 2
+    rec = Record(ExInstance(tuple(doc["sizes"]), q, doc["t"]), doc["value"],
+                 witness, doc["status"])
     rec.check()
     _VERIFIED_HASHES[witness] = digest
     return rec
@@ -112,7 +99,7 @@ def _line_key(line: bytes):
     if not isinstance(doc, dict):
         return _CORRUPT
     tag = doc.get("type")
-    if tag not in _KEY_TYPES or doc.get("status") != "exact":
+    if tag not in ("zar", "ex") or doc.get("status") != "exact":
         return None
     try:
         key = (tuple(doc.get("sizes", ())), doc.get("q") if tag == "ex" else 2,
@@ -198,7 +185,8 @@ class ResultCache:
     def __init__(self, path: "str | Path | None" = None):
         self.path = Path(path) if path is not None else default_cache_path()
 
-    def _get(self, key):
+    def get_ex(self, inst: ExInstance) -> "Record | None":
+        """The last valid exact record for ``inst`` in the file, or None."""
         with _LOCK:
             try:
                 data = self.path.read_bytes()
@@ -210,7 +198,7 @@ class ResultCache:
                 index = _INDEXES[where] = _Index()
             index.refresh(data)
             best = None
-            for lineno, line in index.lines_for(_index_key(key)):
+            for lineno, line in index.lines_for((inst.part_sizes, inst.q, inst.t)):
                 if line is None:
                     warnings.warn(f"{self.path}:{lineno}: corrupt cache line skipped")
                     continue
@@ -220,11 +208,10 @@ class ResultCache:
                                   f"({result})")
                     continue
                 best = result
-        # a new record under the asked key, so a caller that changes it cannot
-        # change the memo
-        return None if best is None else dataclasses.replace(best, key=key)
+        # a new record, so a caller that changes it cannot change the memo
+        return None if best is None else dataclasses.replace(best)
 
-    def _put(self, rec: Record) -> None:
+    def put_ex(self, rec: Record) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         data = canonical_json(_document(rec)).encode("utf-8")
         with open(self.path, "a+b", buffering=0) as fh:
@@ -239,14 +226,5 @@ class ResultCache:
                     data = b"\n" + data
             fh.write(data)      # one write call; closing the file unlocks it
 
-    def get_zar(self, key: ZarKey) -> "Record | None":
-        return self._get(key)
-
-    def put_zar(self, rec: Record) -> None:
-        self._put(rec)
-
-    def get_ex(self, inst: ExInstance) -> "Record | None":
-        return self._get(inst)
-
-    def put_ex(self, rec: Record) -> None:
-        self._put(rec)
+    # a z key is the instance with q = 2: one lookup and one append
+    get_zar, put_zar = get_ex, put_ex

@@ -162,6 +162,9 @@ def _cmd_construct(args, argv) -> int:
             pair = zarankiewicz.z_exact(
                 zarankiewicz.ZarKey.of((half, half), args.t),
                 budget=budget, cache=cache)
+        if any(rec.status != "exact" for rec in (base, pair) if rec is not None):
+            # a stack of lower bounds is not the construction: write nothing
+            raise BudgetExhausted("the base or pair search was cut short")
         g = zarankiewicz.stack_e1_construction(args.a, args.n, args.t, base, pair)
         params.update({"a": args.a, "n": args.n, "t": args.t,
                        "base_value": base.value,

@@ -1,65 +1,29 @@
 """Exact ex(n_1, ..., n_k; K_q(t)) on tiny instances.
 
-The search is ``zarankiewicz.exact_record`` (the instance picks the engine),
-plus the two reference checks: the exact multipartite Turan identity
-ex_k(n, K_{r+1}) = t_r(k) n^2, and the comparison against the lower-bound
-formula g(n, r, k, t).  The latter never asserts equality with g: that is a
-large-n theorem with an unspecified threshold, so only the direction
-"exact >= achievable construction count" is checked at desk scale.
+The instance type ``ExInstance`` and the search front ``ex_exact`` are
+``zarankiewicz``'s: a z key is the instance with q = 2, and ``ex_exact`` is
+``z_exact`` (``exact_record`` behind the result cache; the instance picks
+the engine).  This module adds the two reference checks: the exact
+multipartite Turan identity ex_k(n, K_{r+1}) = t_r(k) n^2, and the
+comparison against the lower-bound formula g(n, r, k, t).  The latter never
+asserts equality with g: that is a large-n theorem with an unspecified
+threshold, so only the direction "exact >= achievable construction count"
+is checked at desk scale.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .constructions import (ConstructionParams, ConstructionError,
                             basic_construction, basic_edge_count, g_value,
                             improved_construction, turan_count)
-from .detectors import find_complete_multipartite
-from .graphs import PartitionedGraph
-from .zarankiewicz import (OracleError, Record, ZarKey, check_canonical, exact_record,
-                           z_exact)
+from .detectors import find_complete_multipartite  # noqa: F401 - re-exported
+from .zarankiewicz import ExInstance, Record, ZarKey, z_exact
 
-
-@dataclass(frozen=True)
-class ExInstance:
-    """Canonical instance: part sizes sorted descending, as in ``ZarKey``.
-
-    q >= 2: K_1(t) is any t vertices, so no host with t or more vertices
-    avoids it.
-    """
-
-    part_sizes: tuple[int, ...]
-    q: int
-    t: int
-
-    def __post_init__(self):
-        check_canonical(self.part_sizes, 1, t=self.t)
-        if self.q < 2:
-            raise OracleError("q must be >= 2")
-
-    @classmethod
-    def of(cls, sizes: Sequence[int], q: int, t: int) -> "ExInstance":
-        return cls(tuple(sorted(sizes, reverse=True)), q, t)
-
-    def find_copy(self, g: PartitionedGraph):
-        """A K_q(t) in g, or None."""
-        return find_complete_multipartite(g, self.q, self.t)
-
-
-def ex_exact(inst: ExInstance, budget: "int | Budget | None" = None,
-             cache=None) -> Record:
-    """Exact maximum edges of a K_q(t)-free graph in G(n_1, ..., n_k)
-    (``exact_record``); ``cache`` is consulted and filled as in ``z_exact``."""
-    if cache is not None:
-        hit = cache.get_ex(inst)
-        if hit is not None:
-            return hit
-    rec = exact_record(inst, budget)
-    if cache is not None and rec.status == "exact":
-        cache.put_ex(rec)
-    return rec
+# ex(n_1..n_k; K_q(t)) and z_t^(a) = ex(...; K_2(t)) are one search with one
+# cache front: exact maximum edges of a K_q(t)-free graph in G(n_1, ..., n_k)
+ex_exact = z_exact
 
 
 def verify_turan_identity(n: int, k: int, r: int,

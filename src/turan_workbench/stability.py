@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb, factorial
 from typing import Iterator, Optional, Sequence
 
 from .constructions import (ConstructionError, Piece, TemplateSpec,
@@ -35,6 +36,7 @@ from .detectors import find_biclique
 from .graphs import PartitionedGraph, bits, validate_class_partition
 
 EXHAUSTIVE_K_LIMIT = 6     # enumerate_templates guard: number of clusters
+TEMPLATE_PAIR_LIMIT = 10**6  # closest_template guard: (shape, owner map) pairs
 
 
 @dataclass(frozen=True)
@@ -200,11 +202,18 @@ def closest_template(g: PartitionedGraph, params: AnalysisParams) -> ClosestTemp
     search could never move a vertex, the least bound term is both the
     distance and ``lower_bound``, the gap is 0 on every input, and
     ``heuristic`` (gap > 0) stays false.
+
+    More than TEMPLATE_PAIR_LIMIT (shape, owner map) pairs (``_pair_count``)
+    are refused before any shape is built.
     """
     r, k, n = params.r, len(g.part_sizes), g.part_sizes[0]
     if g.part_sizes != (n,) * k:
         raise ConstructionError(
             f"closest_template needs parts of one size, got {list(g.part_sizes)}")
+    if _pair_count(k, r) > TEMPLATE_PAIR_LIMIT:
+        raise ConstructionError(
+            f"closest_template would try more than {TEMPLATE_PAIR_LIMIT} (shape, "
+            f"owner map) pairs for k={k}, r={r}")
     best = None                    # (distance, class_of, leftover)
     for leftover, groups in _shapes(k, r):
         shape = _Shape(g, groups, leftover, r)
@@ -223,6 +232,26 @@ def closest_template(g: PartitionedGraph, params: AnalysisParams) -> ClosestTemp
         tuple(class_of), dist,
         gamma_close=Fraction(dist) <= params.gamma * n * n,
         heuristic=False, lower_bound=dist)
+
+
+def _pair_count(k: int, r: int) -> int:
+    """How many (shape, owner map) pairs ``closest_template`` tries, counted
+    without enumerating them: the C(k, b) leftover sets, times the
+    groupings of the other k - b clusters into r classes of a = k // r,
+    times the owner maps, the surjections of the r classes onto the b
+    leftover clusters (one empty map when b = 0).
+
+    As b < r, there are at least b! owner maps, so for b! over
+    TEMPLATE_PAIR_LIMIT that lower bound is returned: the exact sum would
+    take b big-number powers of r.
+    """
+    a, b = divmod(k, r)
+    if factorial(b) > TEMPLATE_PAIR_LIMIT:
+        return factorial(b)
+    groupings = factorial(k - b) // (factorial(a) ** r * factorial(r)) if a else 1
+    owner_maps = (sum((-1) ** j * comb(b, j) * (b - j) ** r for j in range(b + 1))
+                  if b else 1)
+    return comb(k, b) * groupings * owner_maps
 
 
 def _allowances(leftover: list[int], r: int) -> Iterator[dict[int, tuple[int, ...]]]:

@@ -25,10 +25,13 @@ per process.  ``kst_upper`` is the same convexity bound solved for the edge
 count (an explicit, checkable form of the Kovari--Sos--Turan inequality),
 taken in both orientations.
 
-z_t^(a) is exactly ex(n_1..n_a; K_2(t)), so z keys and ex instances share
-one record path, ``exact_record``: two parts with q = 2 go to the row engine
-above, every other instance to the shared cross-pair branch and bound, each
-under its own size guard (``check_size``).
+z_t^(a) is exactly ex(n_1..n_a; K_2(t)), so there is one instance type,
+``ExInstance``, and a z key is an instance with q = 2 (``ZarKey.of``).  One
+record path, ``exact_record``, sends two parts with q = 2 to the row engine
+above and every other instance to the shared cross-pair branch and bound,
+each under its own size guard (``check_size``).  One search front,
+``z_exact`` (``extremal.ex_exact`` is the same function), puts the result
+cache in front of it.
 
 Every exact record carries a witness that is re-verified (edge count plus
 detector) before the record is trusted, including on cache load.
@@ -41,16 +44,13 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain, combinations
 from math import comb
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
-from . import search
+from . import detectors, search
 from .detectors import (Budget, BudgetExhausted, as_budget, contains_uniform_pattern,
                         find_biclique)
 from .graphs import PartitionedGraph, bits, check_vertex_count
 from .constructions import cayley_bipartite, largest_sidon_set
-
-if TYPE_CHECKING:
-    from .extremal import ExInstance
 
 PRODUCT_LIMIT = 4096   # row-engine guard: m*n, and the 2^n rows of the smaller side
 PAIR_LIMIT = 64        # pair-engine guard: number of cross pairs
@@ -62,43 +62,58 @@ class OracleError(ValueError):
 
 
 @dataclass(frozen=True)
-class ZarKey:
-    """Canonical cache key: part sizes sorted descending, plus t (q is 2)."""
+class ExInstance:
+    """Canonical instance of ex(n_1, ..., n_k; K_q(t)): part sizes sorted
+    descending, q >= 2 and t >= 1.  q >= 2 because K_1(t) is any t
+    vertices, so no host with t or more vertices avoids it.  The z keys are
+    the instances with q = 2 (``ZarKey.of``).
+    """
 
     part_sizes: tuple[int, ...]
+    q: int
     t: int
-    q = 2
 
     def __post_init__(self):
-        check_canonical(self.part_sizes, 2, t=self.t)
+        sizes = self.part_sizes
+        if not sizes or any(s < 1 for s in sizes):
+            raise OracleError(f"need >= 1 positive part sizes, got {sizes}")
+        if self.t < 1:
+            raise OracleError("t must be >= 1")
+        if tuple(sorted(sizes, reverse=True)) != sizes:
+            raise OracleError("part sizes must be sorted descending (canonical)")
+        if self.q < 2:
+            raise OracleError("q must be >= 2")
 
     @classmethod
-    def of(cls, sizes: Sequence[int], t: int) -> "ZarKey":
-        return cls(tuple(sorted(sizes, reverse=True)), t)
+    def of(cls, sizes: Sequence[int], q: int, t: int) -> "ExInstance":
+        return cls(tuple(sorted(sizes, reverse=True)), q, t)
 
     def find_copy(self, g: PartitionedGraph):
-        """A K_{t,t} in g (a K_2(t) when g has three or more parts), or None."""
-        return find_biclique(g, self.t)
+        """A K_q(t) in g, or None; a K_2(t) is a K_{t,t}."""
+        if self.q == 2:
+            return find_biclique(g, self.t)
+        # looked up on its module, so a wrapper installed there sees the call
+        return detectors.find_complete_multipartite(g, self.q, self.t)
 
 
-def check_canonical(part_sizes: tuple[int, ...], min_parts: int, **params: int) -> None:
-    """Raise unless there are at least ``min_parts`` positive part sizes,
-    every parameter is >= 1 and the sizes are sorted descending."""
-    if len(part_sizes) < min_parts or any(s < 1 for s in part_sizes):
-        raise OracleError(f"need >= {min_parts} positive part sizes, got {part_sizes}")
-    for name, value in params.items():
-        if value < 1:
-            raise OracleError(f"{name} must be >= 1")
-    if tuple(sorted(part_sizes, reverse=True)) != part_sizes:
-        raise OracleError("part sizes must be sorted descending (canonical)")
+class ZarKey:
+    """The z keys: z_t^(a)(n_1, ..., n_a) = ex(n_1, ..., n_a; K_2(t)), so a
+    z key is the ``ExInstance`` with q = 2 on two or more parts."""
+
+    @staticmethod
+    def of(sizes: Sequence[int], t: int) -> ExInstance:
+        sizes = tuple(sorted(sizes, reverse=True))
+        if len(sizes) < 2 or sizes[-1] < 1:
+            raise OracleError(f"need >= 2 positive part sizes, got {sizes}")
+        return ExInstance(sizes, 2, t)
 
 
 @dataclass
 class Record:
-    """A z_t or ex value with its witness; the key, a ``ZarKey`` or an
-    ``ExInstance``, finds copies of the forbidden pattern (``find_copy``)."""
+    """A z_t or ex value with its witness; the key finds copies of the
+    forbidden pattern (``find_copy``)."""
 
-    key: "ZarKey | ExInstance"
+    key: ExInstance
     value: int
     witness: PartitionedGraph
     status: str               # "exact" | "lower_bound_only"
@@ -328,12 +343,12 @@ def _z_bipartite(m: int, n: int, t: int,
 # one record path for z keys and ex instances
 
 
-def _on_rows(key: "ZarKey | ExInstance") -> bool:
+def _on_rows(key: ExInstance) -> bool:
     """Whether the key goes to the row engine: two parts and q = 2."""
     return len(key.part_sizes) == 2 and key.q == 2
 
 
-def check_size(key: "ZarKey | ExInstance") -> None:
+def check_size(key: ExInstance) -> None:
     """Raise unless the key's engine takes it.  The row engine tabulates all
     2^n rows of the smaller side before it consults the budget, so it takes
     m*n and 2^n up to PRODUCT_LIMIT; the pair engine takes PAIR_LIMIT cross
@@ -348,7 +363,7 @@ def check_size(key: "ZarKey | ExInstance") -> None:
             f"instance has {npairs} cross pairs, over the exact-mode guard {PAIR_LIMIT}")
 
 
-def exact_record(key: "ZarKey | ExInstance",
+def exact_record(key: ExInstance,
                  budget: "int | Budget | None" = None) -> Record:
     """The checked record of a search on the key's engine (module docstring).
 
@@ -367,17 +382,18 @@ def exact_record(key: "ZarKey | ExInstance",
     return rec
 
 
-def z_exact(key: ZarKey, budget: "int | Budget | None" = None,
+def z_exact(key: ExInstance, budget: "int | Budget | None" = None,
             cache=None) -> Record:
-    """Exact z for the key (``exact_record``); ``cache`` (a ResultCache) is
-    consulted and, with exact records, filled when given."""
+    """Exact z or ex for the key (``exact_record``): ``extremal.ex_exact`` is
+    this function.  ``cache`` (a ResultCache) is consulted and, with exact
+    records, filled when given."""
     if cache is not None:
-        hit = cache.get_zar(key)
+        hit = cache.get_ex(key)
         if hit is not None:
             return hit
     rec = exact_record(key, budget)
     if cache is not None and rec.status == "exact":
-        cache.put_zar(rec)
+        cache.put_ex(rec)
     return rec
 
 
@@ -478,7 +494,8 @@ def gap_checks(t: int, max_size: int, budget: "int | Budget | None" = None,
     (E1)/(E2) are asymptotic statements and are reported, never asserted.
     The grid holds both orientations of every size pair up to ``max_size``,
     which must be at least 1 and within the size guard; both are checked
-    before any search.
+    before any search.  A grid cell cut short by the budget decides nothing
+    and raises ``BudgetExhausted``.
     """
     if max_size < 1:
         raise OracleError(f"need max_size >= 1, got {max_size}")
@@ -488,7 +505,7 @@ def gap_checks(t: int, max_size: int, budget: "int | Budget | None" = None,
         for m in range(n, max_size + 1):
             rec = z_exact(ZarKey.of((m, n), t), budget=budget, cache=cache)
             if rec.status != "exact":
-                raise OracleError(f"budget exhausted on z_{t}({m},{n})")
+                raise BudgetExhausted(f"the search for z_{t}({m},{n}) was cut short")
             grid[(m, n)] = rec.value
             grid[(n, m)] = rec.value
     # (E3) needs room to attach t-1 edges on the other side, so the hard

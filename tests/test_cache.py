@@ -1,13 +1,16 @@
 """The result cache's per-process index: tied to the file's bytes, checked
 once per distinct line, and fed by other processes' appends."""
 
+import hashlib
 import multiprocessing
 import os
 import random
 import warnings
 
+from turan_workbench import zarankiewicz
 from turan_workbench.cache import ResultCache, _Index
 from turan_workbench.extremal import ExInstance, ex_exact
+from turan_workbench.graphs import canonical_json
 from turan_workbench.zarankiewicz import Record, ZarKey, z_exact
 
 JOIN_TIMEOUT_S = 60
@@ -176,7 +179,7 @@ def test_incremental_index_equals_a_fresh_build():
 
 def test_z_and_ex_with_q_2_share_one_record(tmp_path):
     # z_t is ex(...; K_2(t)): whichever is asked first, the other is a hit on
-    # its line, returned under the key asked for, and the line keeps its tag
+    # its line, and a q = 2 record is written as a zar line
     zar_first = tmp_path / "zar.jsonl"
     rec = z_exact(ZarKey.of((2, 2, 2), 2), cache=ResultCache(zar_first))
     inst = ExInstance((2, 2, 2), 2, 2)
@@ -190,6 +193,40 @@ def test_z_and_ex_with_q_2_share_one_record(tmp_path):
     hit = ResultCache(ex_first).get_zar(key)
     assert (hit.key, hit.value, hit.witness) == (key, 9, rec.witness)
     assert z_exact(key, cache=ResultCache(ex_first)) == hit
-    assert ex_first.read_bytes().count(b"\n") == 1 and b'"type":"ex"' in ex_first.read_bytes()
+    assert ex_first.read_bytes().count(b"\n") == 1 and b'"type":"zar"' in ex_first.read_bytes()
     # another q is another quantity
     assert ResultCache(zar_first).get_ex(ExInstance((2, 2, 2), 3, 2)) is None
+
+
+def test_lines_of_either_tag_answer_both_fronts(tmp_path, monkeypatch):
+    # lines as the cache wrote them before a q = 2 record became a zar line:
+    # a zar line, an ex line with q >= 3 and an ex line with q = 2 (which
+    # `ex exact --q 2` wrote) are hits for both lookups and both fronts
+    def line(tag, inst, value):
+        rec = z_exact(inst)
+        assert rec.value == value
+        doc = {"type": tag, "sizes": list(inst.part_sizes), "t": inst.t,
+               "value": value, "status": "exact",
+               "witness": rec.witness.to_document(),
+               "witness_sha256": hashlib.sha256(
+                   rec.witness.canonical_json().encode()).hexdigest()}
+        if tag == "ex":
+            doc["q"] = inst.q
+        return canonical_json(doc).encode()
+
+    cases = [("zar", ZarKey.of((3, 3), 2), 6), ("ex", ExInstance((1, 1, 1), 3, 1), 2),
+             ("ex", ExInstance((4, 4), 2, 2), 9), ("ex", ExInstance((2, 2, 2), 2, 2), 7)]
+    path = tmp_path / "cache.jsonl"
+    path.write_bytes(b"".join(line(*case) for case in cases))
+    data = path.read_bytes()
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched an instance the cache holds")
+    monkeypatch.setattr(zarankiewicz, "exact_record", no_search)
+    for _, inst, value in cases:
+        store = ResultCache(path)
+        answers = [store.get_zar(inst), store.get_ex(inst),
+                   z_exact(inst, cache=store), ex_exact(inst, cache=store)]
+        assert answers[0].value == value and answers[0].key == inst
+        assert all(answer == answers[0] for answer in answers[1:])
+    assert path.read_bytes() == data     # hits append nothing

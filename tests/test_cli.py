@@ -284,6 +284,38 @@ def test_construct_stack_cli(tmp_path, capsys):
     assert g.part_sizes == (2, 2, 2)
 
 
+def test_construct_stack_writes_nothing_from_a_truncated_search(tmp_path, capsys):
+    # a stack of lower bounds is not the construction: exit 2 and neither the
+    # graph nor its manifest, as for any search cut short by the budget
+    out = tmp_path / "stack.json"
+    manifest = tmp_path / "stack.json.manifest.json"
+    for n in ("3", "4"):
+        code = cli_dispatch(["construct", "stack", "--a", "3", "--n", n, "--t", "2",
+                             "--budget", "3", "--out", str(out), "--json",
+                             "--cache", str(tmp_path / "c.jsonl")])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_BUDGET, ""), n
+        assert "budget exhausted" in captured.err, n
+        assert not out.exists() and not manifest.exists(), n
+    # without a budget the output is the exact stack, byte for byte
+    code, text = run(capsys, "construct", "stack", "--a", "3", "--n", "3", "--t", "2",
+                     "--out", str(out), "--cache", str(tmp_path / "c.jsonl"), "--json")
+    assert code == EXIT_OK and json.loads(text)["edges"] == 14
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "5cee12ccb51fc43773890d523f9d9d59581eae916800765ed9a8d09622610118"
+    params = json.loads(manifest.read_text())["parameters"]
+    assert (params["base_value"], params["pair_value"]) == (13, 1)
+
+
+def test_zar_gaps_exits_2_when_its_budget_runs_out(tmp_path, capsys):
+    # a truncated grid cell is a search cut short, not a usage error
+    code = cli_dispatch(["zar", "gaps", "--t", "2", "--max", "5", "--budget", "10",
+                         "--cache", str(tmp_path / "c.jsonl"), "--json"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_BUDGET, "")
+    assert captured.err.startswith("budget exhausted: ") and "z_2(4,3)" in captured.err
+
+
 def test_zar_and_gaps_cli(tmp_path, capsys):
     code, text = run(capsys, "zar", "exact", "--sizes", "4,4", "--t", "2",
                      "--cache", str(tmp_path / "c.jsonl"), "--json")
@@ -460,6 +492,23 @@ def test_analyze_rejects_nonpositive_t_and_r(tmp_path, capsys):
     code, text = run(capsys, "analyze", "core", str(gpath), "--r", "2",
                      "--spec", str(spath), "--json")
     assert code == EXIT_OK and json.loads(text)["bound"] == str(2 * 8 ** 4)
+
+
+def test_closest_template_refuses_too_many_pairs_before_any_shape(tmp_path, capsys,
+                                                                  monkeypatch):
+    # 30 one-vertex parts at r = 2 are 77,558,760 shapes (about 17 minutes of
+    # search): the guard counts them and exits 3 before it builds one
+    from turan_workbench import stability
+
+    def no_shape(*args):
+        raise AssertionError("built a shape")
+    monkeypatch.setattr(stability, "_Shape", no_shape)
+    path = tmp_path / "g.json"
+    save_graph(PartitionedGraph([1] * 30, []), path)
+    code = cli_dispatch(["analyze", "closest-template", str(path), "--r", "2", "--json"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_USAGE, "")
+    assert "more than 1000000 (shape, owner map) pairs for k=30, r=2" in captured.err
 
 
 def test_ex_rejects_q_below_two_before_searching(tmp_path, capsys, monkeypatch):

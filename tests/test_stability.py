@@ -11,7 +11,7 @@ from turan_workbench.detectors import find_complete_multipartite
 from turan_workbench.graphs import PartitionedGraph
 from turan_workbench.stability import (AnalysisParams, _allowances,
                                        _assignment_distance, _group_partitions,
-                                       _Shape,
+                                       _pair_count, _Shape, _shapes,
                                        classify_atypical,
                                        closest_template, enumerate_templates,
                                        high_degree_core, min_degree_audit,
@@ -61,6 +61,19 @@ def test_closest_template_rejects_ragged_graphs():
     g = PartitionedGraph([4, 4, 3], [(0, 4), (1, 9)])
     with pytest.raises(ConstructionError, match="one size"):
         closest_template(g, AnalysisParams(2, 2))
+
+
+def test_pair_count_equals_the_enumeration():
+    # the closest-template guard counts (shape, owner map) pairs in closed
+    # form; it must count exactly what closest_template would walk
+    for k in range(1, 10):
+        for r in range(1, k + 1):
+            walked = sum(sum(1 for _ in _allowances(list(leftover), r))
+                         for leftover, _ in _shapes(k, r))
+            assert _pair_count(k, r) == walked, (k, r)
+    # the counts the guard refuses, without big-number work when r is large
+    assert _pair_count(30, 2) == 77_558_760 and _pair_count(11, 6) == 831_600
+    assert _pair_count(10**4, 10**4 + 1) > 10**6
 
 
 def test_enumerate_guard():

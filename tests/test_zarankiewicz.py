@@ -5,15 +5,16 @@ import pytest
 
 from naive_oracles import naive_z
 from turan_workbench.detectors import find_biclique
-from turan_workbench.zarankiewicz import (OracleError, ZarKey, gap_checks,
-                                          kst_upper, stack_e1_construction,
-                                          z_exact, z_lower_construction)
+from turan_workbench.zarankiewicz import (ExInstance, OracleError, ZarKey,
+                                          gap_checks, kst_upper,
+                                          stack_e1_construction, z_exact,
+                                          z_lower_construction)
 
 
 def test_zarkey_canonical():
     assert ZarKey.of((3, 5), 2).part_sizes == (5, 3)
     with pytest.raises(OracleError):
-        ZarKey((3, 5), 2)
+        ExInstance((3, 5), 2, 2)
     with pytest.raises(OracleError):
         ZarKey.of((3,), 2)
 
