@@ -246,8 +246,8 @@ def _pair_count(k: int, r: int) -> int:
     take b big-number powers of r.
     """
     a, b = divmod(k, r)
-    if factorial(b) > TEMPLATE_PAIR_LIMIT:
-        return factorial(b)
+    if (least := factorial(b)) > TEMPLATE_PAIR_LIMIT:
+        return least
     groupings = factorial(k - b) // (factorial(a) ** r * factorial(r)) if a else 1
     owner_maps = (sum((-1) ** j * comb(b, j) * (b - j) ** r for j in range(b + 1))
                   if b else 1)

@@ -1,14 +1,13 @@
 """The result cache's per-process index: tied to the file's bytes, checked
 once per distinct line, and fed by other processes' appends."""
 
-import hashlib
 import multiprocessing
 import os
 import random
 import warnings
 
 from turan_workbench import zarankiewicz
-from turan_workbench.cache import ResultCache, _Index
+from turan_workbench.cache import ResultCache, _Index, witness_hash
 from turan_workbench.extremal import ExInstance, ex_exact
 from turan_workbench.graphs import canonical_json
 from turan_workbench.zarankiewicz import Record, ZarKey, z_exact
@@ -208,8 +207,7 @@ def test_lines_of_either_tag_answer_both_fronts(tmp_path, monkeypatch):
         doc = {"type": tag, "sizes": list(inst.part_sizes), "t": inst.t,
                "value": value, "status": "exact",
                "witness": rec.witness.to_document(),
-               "witness_sha256": hashlib.sha256(
-                   rec.witness.canonical_json().encode()).hexdigest()}
+               "witness_sha256": witness_hash(rec.witness)}
         if tag == "ex":
             doc["q"] = inst.q
         return canonical_json(doc).encode()
