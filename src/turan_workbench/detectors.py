@@ -42,9 +42,8 @@ bound and two checks in its candidate loop:
   components, or into several cross-part non-adjacency blobs, the regions
   are its components, each split into its blobs when that lowers the bound,
   and each region gets a supply -- an upper bound on how many vertices
-  any valid set can take from it, computed by a cheap structural ladder
-  (for t = 2: no P3, no C4, a minimum-degree-3 core of fewer than five
-  vertices, each one popcount test, then the degree bound; see
+  any valid set can take from it, the same ladder for every t: exact on a
+  region that meets two host parts, a k-core bound on any other (see
   ``_supply_uncached``), never above the per-part bound, and memoized.
   Every node bounds each region by the supply of what is still available
   there.  Regions are enumerated scarcest supply first, each in ascending
@@ -62,10 +61,9 @@ It is enumerated in ascending order, and the neighbourhood cores prune it.
 The blow-up constructions split into many regions, and their supplies prove
 freeness at or near the root.
 
-The DFS returns the components of the first set that packs, and only
-``run`` packs them into witness classes.  With classes of t <= 2 vertices
-packing cannot fail (see :class:`PackingContext`), so there the DFS leaf
-does not pack.  The engine's per-graph state (complement rows, part lookup,
+Each DFS leaf packs the components of its set into q classes of t, and
+the DFS returns the first packing found; ``run`` sorts it into the
+witness classes.  The engine's per-graph state (complement rows, part lookup,
 regions) lives in a :class:`PackingContext`; ``find_complete_multipartite``
 builds one per graph and runs its DFS, unless the graph has fewer than qt
 vertices, when it answers None with no context and no node.
@@ -269,14 +267,6 @@ class PackingContext:
     any host, but there the region supplies already decide at or near the
     root.  On the 18 n = 32 constructions it cut no node and doubled their
     DFS time.
-
-    The DFS leaf packs its components only when packing can fail
-    (``pack_can_fail``).  Packing lemma: q classes of t <= 2 vertices take
-    any components of at most t vertices that sum to qt.  For t = 1 every
-    component is a single vertex.  For t = 2, a components are pairs and b
-    single vertices with 2a + b = 2q: the pairs fill a classes and the
-    b = 2(q - a) single vertices pair up into the other q - a.  With t = 3
-    three pairs do not fit two classes of 3.
     """
 
     def __init__(self, g: PartitionedGraph, q: int, t: int,
@@ -284,8 +274,6 @@ class PackingContext:
         self.rows = rows = g.rows()
         self.universe = universe = g.universe_mask
         self.q, self.t, self.total = q, t, q * t
-        # packing can fail only for t >= 3 (class docstring)
-        self.pack_can_fail = t > 2
         part_masks = [g.part_mask(i) for i in range(len(g.part_sizes))]
         self.budget = as_budget(budget)
         self.H = [universe & ~(row | 1 << v) for v, row in enumerate(rows)]
@@ -398,31 +386,34 @@ class PackingContext:
         return val
 
     def _supply_uncached(self, mask: int) -> int:
-        """The supply ladder.  A vertex of a valid set S' has at least
-        |S'| - t neighbours in S'.  For t = 2 three popcount tests on the
-        graph inside the mask come first: no vertex of two neighbours gives
-        2 (a valid triple holds a P3); no pair of two common neighbours
-        gives 3 (a valid 4-set is K_4 minus a matching, so it holds a C4);
-        a minimum-degree-3 core (Seidman 1983) of fewer than 5 vertices
-        gives 4 (a valid set of 5 or more has minimum degree 3, so it lies
-        in the core).  Every t then ends in the degree bound min(size, max
-        degree + t), for t = 2 on that core (of at least 5 vertices, each of
-        degree at least 3, so the bound is at least 5) and otherwise on the
-        mask.
+        """The supply ladder.  A mask that meets exactly two host parts X
+        and Y gets the exact value: each part is independent, so a valid
+        set there is at most t vertices, or a K_{a,b} between X and Y with
+        a, b <= t, and the supply is the largest such a + b (t if there is
+        none).  Every other mask gets the core ladder: a vertex of a valid
+        set S' has at least |S'| - t neighbours in S', so S' lies in the
+        (|S'| - t)-core of the mask (Seidman 1983), whose vertices all have
+        degree at least |S'| - t.  It starts at the largest s such that s
+        vertices of the mask have degree at least s - t, and lowers s while
+        the (s - t)-core keeps fewer than s vertices; that core only grows
+        as s falls.
         """
         rows = self.rows
         t = self.t
-        if t == 2:
-            nbrs = [rows[v] & mask for v in bits(mask)]
-            if all(nb.bit_count() < 2 for nb in nbrs):
-                return 2
-            if not any((a & b).bit_count() > 1
-                       for i, a in enumerate(nbrs) for b in nbrs[i + 1:]):
-                return 3
-            mask = self._core(mask, 3)
-            if mask.bit_count() < 5:
-                return 4
-        return min(mask.bit_count(), max((rows[v] & mask).bit_count() for v in bits(mask)) + t)
+        x = mask & self.part_mask_of[(mask & -mask).bit_length() - 1]
+        y = mask ^ x
+        if y and not y & ~self.part_mask_of[(y & -y).bit_length() - 1]:
+            # the probe's class filler finds a K_{a,b}, spending nothing
+            for s in range(self._part_cap(mask), t, -1):
+                for a in range(max(1, s - t), min(t, s - 1) + 1):
+                    if _fill(rows, x, y, a, 1, s - a, lambda: None):
+                        return s
+            return t
+        degrees = sorted(((rows[v] & mask).bit_count() for v in bits(mask)), reverse=True)
+        s = sum(d >= i - t for i, d in enumerate(degrees, 1))
+        while self._core(mask, s - t).bit_count() < s:
+            s -= 1
+        return s
 
     # -- packing ------------------------------------------------------------
 
@@ -457,11 +448,11 @@ class PackingContext:
     def run(self) -> Optional[tuple[tuple[int, ...], ...]]:
         """Least copy of the pattern (its classes, sorted), or None; the DFS
         spends one unit of the context's budget per node."""
-        comps = self._dfs([], 0, 0, 0, [], 0, 0, self.root_pool())
-        if comps is None:
+        bins = self._dfs([], 0, 0, 0, [], 0, 0, self.root_pool())
+        if bins is None:
             return None
         classes = []
-        for group in self._pack(comps):
+        for group in bins:
             members: list[int] = []
             for cm in group:
                 members.extend(bits(cm))
@@ -525,13 +516,11 @@ class PackingContext:
 
     def _dfs(self, chosen: list[int], smask: int, r0: int, lo: int,
              comps: list[tuple[int, int]], blocked: int, seen1: int, pool: int
-             ) -> Optional[list[tuple[int, int]]]:
+             ) -> Optional[list[list[int]]]:
         self.budget.spend()
         total = self.total
         if len(chosen) == total:
-            if self.pack_can_fail and self._pack(comps) is None:
-                return None
-            return comps
+            return self._pack(comps)
         t = self.t
         regions = self.regions
         # avail: the chosen vertices plus the candidates (region r0 from
@@ -546,9 +535,10 @@ class PackingContext:
             return None
         above = avail ^ smask
         # Two complementary decompositions bound |S'|, each counting a
-        # region's vertices by ``region_bound`` of them.  Every rung of the
-        # ladder, the core and the part cap shrink with the mask, so that
-        # bound is never above the region's own supply.
+        # region's vertices by ``region_bound`` of them.  The supply (exact
+        # on two parts, the degree bound and the cores elsewhere) and the
+        # part cap never grow as the mask shrinks, so that bound is never
+        # above the region's own supply.
         #  A. per region: everything available there;
         #  B. candidates with a non-edge into S merge into chosen components,
         #     so collectively they fit those components' leftover capacity,

@@ -494,20 +494,25 @@ def gap_checks(t: int, max_size: int, budget: "int | Budget | None" = None,
     (E1)/(E2) are asymptotic statements and are reported, never asserted.
     The grid holds both orientations of every size pair up to ``max_size``,
     which must be at least 1 and within the size guard; both are checked
-    before any search.  A grid cell cut short by the budget decides nothing
-    and raises ``BudgetExhausted``.
+    before any search.  A search cut short by the budget, for a grid cell or
+    an (E1) row, decides nothing and raises ``BudgetExhausted``, so every
+    row the report tabulates is exact.
     """
     if max_size < 1:
         raise OracleError(f"need max_size >= 1, got {max_size}")
     check_size(ZarKey.of((max_size, max_size), t))   # the grid's largest key
+
+    def exact_value(sizes: tuple[int, ...]) -> int:
+        rec = z_exact(ZarKey.of(sizes, t), budget=budget, cache=cache)
+        if rec.status != "exact":
+            raise BudgetExhausted(
+                f"the search for z_{t}({','.join(map(str, sizes))}) was cut short")
+        return rec.value
+
     grid: dict[tuple[int, int], int] = {}
     for n in range(1, max_size + 1):
         for m in range(n, max_size + 1):
-            rec = z_exact(ZarKey.of((m, n), t), budget=budget, cache=cache)
-            if rec.status != "exact":
-                raise BudgetExhausted(f"the search for z_{t}({m},{n}) was cut short")
-            grid[(m, n)] = rec.value
-            grid[(n, m)] = rec.value
+            grid[(m, n)] = grid[(n, m)] = exact_value((m, n))
     # (E3) needs room to attach t-1 edges on the other side, so the hard
     # assertion covers n >= t-1; smaller columns are reported, not asserted
     e3_failures = []
@@ -521,13 +526,10 @@ def gap_checks(t: int, max_size: int, budget: "int | Budget | None" = None,
                 e3_failures.append((m, n))
     e1_rows = []
     for n in E1_SIZES:
-        tri = z_exact(ZarKey.of((n, n, n), t), budget=budget, cache=cache)
-        bi = grid.get((n, n))
-        if bi is None:
-            bi = z_exact(ZarKey.of((n, n), t), budget=budget, cache=cache).value
-        e1_rows.append({"n": n, "z_a2": bi, "z_a3": tri.value,
-                        "difference": tri.value - bi,
-                        "exact": tri.status == "exact"})
+        tri = exact_value((n, n, n))
+        bi = grid[(n, n)] if (n, n) in grid else exact_value((n, n))
+        e1_rows.append({"n": n, "z_a2": bi, "z_a3": tri,
+                        "difference": tri - bi, "exact": True})
     e2_rows = []
     for n in range(2, max_size + 1):
         for m in range(1, n):

@@ -316,6 +316,16 @@ def test_zar_gaps_exits_2_when_its_budget_runs_out(tmp_path, capsys):
     assert captured.err.startswith("budget exhausted: ") and "z_2(4,3)" in captured.err
 
 
+def test_zar_gaps_exits_2_when_an_e1_search_is_cut_short(tmp_path, capsys):
+    # the one-cell grid is exact within the budget, the (E1) search for
+    # z_2(2,2,2) is not: the command exits 2 and prints no row
+    code = cli_dispatch(["zar", "gaps", "--t", "2", "--max", "1", "--budget", "1",
+                         "--cache", str(tmp_path / "c.jsonl"), "--json"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_BUDGET, "")
+    assert captured.err.startswith("budget exhausted: ") and "z_2(2,2,2)" in captured.err
+
+
 def test_zar_and_gaps_cli(tmp_path, capsys):
     code, text = run(capsys, "zar", "exact", "--sizes", "4,4", "--t", "2",
                      "--cache", str(tmp_path / "c.jsonl"), "--json")

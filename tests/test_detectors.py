@@ -1,6 +1,5 @@
 import hashlib
 import random
-from itertools import combinations
 from math import comb, factorial
 
 import pytest
@@ -8,8 +7,8 @@ import pytest
 from naive_oracles import (naive_contains_biclique, naive_contains_kqt,
                            naive_contains_kqt_through, naive_contains_star,
                            naive_kqt_holds_vertex, naive_lex_least_kqt)
-from turan_workbench.constructions import (ConstructionParams, basic_construction,
-                                           improved_construction)
+from turan_workbench.constructions import (ConstructionError, ConstructionParams,
+                                           basic_construction, improved_construction)
 from turan_workbench.detectors import (Budget, BudgetExhausted, ForbiddenPattern,
                                        PackingContext, Witness,
                                        contains_uniform_pattern, find_biclique,
@@ -365,12 +364,10 @@ def _size_multisets(total, largest):
 
 def test_packing_lemma_for_uniform_classes_up_to_two():
     # with q classes of t <= 2 vertices, components of at most t vertices
-    # that sum to qt always pack, so the DFS leaf skips the packing search;
-    # with t = 3 packing can fail and the leaf packs
+    # that sum to qt always pack; with t = 3 packing can fail
     for q in range(1, 7):
         for t in (1, 2):
             ctx = PackingContext(PartitionedGraph([q * t]), q, t)
-            assert not ctx.pack_can_fail
             for sizes in _size_multisets(q * t, t):
                 bins = ctx._pack([(1 << i, sz) for i, sz in enumerate(sizes)])
                 assert bins is not None, (q, t, sizes)
@@ -378,7 +375,6 @@ def test_packing_lemma_for_uniform_classes_up_to_two():
     fails = set()
     for q in range(2, 5):
         ctx = PackingContext(PartitionedGraph([3 * q]), q, 3)
-        assert ctx.pack_can_fail
         fails.update((q, sizes) for sizes in _size_multisets(3 * q, 3)
                      if ctx._pack([(1 << i, sz) for i, sz in enumerate(sizes)]) is None)
     assert (2, (2, 2, 2)) in fails
@@ -528,11 +524,10 @@ def test_construction_node_counts_pinned():
 
 
 def test_region_supplies_pinned():
-    # the regions and supplies of the 18 n=32 constructions (their t = 2
-    # ladders end at 2, at 3 and in the degree tail) and of 80 seeded dense
-    # hosts whose complement splits (t in {1, 2, 3}, every rung of the
-    # ladder), the split panel pinned from the ladder that ends in the
-    # degree bound, with no exact supply search under it
+    # the regions and supplies of the 18 n=32 constructions (two-part
+    # regions and regions of three or more parts) and of 80 seeded dense
+    # hosts whose complement splits (t in {1, 2, 3}), the split panel pinned
+    # from the ladder of an exact two-part rung and the core ladder
     class1 = z_lower_construction(32, 2).witness
     constructions = []
     for r in (2, 3, 4):
@@ -549,54 +544,69 @@ def test_region_supplies_pinned():
         if ctx.split:
             split.append((ctx.regions, ctx.region_supply))
     assert hashlib.sha256(repr(constructions).encode()).hexdigest()[:16] == "a89e24f0fb31bdb6"
-    assert hashlib.sha256(repr(split).encode()).hexdigest()[:16] == "06867773e8a28ac9"
+    assert hashlib.sha256(repr(split).encode()).hexdigest()[:16] == "e67b2dd4fc49ae06"
 
 
-def test_t2_supply_ladder_against_naive():
-    # on seeded masks the ladder never undercuts the largest valid subset,
-    # and its first two tests decide exactly the P3-free and the C4-free
-    # masks, both predicates checked vertex by vertex
+def test_supply_ladder_against_naive():
+    # on seeded masks the supply equals the largest valid subset when the
+    # mask meets exactly two host parts (the exact two-part rung), and is
+    # at least that on every other mask (the core ladder), for t in {1, 2, 3}
     rng = random.Random(37)
-    rungs = {2: 0, 3: 0, 4: 0, "tail": 0}
-    for _ in range(240):
-        n = rng.randint(4, 10)
-        p = rng.choice([0.15, 0.3, 0.5, 0.7, 0.9])
+    seen = {"two": 0, "more": 0}
+    for _ in range(160):
+        sizes = [rng.randint(1, 5) for _ in range(rng.randint(2, 5))]
+        g = random_partite(rng, sizes, rng.choice([0.3, 0.5, 0.7, 0.9]))
+        parts = [g.part_mask(i) for i in range(len(sizes))]
         if rng.random() < 0.5:
-            g = random_graph(rng, n, p)
+            mask = sum(rng.sample(parts, 2))
         else:
-            g = random_partite(rng, [rng.randint(1, 3) for _ in range(n // 2)], p)
-        verts = [v for v in range(g.num_vertices) if rng.random() < 0.8]
-        if len(verts) < 3:
-            continue
-        mask = sum(1 << v for v in verts)
-
-        def adj(a, b):
-            return g.neighbors(a) >> b & 1
-
-        p3 = any(adj(a, b) and adj(b, c) for b in verts
-                 for a, c in combinations([v for v in verts if v != b], 2))
-        c4 = any(adj(a, b) and adj(b, c) and adj(c, d) and adj(d, a)
-                 for w in combinations(verts, 4)
-                 for a, b, c, d in (w, (w[0], w[2], w[1], w[3]), (w[0], w[1], w[3], w[2])))
-        ctx = PackingContext(g, 2, 2)
-        got = ctx._supply_uncached(mask)
-        if not p3:
-            assert got == 2
-        elif not c4:
-            assert got == 3
-        else:
-            assert got >= 4
-        assert ctx._supply(mask) >= max_valid_subset(g, mask, 2)
-        rungs[got if got <= 4 else "tail"] += 1
-    assert min(rungs.values()) >= 20, rungs
-    # the core can miss every valid 4-set, so the tail on the core must not
-    # undercut 4: a Petersen graph (minimum degree 3, no C4) beside a C4,
-    # whose vertices the peeling drops
+            mask = g.universe_mask
+        mask &= sum(1 << v for v in range(g.num_vertices) if rng.random() < 0.85)
+        while mask.bit_count() > 11:
+            mask &= mask - 1
+        met = sum(1 for pm in parts if pm & mask)
+        for t in (1, 2, 3):
+            if mask.bit_count() <= t:
+                continue
+            got = PackingContext(g, 2, t)._supply(mask)
+            best = max_valid_subset(g, mask, t)
+            if met == 2:
+                assert got == best, (sizes, mask, t)
+                seen["two"] += 1
+            else:
+                assert got >= best, (sizes, mask, t)
+                seen["more"] += met > 2
+    assert min(seen.values()) >= 100, seen
+    # each s is tested on its own (s - t)-core: a Petersen graph (minimum
+    # degree 3, no C4) beside a C4, whose vertices the 3-core drops, must
+    # not undercut the C4's valid 4-set
     petersen = ([(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
                 + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
     g = PartitionedGraph([1] * 14, petersen + [(10, 11), (11, 12), (12, 13), (10, 13)])
     assert max_valid_subset(g, g.universe_mask, 2) == 4
     assert PackingContext(g, 2, 2)._supply_uncached(g.universe_mask) >= 4
+
+
+def test_t3_constructions_are_decided_at_the_root():
+    # the 15 paper constructions with t = 3 at n = 32 that build (basic and
+    # improved, r <= 4): the region supplies sum below qt, so each is
+    # K_{r+1}(3)-free in one node
+    class1 = z_lower_construction(32, 3).witness
+    built = 0
+    for r in (2, 3, 4):
+        for k in range(r + 1, 2 * r + 1):
+            for build in (basic_construction, improved_construction):
+                try:
+                    g = build(ConstructionParams(32, r, k, 3), class1)
+                except ConstructionError:
+                    continue    # the overlay needs n >= 8t^2 = 72
+                ctx = PackingContext(g, r + 1, 3)
+                assert ctx.split and sum(ctx.region_supply) < (r + 1) * 3
+                budget = Budget(None)
+                assert find_complete_multipartite(g, r + 1, 3, budget=budget) is None
+                assert budget.used == 1
+                built += 1
+    assert built == 15
 
 
 def test_pattern_larger_than_the_host_spends_nothing():
