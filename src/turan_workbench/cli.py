@@ -34,6 +34,9 @@ EXIT_USAGE = 3
 
 
 class _Parser(argparse.ArgumentParser):
+    # on the top-level parser: each command's own parser, by name
+    commands: "dict[str, _Parser]"
+
     def error(self, message):   # usage errors exit with code 3
         self.print_usage(sys.stderr)
         raise SystemExit(EXIT_USAGE)
@@ -310,6 +313,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def build_parser() -> _Parser:
     top = _Parser(prog="turanwb", description=__doc__)
     sub = top.add_subparsers(dest="cmd", required=True)
+    top.commands = sub.choices
 
     p = sub.add_parser("formulas")
     fsub = p.add_subparsers(dest="formula", required=True)
@@ -385,9 +389,25 @@ def _shared_parser() -> _Parser:
     return build_parser()
 
 
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """The command line parsed as the top-level parser parses it.  A known
+    command is parsed by its own parser, which is all the top-level parser
+    would run on it; argv naming no known command, or leaving arguments
+    over, goes through the top-level parser, so help, usage errors and
+    their exit codes are the same either way."""
+    top = _shared_parser()
+    command = top.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extra = command.parse_known_args(argv[1:])
+        if not extra:
+            args.cmd = argv[0]
+            return args
+    return top.parse_args(argv)
+
+
 def cli_dispatch(argv: Sequence[str]) -> int:
     try:
-        args = _shared_parser().parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

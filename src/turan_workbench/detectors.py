@@ -91,6 +91,9 @@ from typing import Optional, Sequence
 from .graphs import PartitionedGraph, bits, set_bits
 
 DEFAULT_BUDGET = 10**8
+# PackingContext._core walks masks of at most this many vertices lowest bit
+# first; on more, the byte table of ``set_bits`` is faster
+_WALK_BITS = 16
 
 
 class BudgetExhausted(RuntimeError):
@@ -344,21 +347,40 @@ class PackingContext:
             rest &= ~comp
         return comps
 
-    def _core(self, mask: int, k: int) -> int:
+    def _core(self, mask: int, k: int, need: int = 0) -> int:
         """The k-core of the graph inside ``mask``: the vertices left once
         every vertex with fewer than k neighbours among those left is
         peeled, to a fixpoint (Seidman 1983).  It is the largest subset of
         the mask with minimum degree k, so the order of peeling does not
-        matter."""
+        matter.  Peeling stops once fewer than ``need`` vertices are left:
+        the result has at least ``need`` vertices exactly when the core
+        does, and is then the core, so a caller passing ``need`` may only
+        compare the result's size with it."""
         rows = self.rows
-        while True:
+        size = mask.bit_count()
+        while size >= need:
             keep = mask
-            for v in set_bits(mask):
-                if (rows[v] & keep).bit_count() < k:
-                    keep ^= 1 << v
+            if size <= _WALK_BITS:
+                rest = mask
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    if (rows[low.bit_length() - 1] & keep).bit_count() < k:
+                        keep ^= low
+                        size -= 1
+                        if size < need:
+                            return keep
+            else:
+                for v in set_bits(mask):
+                    if (rows[v] & keep).bit_count() < k:
+                        keep ^= 1 << v
+                        size -= 1
+                        if size < need:
+                            return keep
             if keep == mask:
                 return mask
             mask = keep
+        return mask
 
     # -- supply bounds ------------------------------------------------------
 
@@ -411,7 +433,7 @@ class PackingContext:
             return t
         degrees = sorted(((rows[v] & mask).bit_count() for v in bits(mask)), reverse=True)
         s = sum(d >= i - t for i, d in enumerate(degrees, 1))
-        while self._core(mask, s - t).bit_count() < s:
+        while self._core(mask, s - t, s).bit_count() < s:
             s -= 1
         return s
 
@@ -511,8 +533,8 @@ class PackingContext:
         copy through x leaves a K_{q-1}(t) in N(x) & avail once x's class is
         taken out, so the (q - 2) t-core there keeps at least (q - 1) t
         vertices."""
-        return self._core(self.rows[x] & avail, self.total - 2 * self.t).bit_count() \
-            >= self.total - self.t
+        need = self.total - self.t
+        return self._core(self.rows[x] & avail, need - self.t, need).bit_count() >= need
 
     def _dfs(self, chosen: list[int], smask: int, r0: int, lo: int,
              comps: list[tuple[int, int]], blocked: int, seen1: int, pool: int
@@ -528,7 +550,7 @@ class PackingContext:
         # the blocked ones)
         avail = (((regions[r0] & -(1 << lo)) | self.later[r0]) & pool & ~blocked) | smask
         # degree filter: a copy vertex has (q - 1) t neighbours in the copy
-        avail = self._core(avail, total - t)
+        avail = self._core(avail, total - t, total)
         if avail.bit_count() < total or smask & ~avail:
             return None
         if self.nbhd_core and chosen and not self._nbhd_ok(chosen[-1], avail):

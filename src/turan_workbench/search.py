@@ -53,6 +53,16 @@ best`` does, so no branch is cut before the first optimum is found, and
 the witness is that first optimum (later graphs replace it only when
 strictly larger).
 
+The tree is walked with an explicit stack, one entry per level (the pair
+index), not one Python frame per node.  Its depth is the pair count, 48 on
+(4,4,4), 60 on six parts of 2, so a recursion would come close to the
+interpreter's recursion limit on larger hosts.  It would also push and pop
+a frame at every node, and the recursive walk spent as much as half its
+time in the kernel, page-faulting, depending on how deep the caller's
+stack was when it started (most likely CPython 3.11 freeing and mapping a
+data-stack chunk each time the recursion swings across a chunk boundary).
+The loop keeps a fixed stack depth whatever the caller.
+
 ``zarankiewicz.exact_record`` sends every z key and ex instance here except
 those with two parts and q = 2, which go to the bipartite row engine
 (z_t^{(a)} is exactly ex(n_1..n_a; K_2(t))).
@@ -190,47 +200,77 @@ def maximize_free(part_sizes: Sequence[int], q: int, t: int,
     tied = [x > 0 and host.part_of[x - 1] == host.part_of[x]
             for x in range(host.num_vertices)]
 
-    def rec(idx: int, cur: int) -> None:
-        nonlocal best, best_rows
-        if best >= cap:     # the incumbent meets the cap: no branch can beat it
-            return
-        bud.spend()
-        if cur > best:
-            best = cur
-            best_rows = list(rows)
-        if idx == total:
-            return
-        u, v, b = pairs[idx]
-        headroom = min(block_end[b] - idx, block_cap[b] - used_block[b]) + later_room[b]
-        if min(cur + headroom, cap) <= best:
-            return
-        # tie_u: u is tied and its predecessor has the edge (u - 1, v); a tied
-        # vertex may take the pair only then (likewise v with (u, v - 1))
-        tie_u = tied[u] and rows[u - 1] >> v & 1
-        tie_v = tied[v] and rows[v - 1] >> u & 1
-        if (used_block[b] < block_cap[b] and (tie_u or not tied[u])
-                and (tie_v or not tied[v])):
-            if not pattern_fits or not contains_uniform_pattern(rows, u, v, q, t, bud):
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-                used_block[b] += 1
-                rec(idx + 1, cur + 1)
-                used_block[b] -= 1
-                rows[u] &= ~(1 << v)
-                rows[v] &= ~(1 << u)
-        # excluding the pair ends a tie whose predecessor has the edge
-        if tie_u:
-            tied[u] = False
-        if tie_v:
-            tied[v] = False
-        rec(idx + 1, cur)
-        if tie_u:
-            tied[u] = True
-        if tie_v:
-            tied[v] = True
-
+    # the tree is walked with one entry per level (the pair index) instead
+    # of one Python frame per node (see the module docstring): included[i]
+    # says whether the child being searched below level i is its include
+    # child, ended[i] the ties that level's exclude child ends (bit 0: u's,
+    # bit 1: v's)
+    included = [False] * total
+    ended = [0] * total
+    idx = cur = 0
     try:
-        rec(0, 0)
+        while True:
+            # enter the node (idx, cur)
+            if best >= cap:     # the incumbent meets the cap: no branch can beat it
+                break
+            bud.spend()
+            if cur > best:
+                best = cur
+                best_rows = list(rows)
+            if idx < total:
+                u, v, b = pairs[idx]
+                headroom = (min(block_end[b] - idx, block_cap[b] - used_block[b])
+                            + later_room[b])
+                if min(cur + headroom, cap) > best:
+                    # tie_u: u is tied and its predecessor has the edge
+                    # (u - 1, v); a tied vertex may take the pair only then
+                    # (likewise v with (u, v - 1))
+                    tie_u = tied[u] and rows[u - 1] >> v & 1
+                    tie_v = tied[v] and rows[v - 1] >> u & 1
+                    ended[idx] = (1 if tie_u else 0) | (2 if tie_v else 0)
+                    if (used_block[b] < block_cap[b] and (tie_u or not tied[u])
+                            and (tie_v or not tied[v])
+                            and (not pattern_fits
+                                 or not contains_uniform_pattern(rows, u, v, q, t, bud))):
+                        rows[u] |= 1 << v
+                        rows[v] |= 1 << u
+                        used_block[b] += 1
+                        included[idx] = True
+                        idx += 1
+                        cur += 1
+                        continue
+                    # excluding the pair ends a tie whose predecessor has the edge
+                    if tie_u:
+                        tied[u] = False
+                    if tie_v:
+                        tied[v] = False
+                    included[idx] = False
+                    idx += 1
+                    continue
+            # the node is done: return to the nearest level with a child left;
+            # the levels passed on the way searched their exclude child, so
+            # the node has one edge more than that level
+            while idx > 0:
+                idx -= 1
+                u, v, b = pairs[idx]
+                if included[idx]:
+                    used_block[b] -= 1
+                    rows[u] &= ~(1 << v)
+                    rows[v] &= ~(1 << u)
+                    if ended[idx] & 1:
+                        tied[u] = False
+                    if ended[idx] & 2:
+                        tied[v] = False
+                    included[idx] = False
+                    cur -= 1
+                    idx += 1
+                    break
+                if ended[idx] & 1:
+                    tied[u] = True
+                if ended[idx] & 2:
+                    tied[v] = True
+            else:
+                break
     except BudgetExhausted:
         exact = False
 

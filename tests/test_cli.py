@@ -1,13 +1,15 @@
 import hashlib
+import io
 import json
 import random
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
 from turan_workbench.cache import ResultCache
-from turan_workbench.cli import (EXIT_BUDGET, EXIT_FOUND, EXIT_OK, EXIT_USAGE,
-                                 cli_dispatch, load_graph, save_graph)
+from turan_workbench.cli import (EXIT_BUDGET, EXIT_FOUND, EXIT_OK, EXIT_USAGE, _parse,
+                                 build_parser, cli_dispatch, load_graph, save_graph)
 from turan_workbench.graphs import PartitionedGraph, canonical_json
 from turan_workbench.zarankiewicz import ZarKey, kst_upper, z_exact
 
@@ -34,6 +36,47 @@ def test_usage_error_exit_code(capsys):
     # past the exact-mode guard on the bipartite row count
     assert cli_dispatch(["zar", "exact", "--sizes", "64,64", "--t", "2",
                          "--budget", "1"]) == EXIT_USAGE
+
+
+def _parsed(parse, argv):
+    """The namespace ``parse`` makes of argv, or its exit code, with what it
+    printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def test_commands_parse_as_the_top_level_parser_parses_them(tmp_path, capsys):
+    # cli_dispatch parses a known command with that command's own parser;
+    # every namespace, help text and usage error must be the top-level
+    # parser's, bytes and exit code alike
+    g = str(tmp_path / "g.json")
+    save_graph(PartitionedGraph([2, 2], [(0, 2)]), g)
+    zar = ["zar", "exact", "--sizes", "2,2", "--t", "2", "--json"]
+    free = ["check-free", g, "--pattern", "kqt", "--q", "2", "--t", "1"]
+    cases = [[], ["--help"], ["-h", "zar"], ["nonsense"], ["--json"], ["zar"],
+             ["zar", "bogus", "--t", "2"], zar, zar + ["extra"], zar + ["--", "x"],
+             zar + ["--bogus"], zar + ["--budget", "-1"], ["zar", "exact", "--siz", "2,2"],
+             ["check-free", "--help"], free, free + ["stray"], free[:2] + free[1:],
+             ["formulas"], ["formulas", "turan", "-h"], ["formulas", "turan", "--r", "3"],
+             ["formulas", "turan", "--r", "3", "--k", "5"],
+             ["formulas", "turan", "--r", "3", "--k", "5", "extra"],
+             ["ex", "turan", "--n", "1", "--k", "3", "--r", "2", "x", "y"]]
+    for argv in cases:
+        assert _parsed(_parse, argv) == _parsed(build_parser().parse_args, argv), argv
+    # a stray argument is the top-level parser's usage error
+    assert cli_dispatch(free + ["stray"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: turanwb [-h]")
+    for argv, code in (([], EXIT_USAGE), (["nonsense"], EXIT_USAGE), (["--help"], EXIT_OK),
+                       (["check-free", "--help"], EXIT_OK)):
+        assert cli_dispatch(argv) == code, argv
+        captured = capsys.readouterr()
+        assert captured.out + captured.err == "".join(_parsed(_parse, argv)[1:]), argv
 
 
 def test_missing_option_is_a_usage_error(tmp_path, capsys):

@@ -248,7 +248,9 @@ def test_root_pool_keeps_every_copy_on_one_region_hosts():
 def test_core_matches_brute_force():
     # _core(mask, k) is the k-core: the largest subset of the mask whose
     # induced graph has minimum degree k, here the union of every subset
-    # with that minimum degree, found by trying them all
+    # with that minimum degree, found by trying them all.  _core(mask, k,
+    # need) may stop early, but keeps at least need vertices exactly when
+    # the core does, and is then the core.
     rng = random.Random(41)
     for _ in range(80):
         n = rng.randint(1, 10)
@@ -263,6 +265,12 @@ def test_core_matches_brute_force():
                 if all(sum(g.has_edge(u, v) for u in members) >= k for v in members):
                     want |= sum(1 << v for v in members)
             assert ctx._core(mask, k) == want, (g.rows(), mask, k)
+            for need in range(len(verts) + 2):
+                got = ctx._core(mask, k, need)
+                assert (got.bit_count() >= need) == (want.bit_count() >= need), \
+                    (g.rows(), mask, k, need)
+                if got.bit_count() >= need:
+                    assert got == want, (g.rows(), mask, k, need)
 
 
 def test_witness_is_least_in_region_order_on_split_hosts():

@@ -1,6 +1,7 @@
 """The cross-pair branch and bound with within-part symmetry breaking keeps
 every value of the unconstrained search, and its witnesses are lex-leaders."""
 
+import sys
 from itertools import combinations
 
 from naive_oracles import naive_contains_kqt, naive_ex
@@ -122,3 +123,22 @@ def test_static_cap_bounds_every_value():
         for k in range(2, 7):
             for r in (r for r in range(1, k + 1) if k % r == 0):
                 assert static_cap((n,) * k, r + 1, 1) == turan_count(r, k) * n * n, (n, k, r)
+
+
+def test_stack_depth_does_not_grow_with_the_pair_count():
+    # (2,2,2,2,2,2) / K_4(2) has 60 cross pairs; a search with one frame per
+    # pair index would need about 60 frames below the caller, this one needs
+    # its own frame and those of one probe
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 25)
+    try:
+        value, g, exact = maximize_free((2, 2, 2, 2, 2, 2), 4, 2, budget=500)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (value, exact) == (46, False)
+    assert g.edge_count() == 46
