@@ -2,11 +2,12 @@
 
 Exit codes are uniform across subcommands: 0 = success / pattern-free,
 1 = witness found or assertion failed, 2 = search budget exhausted,
-3 = usage error.  Every artifact written with --out gets a manifest sidecar
-(<out>.manifest.json) recording the command line, parameters, input/output
-hashes, wall time, budget counters and seed; identical manifests reproduce
-byte-identical outputs (all searches are deterministic, randomized
-procedures take an explicit seed with a fixed default).
+3 = usage error, a search nested past the recursion limit included.  Every
+artifact written with --out gets a manifest sidecar (<out>.manifest.json)
+recording the command line, parameters, input/output hashes, wall time,
+budget counters and seed; identical manifests reproduce byte-identical
+outputs (all searches are deterministic, randomized procedures take an
+explicit seed with a fixed default).
 """
 
 from __future__ import annotations
@@ -34,11 +35,17 @@ EXIT_USAGE = 3
 
 
 class _Parser(argparse.ArgumentParser):
-    # on the top-level parser: each command's own parser, by name
-    commands: "dict[str, _Parser]"
+    # on a parser with verbs: the dest they set and each verb's parser, by name
+    verbs: "Optional[tuple[str, dict[str, _Parser]]]" = None
+
+    def add_verbs(self, dest: str):
+        action = self.add_subparsers(dest=dest, required=True)
+        self.verbs = dest, action.choices
+        return action
 
     def error(self, message):   # usage errors exit with code 3
         self.print_usage(sys.stderr)
+        sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(EXIT_USAGE)
 
 
@@ -89,206 +96,221 @@ def _emit(obj, as_json: bool) -> None:
             sys.stdout.write(f"{obj}\n")
 
 
-def _emit_record(head: dict, rec: zarankiewicz.Record, as_json: bool) -> int:
-    """Emit an exact search's answer and return its exit code; a record cut
-    short by the budget adds the host's static cap as ``upper_bound``."""
+def _record_answer(head: dict, rec: zarankiewicz.Record) -> "tuple[dict, int]":
+    """An exact search's answer and exit code; a record cut short by the
+    budget adds the host's static cap as ``upper_bound``."""
     out = {**head, "value": rec.value, "status": rec.status,
            "witness_sha256": witness_hash(rec.witness)}
     if rec.status != "exact":
         out["upper_bound"] = rec.upper_bound()
-    _emit(out, as_json)
-    return EXIT_OK if rec.status == "exact" else EXIT_BUDGET
+    return out, EXIT_OK if rec.status == "exact" else EXIT_BUDGET
 
 
 def _sizes(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
 
-def _need(args, *names: str) -> None:
-    """Reject a subcommand given without an option it needs (exit 3)."""
-    missing = [f"--{name}" for name in names if getattr(args, name) is None]
-    if missing:
-        raise ValueError(f"missing required option(s): {' '.join(missing)}")
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# verbs: each takes the parsed namespace and argv and returns its answer,
+# which cli_dispatch prints, and its exit code
 
 
-def _cmd_formulas(args, argv) -> int:
-    if args.formula == "turan":
-        _emit(constructions.turan_count(args.r, args.k), args.json)
-    elif args.formula == "g":
-        cp = ConstructionParams(args.n, args.r, args.k, args.t)
-        _emit(constructions.g_value(cp, args.z), args.json)
-    else:
-        pat = ForbiddenPattern.complete_multipartite(args.q, args.t)
-        val = constructions.chromatic_trivial_value(args.k, pat)
-        _emit(val if val is not None else "none", args.json)
-    return EXIT_OK
+def _formula_turan(args, argv):
+    return constructions.turan_count(args.r, args.k), EXIT_OK
 
 
-def _cmd_construct(args, argv) -> int:
-    t0 = time.time()
-    budget = Budget(args.budget)
-    inputs = {}
-    params: dict = {"kind": args.kind}
-    if args.kind == "template":
-        _need(args, "r", "k")
-        splits = json.loads(args.splits) if args.splits else ()
-        spec = TemplateSpec.standard(args.r, args.k, args.n, splits)
-        g = constructions.build_template(spec)
-        params.update(spec.to_document())
-    elif args.kind == "c4free":
-        g = constructions.regular_c4free_bipartite(args.n, args.t)
-        params.update({"n": args.n, "t": args.t})
-    elif args.kind in ("basic", "improved"):
-        _need(args, "class1", "r", "k")
-        class1 = load_graph(args.class1)
-        inputs[args.class1] = _sha256_file(args.class1)
-        cp = ConstructionParams(args.n, args.r, args.k, args.t)
-        builder = (constructions.basic_construction if args.kind == "basic"
-                   else constructions.improved_construction)
-        g = builder(cp, class1)
-        params.update({"n": args.n, "r": args.r, "k": args.k, "t": args.t,
-                       "class1_sha256": witness_hash(class1),
-                       "class1_edges": class1.edge_count()})
-    else:   # stack
-        _need(args, "a")
-        cache = ResultCache(args.cache) if args.cache else None
-        base = zarankiewicz.z_exact(
-            zarankiewicz.ZarKey.of((args.n,) * args.a, args.t),
-            budget=budget, cache=cache)
-        half = args.n // 2
-        pair = None
-        if half >= 1:
-            pair = zarankiewicz.z_exact(
-                zarankiewicz.ZarKey.of((half, half), args.t),
-                budget=budget, cache=cache)
-        if any(rec.status != "exact" for rec in (base, pair) if rec is not None):
-            # a stack of lower bounds is not the construction: write nothing
-            raise BudgetExhausted("the base or pair search was cut short")
-        g = zarankiewicz.stack_e1_construction(args.a, args.n, args.t, base, pair)
-        params.update({"a": args.a, "n": args.n, "t": args.t,
-                       "base_value": base.value,
-                       "pair_value": pair.value if pair else 0})
-    digest = save_graph(g, args.out)
-    write_manifest(args.out, digest, argv, params, inputs, time.time() - t0, budget,
-                   args.seed)
-    _emit({"out": args.out, "edges": g.edge_count(),
-           "parts": list(g.part_sizes)}, args.json)
-    return EXIT_OK
+def _formula_g(args, argv):
+    cp = ConstructionParams(args.n, args.r, args.k, args.t)
+    return constructions.g_value(cp, args.z), EXIT_OK
 
 
-def _cmd_check_free(args, argv) -> int:
+def _formula_chromatic(args, argv):
+    pat = ForbiddenPattern.complete_multipartite(args.q, args.t)
+    val = constructions.chromatic_trivial_value(args.k, pat)
+    return val if val is not None else "none", EXIT_OK
+
+
+def _writes_graph(build):
+    """A construct verb from ``build(args, budget)``, which returns the graph,
+    its manifest parameters and the hashes of the files it read: the verb
+    writes the graph to --out with its manifest."""
+    def run(args, argv):
+        t0 = time.time()
+        budget = Budget(args.budget)
+        g, params, inputs = build(args, budget)
+        digest = save_graph(g, args.out)
+        write_manifest(args.out, digest, argv, {"kind": args.kind, **params}, inputs,
+                       time.time() - t0, budget, args.seed)
+        return {"out": args.out, "edges": g.edge_count(),
+                "parts": list(g.part_sizes)}, EXIT_OK
+    return run
+
+
+@_writes_graph
+def _construct_template(args, budget):
+    splits = json.loads(args.splits) if args.splits else ()
+    spec = TemplateSpec.standard(args.r, args.k, args.n, splits)
+    return constructions.build_template(spec), spec.to_document(), {}
+
+
+@_writes_graph
+def _construct_c4free(args, budget):
+    g = constructions.regular_c4free_bipartite(args.n, args.t)
+    return g, {"n": args.n, "t": args.t}, {}
+
+
+def _blow_up(args, builder):
+    class1 = load_graph(args.class1)
+    inputs = {args.class1: _sha256_file(args.class1)}
+    g = builder(ConstructionParams(args.n, args.r, args.k, args.t), class1)
+    return g, {"n": args.n, "r": args.r, "k": args.k, "t": args.t,
+               "class1_sha256": witness_hash(class1),
+               "class1_edges": class1.edge_count()}, inputs
+
+
+@_writes_graph
+def _construct_basic(args, budget):
+    return _blow_up(args, constructions.basic_construction)
+
+
+@_writes_graph
+def _construct_improved(args, budget):
+    return _blow_up(args, constructions.improved_construction)
+
+
+@_writes_graph
+def _construct_stack(args, budget):
+    cache = ResultCache(args.cache) if args.cache else None
+    base = zarankiewicz.z_exact(zarankiewicz.ZarKey.of((args.n,) * args.a, args.t),
+                                budget=budget, cache=cache)
+    half = args.n // 2
+    pair = None
+    if half >= 1:
+        pair = zarankiewicz.z_exact(zarankiewicz.ZarKey.of((half, half), args.t),
+                                    budget=budget, cache=cache)
+    if any(rec.status != "exact" for rec in (base, pair) if rec is not None):
+        # a stack of lower bounds is not the construction: write nothing
+        raise BudgetExhausted("the base or pair search was cut short")
+    g = zarankiewicz.stack_e1_construction(args.a, args.n, args.t, base, pair)
+    return g, {"a": args.a, "n": args.n, "t": args.t, "base_value": base.value,
+               "pair_value": pair.value if pair else 0}, {}
+
+
+def _cmd_check_free(args, argv):
     g = load_graph(args.graph)
     if args.pattern == "star":
         pat = ForbiddenPattern.star(args.t)
     elif args.pattern == "ktt":
         pat = ForbiddenPattern.biclique(args.t if args.s is None else args.s, args.t)
+    elif args.q is None:
+        raise ValueError("--pattern kqt needs --q")
     else:
-        _need(args, "q")
         pat = ForbiddenPattern.complete_multipartite(args.q, args.t)
     budget = Budget(args.budget)
     try:
         w = find_pattern(g, pat, budget=budget)
     except BudgetExhausted:
-        _emit({"verdict": "budget-exceeded", "nodes": budget.used}, args.json)
-        return EXIT_BUDGET
+        return {"verdict": "budget-exceeded", "nodes": budget.used}, EXIT_BUDGET
     if w is None:
-        _emit({"verdict": "free", "nodes": budget.used}, args.json)
-        return EXIT_OK
-    _emit({"verdict": "witness", "classes": [list(c) for c in w.classes],
-           "nodes": budget.used}, args.json)
-    return EXIT_FOUND
+        return {"verdict": "free", "nodes": budget.used}, EXIT_OK
+    return {"verdict": "witness", "classes": [list(c) for c in w.classes],
+            "nodes": budget.used}, EXIT_FOUND
 
 
-def _cmd_zar(args, argv) -> int:
-    cache = ResultCache(args.cache) if args.cache else ResultCache()
-    budget = Budget(args.budget)
-    if args.zcmd == "exact":
-        _need(args, "sizes")
-        rec = zarankiewicz.z_exact(zarankiewicz.ZarKey.of(_sizes(args.sizes), args.t),
-                                   budget=budget, cache=cache)
-        return _emit_record({"sizes": list(rec.key.part_sizes), "t": rec.key.t},
-                            rec, args.json)
-    if args.zcmd == "lower":
-        _need(args, "n")
-        rec = zarankiewicz.z_lower_construction(args.n, args.t, seed=args.seed or 0,
-                                                budget=budget)
-        _emit({"n": args.n, "t": args.t, "value": rec.value,
-               "status": rec.status}, args.json)
-        return EXIT_OK
-    # gaps
-    report = zarankiewicz.gap_checks(args.t, args.max, budget=budget, cache=cache)
-    _emit(report, args.json)
-    return EXIT_OK if report["e3_asserted"] else EXIT_FOUND
+def _zar_exact(args, argv):
+    rec = zarankiewicz.z_exact(zarankiewicz.ZarKey.of(_sizes(args.sizes), args.t),
+                               budget=Budget(args.budget),
+                               cache=ResultCache(args.cache or None))
+    return _record_answer({"sizes": list(rec.key.part_sizes), "t": rec.key.t}, rec)
 
 
-def _cmd_ex(args, argv) -> int:
-    cache = ResultCache(args.cache) if args.cache else ResultCache()
-    budget = Budget(args.budget)
-    if args.excmd == "exact":
-        _need(args, "sizes", "q")
-        inst = extremal.ExInstance.of(_sizes(args.sizes), args.q, args.t)
-        rec = extremal.ex_exact(inst, budget=budget, cache=cache)
-        return _emit_record({"sizes": list(inst.part_sizes), "q": inst.q, "t": inst.t},
-                            rec, args.json)
-    if args.excmd == "turan":
-        _need(args, "n", "k", "r")
-        rep = extremal.verify_turan_identity(args.n, args.k, args.r,
-                                             budget=budget, cache=cache)
-        rep.pop("witness")
-        _emit(rep, args.json)
-        if rep["status"] != "exact":
-            return EXIT_BUDGET
-        return EXIT_OK if rep["holds"] else EXIT_FOUND
-    _need(args, "n", "r", "k")
+def _zar_lower(args, argv):
+    rec = zarankiewicz.z_lower_construction(args.n, args.t, seed=args.seed,
+                                            budget=Budget(args.budget))
+    return {"n": args.n, "t": args.t, "value": rec.value, "status": rec.status}, EXIT_OK
+
+
+def _zar_gaps(args, argv):
+    report = zarankiewicz.gap_checks(args.t, args.max, budget=Budget(args.budget),
+                                     cache=ResultCache(args.cache or None))
+    return report, EXIT_OK if report["e3_asserted"] else EXIT_FOUND
+
+
+def _ex_exact(args, argv):
+    inst = extremal.ExInstance.of(_sizes(args.sizes), args.q, args.t)
+    rec = extremal.ex_exact(inst, budget=Budget(args.budget),
+                            cache=ResultCache(args.cache or None))
+    return _record_answer({"sizes": list(inst.part_sizes), "q": inst.q, "t": inst.t},
+                          rec)
+
+
+def _ex_turan(args, argv):
+    rep = extremal.verify_turan_identity(args.n, args.k, args.r,
+                                         budget=Budget(args.budget),
+                                         cache=ResultCache(args.cache or None))
+    rep.pop("witness")
+    if rep["status"] != "exact":
+        return rep, EXIT_BUDGET
+    return rep, EXIT_OK if rep["holds"] else EXIT_FOUND
+
+
+def _ex_compare(args, argv):
     rep = extremal.compare_with_g(args.n, args.r, args.k, args.t,
-                                  budget=budget, cache=cache)
-    _emit(rep, args.json)
+                                  budget=Budget(args.budget),
+                                  cache=ResultCache(args.cache or None))
     if rep["ex_status"] != "exact" or rep["g_z_provenance"] != "exact":
-        return EXIT_BUDGET
-    return EXIT_OK if rep.get("ex_ge_construction", True) else EXIT_FOUND
+        return rep, EXIT_BUDGET
+    return rep, EXIT_OK if rep.get("ex_ge_construction", True) else EXIT_FOUND
 
 
-def _cmd_analyze(args, argv) -> int:
+def _analysis(args):
+    """The graph and the analysis constants every analyze verb reads."""
     g = load_graph(args.graph)
     given = {"gamma": args.gamma, "epsilon": args.epsilon}
-    params = stability.AnalysisParams(
+    return g, stability.AnalysisParams(
         args.r, args.t, **{name: Fraction(v) for name, v in given.items() if v})
-    if args.verb == "closest-template":
-        res = stability.closest_template(g, params)
-        _emit({"distance": res.distance, "lower_bound": res.lower_bound,
-               "gap": res.gap, "gamma_close": res.gamma_close,
-               "heuristic": res.heuristic, "spec": res.spec.to_document()},
-              args.json)
-        return EXIT_OK
-    _need(args, "spec")
+
+
+def _spec_analysis(args):
+    """``_analysis`` with the --spec template, checked against --r and the graph."""
+    g, params = _analysis(args)
     spec = TemplateSpec.from_document(json.loads(Path(args.spec).read_text()))
     if spec.r != args.r or g.part_sizes != (spec.n,) * spec.k:
         raise ConstructionError(
             f"spec is for r={spec.r} and {spec.k} parts of {spec.n}; got --r "
             f"{args.r} and parts {list(g.part_sizes)}")
-    if args.verb == "classify":
-        dec = stability.classify_atypical(g, spec, params)
-        _emit({"w_doubleprime": list(bits(dec.w_doubleprime)),
-               "w_prime": [list(bits(m)) for m in dec.w_prime],
-               "z_doubleprime": list(bits(dec.z_doubleprime)),
-               "z_cross": [[list(bits(m)) for m in row] for row in dec.z_cross],
-               "u_tilde": [list(bits(m)) for m in dec.u_tilde],
-               "ambiguous": list(bits(dec.ambiguous))}, args.json)
-        return EXIT_OK
-    if args.verb == "core":
-        rep = stability.high_degree_core(g, spec.u_masks(), params)
-        _emit({"core": list(bits(rep.core)), "hypothesis_met": rep.hypothesis_met,
-               "bound": str(rep.bound), "bound_holds": rep.bound_holds}, args.json)
-        return EXIT_OK if rep.bound_holds in (True, None) else EXIT_FOUND
-    # structure
+    return g, spec, params
+
+
+def _analyze_closest_template(args, argv):
+    res = stability.closest_template(*_analysis(args))
+    return {"distance": res.distance, "lower_bound": res.lower_bound,
+            "gap": res.gap, "gamma_close": res.gamma_close,
+            "heuristic": res.heuristic, "spec": res.spec.to_document()}, EXIT_OK
+
+
+def _analyze_classify(args, argv):
+    dec = stability.classify_atypical(*_spec_analysis(args))
+    return {"w_doubleprime": list(bits(dec.w_doubleprime)),
+            "w_prime": [list(bits(m)) for m in dec.w_prime],
+            "z_doubleprime": list(bits(dec.z_doubleprime)),
+            "z_cross": [[list(bits(m)) for m in row] for row in dec.z_cross],
+            "u_tilde": [list(bits(m)) for m in dec.u_tilde],
+            "ambiguous": list(bits(dec.ambiguous))}, EXIT_OK
+
+
+def _analyze_core(args, argv):
+    g, spec, params = _spec_analysis(args)
+    rep = stability.high_degree_core(g, spec.u_masks(), params)
+    return ({"core": list(bits(rep.core)), "hypothesis_met": rep.hypothesis_met,
+             "bound": str(rep.bound), "bound_holds": rep.bound_holds},
+            EXIT_OK if rep.bound_holds in (True, None) else EXIT_FOUND)
+
+
+def _analyze_structure(args, argv):
+    g, spec, params = _spec_analysis(args)
     z = g.mask([int(x) for x in args.z.split(",")]) if args.z else 0
-    rep = stability.structure_report(g, spec, z, params)
-    _emit(rep, args.json)
-    return EXIT_OK
+    return stability.structure_report(g, spec, z, params), EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -302,82 +324,94 @@ def _budget_arg(text: str) -> int:
     return value
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget", type=_budget_arg, default=None,
-                   help="node-expansion budget for searches")
-    p.add_argument("--seed", type=int, default=0, help="64-bit seed")
+def _verb(verbs, name: str, run, *, budget: bool = False,
+          seed: bool = False) -> _Parser:
+    """A verb's parser, bound to ``run``: --budget and --seed only where the
+    verb reads them, and --json and --cache on every verb."""
+    p = verbs.add_parser(name)
+    p.set_defaults(run=run)
+    if budget:
+        p.add_argument("--budget", type=_budget_arg, default=None,
+                       help="node-expansion budget for searches")
+    if seed:
+        p.add_argument("--seed", type=int, default=0, help="64-bit seed")
     p.add_argument("--json", action="store_true", help="canonical JSON output")
     p.add_argument("--cache", default=None, help="result-cache path")
+    return p
+
+
+def _ints(p: _Parser, *names: str, **kwargs) -> None:
+    for name in names:
+        p.add_argument(f"--{name}", type=int, **kwargs)
 
 
 def build_parser() -> _Parser:
     top = _Parser(prog="turanwb", description=__doc__)
-    sub = top.add_subparsers(dest="cmd", required=True)
-    top.commands = sub.choices
+    commands = top.add_verbs("cmd")
 
-    p = sub.add_parser("formulas")
-    fsub = p.add_subparsers(dest="formula", required=True)
-    f1 = fsub.add_parser("turan")
-    f1.add_argument("--r", type=int, required=True)
-    f1.add_argument("--k", type=int, required=True)
-    f2 = fsub.add_parser("g")
-    for name in ("n", "r", "k", "t", "z"):
-        f2.add_argument(f"--{name}", type=int, required=True)
-    f3 = fsub.add_parser("chromatic")
-    f3.add_argument("--k", type=int, required=True)
-    f3.add_argument("--q", type=int, required=True)
-    f3.add_argument("--t", type=int, required=True)
-    for q in (f1, f2, f3):
-        _add_common(q)
+    formulas = commands.add_parser("formulas").add_verbs("formula")
+    _ints(_verb(formulas, "turan", _formula_turan), "r", "k", required=True)
+    _ints(_verb(formulas, "g", _formula_g), "n", "r", "k", "t", "z", required=True)
+    _ints(_verb(formulas, "chromatic", _formula_chromatic), "k", "q", "t", required=True)
 
-    p = sub.add_parser("construct")
-    p.add_argument("kind", choices=["template", "basic", "improved", "c4free", "stack"])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--t", type=int, default=2)
-    p.add_argument("--a", type=int, help="part count for stack")
-    p.add_argument("--class1", help="path to the plugged class-1 graph")
-    p.add_argument("--splits", help="template splits as JSON")
-    p.add_argument("--out", required=True)
-    _add_common(p)
+    construct = commands.add_parser("construct").add_verbs("kind")
+    for kind, run in (("template", _construct_template), ("basic", _construct_basic),
+                      ("improved", _construct_improved), ("c4free", _construct_c4free),
+                      ("stack", _construct_stack)):
+        p = _verb(construct, kind, run, budget=True, seed=True)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--out", required=True)
+        if kind == "template":
+            _ints(p, "r", "k", required=True)
+            p.add_argument("--splits", help="template splits as JSON")
+        else:
+            p.add_argument("--t", type=int, default=2)
+        if kind in ("basic", "improved"):
+            _ints(p, "r", "k", required=True)
+            p.add_argument("--class1", required=True,
+                           help="path to the plugged class-1 graph")
+        if kind == "stack":
+            p.add_argument("--a", type=int, required=True, help="part count")
 
-    p = sub.add_parser("check-free")
+    p = _verb(commands, "check-free", _cmd_check_free, budget=True)
     p.add_argument("graph")
     p.add_argument("--pattern", choices=["star", "ktt", "kqt"], required=True)
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--q", type=int)
-    p.add_argument("--s", type=int)
-    _add_common(p)
+    _ints(p, "q", "s")
 
-    p = sub.add_parser("zar")
-    p.add_argument("zcmd", choices=["exact", "lower", "gaps"])
-    p.add_argument("--sizes", help="comma-separated part sizes")
-    p.add_argument("--n", type=int)
+    zar = commands.add_parser("zar").add_verbs("zcmd")
+    p = _verb(zar, "exact", _zar_exact, budget=True)
+    p.add_argument("--sizes", required=True, help="comma-separated part sizes")
+    p.add_argument("--t", type=int, required=True)
+    _ints(_verb(zar, "lower", _zar_lower, budget=True, seed=True), "n", "t", required=True)
+    p = _verb(zar, "gaps", _zar_gaps, budget=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--max", type=int, default=4)
-    _add_common(p)
 
-    p = sub.add_parser("ex")
-    p.add_argument("excmd", choices=["exact", "turan", "compare"])
-    p.add_argument("--sizes")
-    p.add_argument("--q", type=int)
+    ex = commands.add_parser("ex").add_verbs("excmd")
+    p = _verb(ex, "exact", _ex_exact, budget=True)
+    p.add_argument("--sizes", required=True, help="comma-separated part sizes")
+    _ints(p, "q", required=True)
     p.add_argument("--t", type=int, default=1)
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--r", type=int)
-    _add_common(p)
+    _ints(_verb(ex, "turan", _ex_turan, budget=True), "n", "k", "r", required=True)
+    p = _verb(ex, "compare", _ex_compare, budget=True)
+    _ints(p, "n", "r", "k", required=True)
+    p.add_argument("--t", type=int, default=1)
 
-    p = sub.add_parser("analyze")
-    p.add_argument("verb", choices=["closest-template", "classify", "core", "structure"])
-    p.add_argument("graph")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--t", type=int, default=2)
-    p.add_argument("--spec", help="template spec JSON path")
-    p.add_argument("--z", help="comma-separated exceptional vertices")
-    p.add_argument("--epsilon")
-    p.add_argument("--gamma")
-    _add_common(p)
+    analyze = commands.add_parser("analyze").add_verbs("verb")
+    for verb, run in (("closest-template", _analyze_closest_template),
+                      ("classify", _analyze_classify), ("core", _analyze_core),
+                      ("structure", _analyze_structure)):
+        p = _verb(analyze, verb, run)
+        p.add_argument("graph")
+        p.add_argument("--r", type=int, required=True)
+        p.add_argument("--t", type=int, default=2)
+        p.add_argument("--epsilon")
+        p.add_argument("--gamma")
+        if verb != "closest-template":
+            p.add_argument("--spec", required=True, help="template spec JSON path")
+        if verb == "structure":
+            p.add_argument("--z", help="comma-separated exceptional vertices")
 
     return top
 
@@ -390,17 +424,26 @@ def _shared_parser() -> _Parser:
 
 
 def _parse(argv: Sequence[str]) -> argparse.Namespace:
-    """The command line parsed as the top-level parser parses it.  A known
-    command is parsed by its own parser, which is all the top-level parser
-    would run on it; argv naming no known command, or leaving arguments
-    over, goes through the top-level parser, so help, usage errors and
-    their exit codes are the same either way."""
+    """The command line parsed as the top-level parser parses it.  The
+    leading command and verb names lead to the parser of the verb they name,
+    which is all the top-level parser would run on the rest of argv, and set
+    their dests as it would; argv naming no known command or verb, or
+    leaving arguments over, goes through the top-level parser, so help,
+    usage errors and their exit codes are the same either way."""
     top = _shared_parser()
-    command = top.commands.get(argv[0]) if argv else None
-    if command is not None:
-        args, extra = command.parse_known_args(argv[1:])
+    parser, names = top, {}
+    for name in argv:
+        if parser.verbs is None:
+            break
+        dest, choices = parser.verbs
+        parser = choices.get(name)
+        if parser is None:
+            return top.parse_args(argv)
+        names[dest] = name
+    if parser.verbs is None:
+        args, extra = parser.parse_known_args(argv[len(names):])
         if not extra:
-            args.cmd = argv[0]
+            vars(args).update(names)
             return args
     return top.parse_args(argv)
 
@@ -411,24 +454,18 @@ def cli_dispatch(argv: Sequence[str]) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        if args.cmd == "formulas":
-            return _cmd_formulas(args, argv)
-        if args.cmd == "construct":
-            return _cmd_construct(args, argv)
-        if args.cmd == "check-free":
-            return _cmd_check_free(args, argv)
-        if args.cmd == "zar":
-            return _cmd_zar(args, argv)
-        if args.cmd == "ex":
-            return _cmd_ex(args, argv)
-        return _cmd_analyze(args, argv)
+        answer, code = args.run(args, argv)
+        _emit(answer, args.json)
     except BudgetExhausted as exc:
         sys.stderr.write(f"budget exhausted: {exc}\n")
         return EXIT_BUDGET
-    except (ConstructionError, GraphInvariantError,
-            zarankiewicz.OracleError, FileNotFoundError, ValueError) as exc:
+    except (ConstructionError, GraphInvariantError, zarankiewicz.OracleError,
+            FileNotFoundError, ValueError, RecursionError) as exc:
+        # a search nested past the interpreter's recursion limit answered
+        # nothing: a usage error, not a witness
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    return code
 
 
 def main() -> None:

@@ -645,10 +645,6 @@ def contains_uniform_pattern(rows: Sequence[int], u: int, v: int, q: int, t: int
     nu, nv = rows[u], rows[v]
     if (nu & nv).bit_count() < (q - 2) * t:
         return False
-    if t == 1:
-        # A' and B' are empty: one (A', B') pair, and C = N(u) & N(v)
-        budget.spend()
-        return q == 2 or _place(rows, nu & nv, q - 2, 1, budget.spend)
     return _pick_a(rows, nv, nu, nu & nv, t - 1, q - 2, t, budget.spend)
 
 

@@ -18,6 +18,7 @@ from typing import Optional
 from .constructions import (ConstructionParams, ConstructionError,
                             basic_construction, basic_edge_count, g_value,
                             improved_construction, turan_count)
+from .detectors import as_budget
 from .detectors import find_complete_multipartite  # noqa: F401 - re-exported
 from .zarankiewicz import ExInstance, Record, ZarKey, z_exact
 
@@ -93,6 +94,7 @@ def compare_with_g(n: int, r: int, k: int, t: int,
     cap as ``upper_bound``.
     """
     params = ConstructionParams(n, r, k, t)
+    budget = as_budget(budget)      # one budget for both searches, an int too
     inst = ExInstance((n,) * k, r + 1, t)
     rec = ex_exact(inst, budget=budget, cache=cache)
     z_rec = z_exact(ZarKey.of((n, n), t), budget=budget, cache=cache)

@@ -501,6 +501,7 @@ def gap_checks(t: int, max_size: int, budget: "int | Budget | None" = None,
     if max_size < 1:
         raise OracleError(f"need max_size >= 1, got {max_size}")
     check_size(ZarKey.of((max_size, max_size), t))   # the grid's largest key
+    budget = as_budget(budget)      # one budget for every search, an int too
 
     def exact_value(sizes: tuple[int, ...]) -> int:
         rec = z_exact(ZarKey.of(sizes, t), budget=budget, cache=cache)

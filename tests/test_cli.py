@@ -51,9 +51,9 @@ def _parsed(parse, argv):
 
 
 def test_commands_parse_as_the_top_level_parser_parses_them(tmp_path, capsys):
-    # cli_dispatch parses a known command with that command's own parser;
-    # every namespace, help text and usage error must be the top-level
-    # parser's, bytes and exit code alike
+    # cli_dispatch parses a known verb with that verb's own parser; every
+    # namespace, help text and usage error must be the top-level parser's,
+    # bytes and exit code alike
     g = str(tmp_path / "g.json")
     save_graph(PartitionedGraph([2, 2], [(0, 2)]), g)
     zar = ["zar", "exact", "--sizes", "2,2", "--t", "2", "--json"]
@@ -65,7 +65,10 @@ def test_commands_parse_as_the_top_level_parser_parses_them(tmp_path, capsys):
              ["formulas"], ["formulas", "turan", "-h"], ["formulas", "turan", "--r", "3"],
              ["formulas", "turan", "--r", "3", "--k", "5"],
              ["formulas", "turan", "--r", "3", "--k", "5", "extra"],
-             ["ex", "turan", "--n", "1", "--k", "3", "--r", "2", "x", "y"]]
+             ["ex", "turan", "--n", "1", "--k", "3", "--r", "2", "x", "y"],
+             ["ex", "exact", "--sizes", "2,2", "--q", "2", "--max", "3"], ["ex", "bogus"],
+             ["construct", "stack", "--n", "2", "--out", "s.json"], ["construct", "-h"],
+             ["analyze", "core", g, "--r", "2", "--spec", "s.json", "--t", "3"]]
     for argv in cases:
         assert _parsed(_parse, argv) == _parsed(build_parser().parse_args, argv), argv
     # a stray argument is the top-level parser's usage error
@@ -80,24 +83,70 @@ def test_commands_parse_as_the_top_level_parser_parses_them(tmp_path, capsys):
 
 
 def test_missing_option_is_a_usage_error(tmp_path, capsys):
-    # options that only some verbs need are optional to the parser; leaving
-    # one out must give exit 3 and an error line, not an exception
+    # each verb's parser requires the options that verb needs, and argparse's
+    # message names the missing ones after the usage line (exit 3); --q is
+    # needed by check-free's kqt pattern alone, so it is checked inline
     g = tmp_path / "g.json"
     save_graph(PartitionedGraph([2, 2], [(0, 2)]), g)
     out = str(tmp_path / "out.json")
-    for argv in (["check-free", str(g), "--pattern", "kqt", "--t", "2"],
-                 ["zar", "exact", "--t", "2"],
-                 ["ex", "exact", "--q", "2"],
-                 ["zar", "lower", "--t", "2"],
-                 ["ex", "turan", "--k", "3"],
-                 ["ex", "compare", "--n", "2"],
-                 ["construct", "template", "--n", "4", "--out", out],
-                 ["construct", "improved", "--n", "4", "--out", out],
-                 ["construct", "stack", "--n", "2", "--out", out],
-                 ["analyze", "core", str(g), "--r", "2"]):
+    required = "error: the following arguments are required: "
+    for argv, message in (
+            (["check-free", str(g), "--pattern", "kqt", "--t", "2"],
+             "error: --pattern kqt needs --q\n"),
+            (["zar", "exact", "--t", "2"], required + "--sizes\n"),
+            (["ex", "exact", "--q", "2"], required + "--sizes\n"),
+            (["zar", "lower", "--t", "2"], required + "--n\n"),
+            (["ex", "turan", "--k", "3"], required + "--n, --r\n"),
+            (["ex", "compare", "--n", "2"], required + "--r, --k\n"),
+            (["construct", "template", "--n", "4", "--out", out], required + "--r, --k\n"),
+            (["construct", "improved", "--n", "4", "--out", out],
+             required + "--r, --k, --class1\n"),
+            (["construct", "stack", "--n", "2", "--out", out], required + "--a\n"),
+            (["analyze", "core", str(g), "--r", "2"], required + "--spec\n")):
         assert cli_dispatch(argv) == EXIT_USAGE, argv
-        assert capsys.readouterr().err.startswith("error: missing required option"), argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.endswith(message), argv
+        assert "Traceback" not in captured.err, argv
     assert not (tmp_path / "out.json").exists()
+
+
+def test_no_verb_accepts_an_option_it_does_not_read(tmp_path, capsys):
+    # every verb has its own parser, declaring only the options it reads: an
+    # option another verb of the command reads is unrecognized (exit 3),
+    # before any file is read or any search runs
+    g = str(tmp_path / "g.json")
+    save_graph(PartitionedGraph([2, 2], [(0, 2)]), g)
+    out = str(tmp_path / "out.json")
+    unread = "error: unrecognized arguments: "
+    for argv, extra in (
+            (["formulas", "turan", "--r", "3", "--k", "5"], ["--budget", "1"]),
+            (["formulas", "g", "--n", "2", "--r", "2", "--k", "3", "--t", "2", "--z", "3"],
+             ["--seed", "1"]),
+            (["formulas", "chromatic", "--k", "3", "--q", "4", "--t", "2"], ["--r", "2"]),
+            (["construct", "template", "--n", "4", "--r", "2", "--k", "3", "--out", out],
+             ["--t", "3"]),
+            (["construct", "c4free", "--n", "4", "--t", "2", "--out", out], ["--r", "2"]),
+            (["construct", "basic", "--n", "4", "--r", "2", "--k", "3", "--class1", g,
+              "--out", out], ["--a", "2"]),
+            (["construct", "improved", "--n", "4", "--r", "2", "--k", "3", "--class1", g,
+              "--out", out], ["--splits", "[]"]),
+            (["construct", "stack", "--n", "2", "--a", "2", "--out", out], ["--k", "2"]),
+            (["check-free", g, "--pattern", "kqt", "--q", "2", "--t", "1"], ["--seed", "1"]),
+            (["zar", "exact", "--sizes", "2,2", "--t", "2"], ["--max", "3"]),
+            (["zar", "lower", "--n", "7", "--t", "2"], ["--sizes", "7,7"]),
+            (["zar", "gaps", "--t", "2"], ["--seed", "1"]),
+            (["ex", "exact", "--sizes", "2,2", "--q", "2"], ["--n", "2"]),
+            (["ex", "turan", "--n", "2", "--k", "3", "--r", "2"], ["--sizes", "9,9", "--q", "7"]),
+            (["ex", "compare", "--n", "2", "--r", "2", "--k", "3"], ["--q", "3"]),
+            (["analyze", "closest-template", g, "--r", "2"], ["--spec", "x.json"]),
+            (["analyze", "classify", g, "--r", "2", "--spec", "x.json"], ["--z", "0"]),
+            (["analyze", "core", g, "--r", "2", "--spec", "x.json"], ["--budget", "1"]),
+            (["analyze", "structure", g, "--r", "2", "--spec", "x.json"], ["--seed", "1"])):
+        code = cli_dispatch(argv + extra + ["--json", "--cache", str(tmp_path / "c.jsonl")])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_USAGE, ""), argv + extra
+        assert captured.err.endswith(unread + " ".join(extra) + "\n"), argv + extra
+    assert not (tmp_path / "out.json").exists() and not (tmp_path / "c.jsonl").exists()
 
 
 def test_parser_reuse_keeps_commands_apart(tmp_path, capsys):
@@ -460,6 +509,28 @@ def test_truncated_answers_report_an_upper_bound(tmp_path, capsys):
     assert code == EXIT_BUDGET and rep["gap_to_g"] is None
     assert rep["ex_status"] == rep["g_z_provenance"] == "lower_bound_only"
     assert rep["upper_bound"] == 54 >= rep["ex_value"]
+
+
+def test_searches_past_the_recursion_limit_are_usage_errors(tmp_path, capsys):
+    # the row engine nests one frame per row and the biclique detector one
+    # per vertex: past the interpreter's limit the command answers nothing,
+    # which is exit 3 with an error line, not exit 1 (witness found) with a
+    # traceback; (1024, 4) is inside the row engine's size guard
+    star = tmp_path / "star.json"
+    save_graph(PartitionedGraph([1, 1001], [(0, v) for v in range(1, 1002)]), star)
+    cache = tmp_path / "c.jsonl"
+    for argv in (["check-free", str(star), "--pattern", "ktt", "--s", "1000", "--t", "1"],
+                 ["zar", "exact", "--sizes", "1024,4", "--t", "2", "--cache", str(cache)]):
+        code = cli_dispatch(argv + ["--json"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_USAGE, ""), argv
+        assert captured.err.startswith("error: ") and "recursion" in captured.err, argv
+        assert "Traceback" not in captured.err, argv
+    assert not cache.exists()
+    # the process stays fit for the next command: a shallower search answers
+    code, text = run(capsys, "check-free", str(star), "--pattern", "ktt", "--s", "9",
+                     "--t", "1", "--json")
+    assert code == EXIT_FOUND and json.loads(text)["classes"] == [list(range(1, 10)), [0]]
 
 
 def test_zar_exact_t1_cli(capsys):

@@ -2,10 +2,10 @@ import pytest
 
 from naive_oracles import naive_ex
 from turan_workbench import extremal
-from turan_workbench.detectors import Budget, find_complete_multipartite
+from turan_workbench.detectors import Budget, BudgetExhausted, find_complete_multipartite
 from turan_workbench.extremal import (ExInstance, compare_with_g, ex_exact,
                                       verify_turan_identity)
-from turan_workbench.zarankiewicz import OracleError
+from turan_workbench.zarankiewicz import OracleError, gap_checks
 
 
 def test_ex_triangle_tiny():
@@ -102,6 +102,19 @@ def test_compare_with_g_on_the_bipartite_case():
     assert (rep["ex_value"], rep["ex_status"]) == (24, "exact")
     assert (rep["g_z_provenance"], rep["gap_to_g"]) == ("exact", 0)
     assert rep["ex_ge_construction"] is True
+
+
+def test_an_int_budget_is_shared_like_a_budget_object():
+    # every search of one compare_with_g or gap_checks call draws on the one
+    # budget, an int as much as a Budget: 30,000 nodes prove ex_2(8, K_2(2))
+    # = 24 (28,149 nodes) and leave z_2(8, 8) a lower bound; the gap report's
+    # grid takes 19 nodes, so 150 do not leave its (E1) search the 146 it needs
+    for budget in (30_000, Budget(30_000)):
+        rep = compare_with_g(8, 1, 2, 2, budget=budget)
+        assert (rep["ex_status"], rep["g_z_provenance"]) == ("exact", "lower_bound_only")
+    for budget in (150, Budget(150)):
+        with pytest.raises(BudgetExhausted, match=r"z_2\(2,2,2\)"):
+            gap_checks(2, 4, budget=budget)
 
 
 def test_ex_guard():
