@@ -460,8 +460,9 @@ def cli_dispatch(argv: Sequence[str]) -> int:
         sys.stderr.write(f"budget exhausted: {exc}\n")
         return EXIT_BUDGET
     except (ConstructionError, GraphInvariantError, zarankiewicz.OracleError,
-            FileNotFoundError, ValueError, RecursionError) as exc:
-        # a search nested past the interpreter's recursion limit answered
+            OSError, ValueError, RecursionError) as exc:
+        # a search nested past the interpreter's recursion limit, or a path
+        # that cannot be read or written (a directory, say), answered
         # nothing: a usage error, not a witness
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

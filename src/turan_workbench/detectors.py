@@ -92,8 +92,10 @@ from .graphs import PartitionedGraph, bits, set_bits
 
 DEFAULT_BUDGET = 10**8
 # PackingContext._core walks masks of at most this many vertices lowest bit
-# first; on more, the byte table of ``set_bits`` is faster
-_WALK_BITS = 16
+# first, without a list.  On the check-free panel's masks the walk takes
+# 0.80-0.97 of the time of a loop over ``set_bits`` at 17-28 vertices and
+# 1.05-1.17 at 31-32; both go in ascending order, so node counts do not move
+_WALK_BITS = 24
 
 
 class BudgetExhausted(RuntimeError):

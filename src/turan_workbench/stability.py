@@ -174,11 +174,19 @@ def _assignment_distance(g: PartitionedGraph, class_of: Sequence[int]) -> int:
 def closest_template(g: PartitionedGraph, params: AnalysisParams) -> ClosestTemplateResult:
     """Template of the family minimizing |E(G) triangle E(T)|, with a lower bound.
 
-    Exhaustive over shapes and their owner maps (``_allowances``); per
-    allowance each leftover vertex takes its allowed class of least
-    disagreement against the whole clusters, and the allowance's distance
-    is its bound term below.  The winner's distance is recomputed in full
-    from its class map, as a check of that equality that raises if it fails.
+    Exhaustive over shapes and their owner maps (``_owner_maps``); per owner
+    map each leftover vertex takes its allowed class of least disagreement
+    against the whole clusters, and the owner map's distance is its bound
+    term below.  The winner's distance is recomputed in full from its class
+    map, as a check of that equality that raises if it fails.
+
+    Every cost is a small-int sum over parts: the degrees of each vertex
+    into each part and the edge counts between parts (``_PartCounts``) are
+    counted once per call, and no shape pops a row.  Within a shape the
+    cost of each (leftover cluster, allowed classes) pair is memoised, and
+    the class map is built once, for the winner.  Shapes and owner maps are
+    tried in order and only a strictly lower distance replaces the best, so
+    the first minimum wins.
 
     ``lower_bound`` is the least, over the shapes and their owner maps, of
     the disagreements among whole-cluster vertices, plus the non-edges
@@ -188,19 +196,19 @@ def closest_template(g: PartitionedGraph, params: AnalysisParams) -> ClosestTemp
     every template, and a class takes at most one piece, so two leftover
     vertices of different clusters are in different classes, hence adjacent,
     in every template of the shape.  A template in which some class takes
-    no piece has an allowance whose allowed sets are subsets of those of an
-    owner map (give each unowned class to any cluster), so its greedy costs
-    are no lower than that owner map's: no template of the family is closer.
+    no piece has an owner map whose allowed sets are supersets of its own
+    (give each unowned class to any cluster), so that owner map's greedy
+    costs are no higher: no template of the family is closer.
     ``gap`` = distance - lower_bound; gap 0 certifies the result optimal.
 
-    The greedy attains that bound, so it is optimal per allowance.  Under the
-    greedy map the pairs inside one leftover cluster cost nothing, the pairs
-    between two leftover clusters cost exactly their non-edges (their ends
-    are in different classes), and each leftover vertex's pairs with the
-    whole clusters cost its greedy cost; so the distance equals the shape's
-    bound term, which no class map of the allowance can beat.  Hence a swap
-    search could never move a vertex, the least bound term is both the
-    distance and ``lower_bound``, the gap is 0 on every input, and
+    The greedy attains that bound, so it is optimal per owner map.  Under
+    the greedy map the pairs inside one leftover cluster cost nothing, the
+    pairs between two leftover clusters cost exactly their non-edges (their
+    ends are in different classes), and each leftover vertex's pairs with
+    the whole clusters cost its greedy cost; so the distance equals the
+    shape's bound term, which no class map of the owner map can beat.
+    Hence a swap search could never move a vertex, the least bound term is
+    both the distance and ``lower_bound``, the gap is 0 on every input, and
     ``heuristic`` (gap > 0) stays false.
 
     More than TEMPLATE_PAIR_LIMIT (shape, owner map) pairs (``_pair_count``)
@@ -214,21 +222,24 @@ def closest_template(g: PartitionedGraph, params: AnalysisParams) -> ClosestTemp
         raise ConstructionError(
             f"closest_template would try more than {TEMPLATE_PAIR_LIMIT} (shape, "
             f"owner map) pairs for k={k}, r={r}")
-    best = None                    # (distance, class_of, leftover)
+    counts = _PartCounts(g)
+    owner_maps = _owner_maps(k % r, r)
+    best = None                    # (distance, shape, owner map)
     for leftover, groups in _shapes(k, r):
-        shape = _Shape(g, groups, leftover, r)
-        for allowance in _allowances(list(leftover), r):
-            class_of, free_cost = shape.fit(allowance)
-            dist = shape.fixed_cost + shape.cross_cost + free_cost
+        shape = _Shape(counts, groups, leftover, r)
+        base = shape.fixed_cost + shape.cross_cost
+        for owners in owner_maps:
+            dist = base + sum(map(shape.free_cost, leftover, owners))
             if best is None or dist < best[0]:
-                best = (dist, class_of, leftover)
+                best = (dist, shape, owners)
     assert best is not None
-    dist, class_of, leftover = best
+    dist, shape, owners = best
+    class_of = shape.class_of(owners)
     if dist != _assignment_distance(g, class_of):
         raise AssertionError(f"internal error: shape distance {dist} is not "
                              f"the assignment's distance")
     return ClosestTemplateResult(
-        _spec_from_assignment(r, k, n, leftover, class_of),
+        _spec_from_assignment(r, k, n, shape.leftover, class_of),
         tuple(class_of), dist,
         gamma_close=Fraction(dist) <= params.gamma * n * n,
         heuristic=False, lower_bound=dist)
@@ -254,83 +265,112 @@ def _pair_count(k: int, r: int) -> int:
     return comb(k, b) * groupings * owner_maps
 
 
-def _allowances(leftover: list[int], r: int) -> Iterator[dict[int, tuple[int, ...]]]:
-    """Owner maps, as maps cluster -> allowed classes: every class is owned
-    by exactly one leftover cluster and every leftover cluster owns at least
-    one class (a single empty map when there are no leftover clusters)."""
-    if not leftover:
-        yield {}
-        return
-    for owners in product(leftover, repeat=r):
-        alloc = {q: tuple(c for c, o in enumerate(owners) if o == q) for q in leftover}
-        if all(alloc.values()):
-            yield alloc
+def _owner_maps(b: int, r: int) -> list[tuple[tuple[int, ...], ...]]:
+    """The owner maps of r classes onto b leftover clusters, each as the
+    allowed classes (ascending) of the first, second, ... leftover cluster:
+    every class is owned by exactly one leftover cluster and every leftover
+    cluster owns at least one class.  They depend on b and r alone, and come
+    in the order of ``product(range(b), repeat=r)``; a single empty map
+    when b = 0."""
+    if not b:
+        return [()]
+    maps = []
+    for owners in product(range(b), repeat=r):
+        allowed = tuple(tuple(c for c, o in enumerate(owners) if o == j)
+                        for j in range(b))
+        if all(allowed):
+            maps.append(allowed)
+    return maps
+
+
+class _PartCounts:
+    """The part-level counts of a host whose k parts all have n vertices:
+    ``cols[q][p]``, the degrees into part p of part q's vertices (in
+    vertex order), and ``between[q][p]``, the edges between parts q and p."""
+
+    def __init__(self, g: PartitionedGraph):
+        self.n = g.part_sizes[0]
+        self.k = len(g.part_sizes)
+        masks = [g.part_mask(p) for p in range(self.k)]
+        self.cols = []
+        for q in range(self.k):
+            rows = [g.neighbors(v) for v in g.part_vertices(q)]
+            self.cols.append([[(row & m).bit_count() for row in rows] for m in masks])
+        self.between = [list(map(sum, cols)) for cols in self.cols]
 
 
 class _Shape:
     """The whole-cluster side of a template shape (which clusters are
-    leftover, how the rest group into classes), shared by its allowances.
+    leftover, how the rest group into classes), shared by its owner maps.
 
-    Holds the classes of the whole ("fixed") clusters' vertices, the
-    disagreements among fixed vertices, the non-edges between leftover
-    ("free") vertices of different clusters, and each free vertex's
-    disagreements with the fixed vertices for every class.
+    Holds the disagreements among the whole ("fixed") clusters' vertices,
+    the non-edges between leftover ("free") vertices of different clusters,
+    and ``against[q][c]``: each free vertex of cluster q's disagreements
+    with the fixed vertices when it is in class c, in vertex order.  A
+    class's edges to a free vertex should go to every fixed vertex outside
+    it and to none inside it, so with d(v, p) the degree of v into part p,
+    the cost of class c is the sum over fixed parts outside c of n - d(v, p)
+    plus the sum over parts in c of d(v, p).
     """
 
-    def __init__(self, g: PartitionedGraph, groups: Sequence[tuple[int, ...]],
+    def __init__(self, counts: _PartCounts, groups: Sequence[tuple[int, ...]],
                  leftover: Sequence[int], r: int):
-        self.g = g
-        fixed_masks = [0] * r
-        self.base = [0] * g.num_vertices
-        for cls_idx, grp in enumerate(groups):
-            for c in grp:
-                fixed_masks[cls_idx] |= g.part_mask(c)
-                for v in g.part_vertices(c):
-                    self.base[v] = cls_idx
-        all_fixed = 0
-        for m in fixed_masks:
-            all_fixed |= m
-        twice = 0
-        for m in fixed_masks:
-            trow = all_fixed & ~m
-            for v in bits(m):
-                twice += ((g.neighbors(v) & all_fixed) ^ trow).bit_count()
-        self.fixed_cost = twice // 2
-        self.cross_cost = sum(
-            g.part_sizes[q] * g.part_sizes[p]
-            - sum((g.neighbors(v) & g.part_mask(p)).bit_count()
-                  for v in g.part_vertices(q))
-            for q, p in combinations(leftover, 2))
-        # against[v][c]: same-class edges plus missing cross-class edges
-        # between free v in class c and the fixed vertices
+        n, k, between = counts.n, counts.k, counts.between
+        self.counts = counts
+        self.groups = groups
+        self.leftover = leftover
+        fixed = [c for c in range(k) if c not in leftover]
+        cls = {c: i for i, grp in enumerate(groups) for c in grp}
+        self.fixed_cost = sum(between[p][q] if cls[p] == cls[q] else n * n - between[p][q]
+                              for p, q in combinations(fixed, 2))
+        self.cross_cost = sum(n * n - between[p][q] for p, q in combinations(leftover, 2))
+        members = list(groups) + [()] * (r - len(groups))
         self.against = {}
         for q in leftover:
-            for v in g.part_vertices(q):
-                row = g.neighbors(v)
-                self.against[v] = [(row & m).bit_count()
-                                   + (all_fixed & ~m & ~row).bit_count()
-                                   for m in fixed_masks]
+            cols = counts.cols[q]
+            outside = [n * len(fixed) - s for s in _column_sums(cols, fixed, n)]
+            self.against[q] = [
+                [out + 2 * s - n * len(grp)
+                 for out, s in zip(outside, _column_sums(cols, grp, n))]
+                for grp in members]
+        self._memo: dict[tuple[int, tuple[int, ...]], int] = {}
 
-    def fit(self, allowance: dict[int, tuple[int, ...]]
-            ) -> tuple[list[int], int]:
-        """Class map for one allowance and the free part of its distance.
+    def free_cost(self, q: int, allowed: tuple[int, ...]) -> int:
+        """The free part of the distance from leftover cluster q when its
+        vertices may take the classes ``allowed``: each vertex's least cost
+        over them."""
+        key = (q, allowed)
+        cost = self._memo.get(key)
+        if cost is None:
+            against = self.against[q]
+            if len(allowed) == 1:
+                cost = sum(against[allowed[0]])
+            else:
+                cost = sum(map(min, *(against[c] for c in allowed)))
+            self._memo[key] = cost
+        return cost
 
-        Each free vertex takes its cheapest allowed class against the fixed
-        vertices; the free part is the sum of those costs.
-        """
-        g = self.g
-        class_of = list(self.base)
-        free_cost = 0
-        for q, allowed in allowance.items():
-            for v in g.part_vertices(q):
-                costs = self.against[v]
-                bestc = allowed[0]
-                for c in allowed[1:]:
-                    if costs[c] < costs[bestc]:
-                        bestc = c
-                class_of[v] = bestc
-                free_cost += costs[bestc]
-        return class_of, free_cost
+    def class_of(self, owners: Sequence[tuple[int, ...]]) -> list[int]:
+        """The vertex -> class map of one owner map: each fixed cluster's
+        class, and for each free vertex the first of its allowed classes of
+        least cost."""
+        n = self.counts.n
+        class_of = [0] * (self.counts.k * n)
+        for i, grp in enumerate(self.groups):
+            for c in grp:
+                class_of[c * n:(c + 1) * n] = [i] * n
+        for q, allowed in zip(self.leftover, owners):
+            against = self.against[q]
+            for j in range(n):
+                class_of[q * n + j] = min(allowed, key=lambda c: against[c][j])
+        return class_of
+
+
+def _column_sums(cols: Sequence[Sequence[int]], parts: Sequence[int], n: int) -> list[int]:
+    """Per vertex, the sum of its degrees into ``parts`` (zeros for none)."""
+    if not parts:
+        return [0] * n
+    return list(map(sum, zip(*(cols[p] for p in parts))))
 
 
 def _spec_from_assignment(r: int, k: int, n: int, leftover: Sequence[int],

@@ -7,7 +7,7 @@ failure, and no shared code with the production detectors or searches.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 from turan_workbench.constructions import regular_c4free_bipartite
 from turan_workbench.graphs import PartitionedGraph
@@ -245,3 +245,81 @@ def naive_improved_construction(p, class1: PartitionedGraph) -> PartitionedGraph
             edges += [(c, leaf) for leaf in first[i][m * (t - 1):(m + 1) * (t - 1)]]
         edges += [(u, v) for u in s1 for v in s2]
     return PartitionedGraph([n] * k, edges)
+
+
+# ---------------------------------------------------------------------------
+# closest template, one owner map at a time on bit rows
+
+
+def naive_allowances(leftover, r):
+    """Owner maps as maps cluster -> allowed classes, in the order of
+    ``product(leftover, repeat=r)``: every class is owned by exactly one
+    leftover cluster, every leftover cluster owns at least one class (a
+    single empty map when there are none)."""
+    if not leftover:
+        yield {}
+        return
+    for owners in product(leftover, repeat=r):
+        alloc = {q: tuple(c for c, o in enumerate(owners) if o == q) for q in leftover}
+        if all(alloc.values()):
+            yield alloc
+
+
+def _naive_shape_costs(g: PartitionedGraph, groups, leftover, r):
+    """A shape's class per vertex (whole clusters only), fixed and cross
+    costs, and each free vertex's disagreements per class, by popcounts of
+    the bit rows."""
+    fixed_masks = [0] * r
+    base = [0] * g.num_vertices
+    for cls_idx, grp in enumerate(groups):
+        for c in grp:
+            fixed_masks[cls_idx] |= g.part_mask(c)
+            for v in g.part_vertices(c):
+                base[v] = cls_idx
+    all_fixed = 0
+    for m in fixed_masks:
+        all_fixed |= m
+    twice = 0
+    for m in fixed_masks:
+        trow = all_fixed & ~m
+        for v in range(g.num_vertices):
+            if m >> v & 1:
+                twice += ((g.neighbors(v) & all_fixed) ^ trow).bit_count()
+    cross = sum(g.part_sizes[q] * g.part_sizes[p]
+                - sum((g.neighbors(v) & g.part_mask(p)).bit_count()
+                      for v in g.part_vertices(q))
+                for q, p in combinations(leftover, 2))
+    against = {v: [(g.neighbors(v) & m).bit_count()
+                   + (all_fixed & ~m & ~g.neighbors(v)).bit_count()
+                   for m in fixed_masks]
+               for q in leftover for v in g.part_vertices(q)}
+    return base, twice // 2, cross, against
+
+
+def naive_closest_template(g: PartitionedGraph, r: int):
+    """``closest_template``'s (distance, class_of, spec), evaluating every
+    (shape, owner map) pair from scratch: each free vertex takes the first
+    of its allowed classes of least cost, and a strictly lower distance
+    replaces the best.  The shapes come in ``stability._shapes`` order and
+    the spec from ``stability._spec_from_assignment``, so that ties break
+    the same way."""
+    from turan_workbench.stability import _shapes, _spec_from_assignment
+    k, n = len(g.part_sizes), g.part_sizes[0]
+    best = None
+    for leftover, groups in _shapes(k, r):
+        base, fixed, cross, against = _naive_shape_costs(g, groups, leftover, r)
+        for allowance in naive_allowances(list(leftover), r):
+            class_of = list(base)
+            free = 0
+            for q, allowed in allowance.items():
+                for v in g.part_vertices(q):
+                    bestc = allowed[0]
+                    for c in allowed[1:]:
+                        if against[v][c] < against[v][bestc]:
+                            bestc = c
+                    class_of[v] = bestc
+                    free += against[v][bestc]
+            if best is None or fixed + cross + free < best[0]:
+                best = (fixed + cross + free, class_of, leftover)
+    dist, class_of, leftover = best
+    return dist, tuple(class_of), _spec_from_assignment(r, k, n, leftover, class_of)

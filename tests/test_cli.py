@@ -817,3 +817,18 @@ def test_cache_append_after_torn_tail(tmp_path):
     assert hit is not None and hit.value == rec.value == 6
     assert any("corrupt" in str(w.message) for w in caught)   # the torn line
     assert path.read_text().count("\n") == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-free", "{dir}", "--pattern", "kqt", "--q", "3", "--t", "2"],
+    ["construct", "template", "--n", "2", "--r", "2", "--k", "3", "--out", "{dir}"],
+    ["zar", "exact", "--sizes", "2,2", "--t", "2", "--cache", "{dir}"],
+], ids=["check-free", "construct-out", "zar-cache"])
+def test_os_error_on_a_path_is_a_usage_error(capsys, tmp_path, argv):
+    # a directory where a file is read or written raises an OSError; that is
+    # a usage error (exit 3), not a witness (exit 1), and prints no traceback
+    code = cli_dispatch([a.format(dir=tmp_path) for a in argv] + ["--json"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert captured.out == ""

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from naive_oracles import naive_co_degree_into, naive_degree_into
-from turan_workbench.graphs import (MAX_DOCUMENT_VERTICES, GraphInvariantError,
-                                   PartitionedGraph, canonical_json)
+from turan_workbench.constructions import regular_c4free_bipartite
+from turan_workbench.graphs import (_FEW_BITS, MAX_DOCUMENT_VERTICES, GraphInvariantError,
+                                   PartitionedGraph, bits, canonical_json, set_bits)
 
 
 def random_graph(rng: random.Random, sizes, p: float = 0.5) -> PartitionedGraph:
@@ -244,3 +245,76 @@ def test_canonical_json_equals_the_generic_writer():
         text = g.canonical_json()
         assert text == canonical_json(g.to_document())
         assert PartitionedGraph.from_document(json.loads(text)) == g
+
+
+def test_set_bits_equals_the_bit_walk():
+    # both branches (a walk on at most _FEW_BITS bits, the flag codec above)
+    # on masks of up to 70,000 bits: every position comes out, in order
+    rng = random.Random(3)
+    masks = [0, 1, 1 << 69_999, (1 << 5_000) - 1, (1 << 70_000) - 1 - (1 << 40_000)]
+    for width in (8, 31, 64, 65, 224, 4_096, 70_000):
+        for count in (1, _FEW_BITS - 1, _FEW_BITS, _FEW_BITS + 1, 40, 700):
+            if count <= width:
+                masks.append(sum(1 << p for p in rng.sample(range(width), count)))
+    assert {m.bit_count() <= _FEW_BITS for m in masks} == {True, False}
+    for m in masks:
+        expected = [p for p in range(m.bit_length()) if m >> p & 1] if m.bit_count() > 700 \
+            else list(bits(m))
+        assert set_bits(m) == expected
+
+
+def test_canonical_json_equals_the_generic_writer_up_to_600_vertices():
+    # dense rows (the flag codec) and sparse rows (the walk) on seeded graphs
+    rng = random.Random(27)
+    graphs = [regular_c4free_bipartite(300, 3)]
+    for p in (0.004, 0.03, 0.5, 0.97):
+        graphs.append(random_graph(rng, [rng.randint(100, 150) for _ in range(4)], p))
+    assert max(g.num_vertices for g in graphs) == 600
+    for g in graphs:
+        text = g.canonical_json()
+        assert text == canonical_json(g.to_document())
+        assert PartitionedGraph.from_document(json.loads(text)) == g
+
+
+def test_from_rows_rejects_an_asymmetric_pair_at_seeded_positions():
+    # one bit added to, or dropped from, one row: the first row in vertex
+    # order whose higher bit has no mirror is named, and a lone lower bit
+    # is caught by the bit count
+    rng = random.Random(8)
+    for _ in range(40):
+        sizes = [rng.randint(1, 40) for _ in range(rng.randint(2, 5))]
+        g = random_graph(rng, sizes, rng.random())
+        n = g.num_vertices
+        if n < 2 or len(set(g.part_of)) < 2:
+            continue
+        while True:
+            v, u = rng.randrange(n), rng.randrange(n)
+            if g.part_of[v] != g.part_of[u]:
+                break
+        rows = g.rows()
+        rows[v] ^= 1 << u
+        if g.has_edge(v, u):       # dropped from row v: row u keeps bit v
+            message = (f"rows {u} and {v} are not symmetric" if u < v
+                       else "rows are not symmetric")
+        else:                      # added to row v alone
+            message = (f"rows {v} and {u} are not symmetric" if v < u
+                       else "rows are not symmetric")
+        with pytest.raises(GraphInvariantError) as exc:
+            PartitionedGraph.from_rows(sizes, rows)
+        assert str(exc.value) == message
+
+
+def test_codec_memory_is_linear_in_the_vertex_count():
+    # 20,001 vertices with 2,858 edges: a list of N ids is about 1.5 MB, a
+    # table of N single-bit masks would take N^2/16 bytes (25 MB)
+    import tracemalloc
+    g = PartitionedGraph([20_000, 1], [(v, 20_000) for v in range(0, 20_000, 7)])
+    rows = g.rows()
+    for write in (g.canonical_json, lambda: PartitionedGraph.from_rows([20_000, 1], rows)):
+        tracemalloc.start()
+        try:
+            write()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000

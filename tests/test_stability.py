@@ -9,9 +9,10 @@ from turan_workbench.constructions import (ConstructionError, TemplateSpec, buil
                                            turan_count)
 from turan_workbench.detectors import find_complete_multipartite
 from turan_workbench.graphs import PartitionedGraph
-from turan_workbench.stability import (AnalysisParams, _allowances,
-                                       _assignment_distance, _group_partitions,
-                                       _pair_count, _Shape, _shapes,
+from naive_oracles import naive_closest_template
+from turan_workbench.stability import (AnalysisParams, _assignment_distance,
+                                       _group_partitions, _owner_maps,
+                                       _pair_count, _PartCounts, _Shape, _shapes,
                                        classify_atypical,
                                        closest_template, enumerate_templates,
                                        high_degree_core, min_degree_audit,
@@ -68,8 +69,7 @@ def test_pair_count_equals_the_enumeration():
     # form; it must count exactly what closest_template would walk
     for k in range(1, 10):
         for r in range(1, k + 1):
-            walked = sum(sum(1 for _ in _allowances(list(leftover), r))
-                         for leftover, _ in _shapes(k, r))
+            walked = sum(len(_owner_maps(len(leftover), r)) for leftover, _ in _shapes(k, r))
             assert _pair_count(k, r) == walked, (k, r)
     # the counts the guard refuses, without big-number work when r is large
     assert _pair_count(30, 2) == 77_558_760 and _pair_count(11, 6) == 831_600
@@ -313,17 +313,20 @@ def test_swap_search_matches_full_distance_reference():
                 if host.part_of[u] != host.part_of[v] and rng.random() < 0.5])
             leftover = tuple(sorted(rng.sample(range(k), b)))
             rest = [c for c in range(k) if c not in leftover]
-            shape = _Shape(g, sorted(next(_group_partitions(rest, a))), leftover, r)
-            for allowance in _allowances(list(leftover), r):
-                class_of, free_cost = shape.fit(allowance)
+            shape = _Shape(_PartCounts(g), sorted(next(_group_partitions(rest, a))),
+                           leftover, r)
+            for owners in _owner_maps(b, r):
+                class_of = shape.class_of(owners)
+                free_cost = sum(map(shape.free_cost, leftover, owners))
                 base = _assignment_distance(g, class_of)
                 assert shape.fixed_cost + shape.cross_cost + free_cost == base
-                for v in (v for q in allowance for v in g.part_vertices(q)):
-                    cur = class_of[v]
-                    for c in allowance[g.part_of[v]]:
-                        class_of[v] = c
-                        assert _assignment_distance(g, class_of) >= base
-                    class_of[v] = cur
+                for q, allowed in zip(leftover, owners):
+                    for v in g.part_vertices(q):
+                        cur = class_of[v]
+                        for c in allowed:
+                            class_of[v] = c
+                            assert _assignment_distance(g, class_of) >= base
+                        class_of[v] = cur
 
 
 @pytest.mark.parametrize("seed, shape, distance, class_digest", [
@@ -352,6 +355,34 @@ def test_closest_template_gap_zero_on_split_templates():
     res = closest_template(build_template(spec), AnalysisParams(4, 2))
     assert (res.distance, res.gap) == (0, 0)
     assert res.heuristic == (res.gap > 0)
+
+
+def test_closest_template_equals_the_per_owner_map_oracle():
+    # the part-count evaluation against every (shape, owner map) pair
+    # evaluated from scratch on bit rows: distance, class map and spec, on
+    # planted templates (b = 0, 1, 2 and 3 leftover clusters), on empty,
+    # complete and random hosts, where many classes tie and the first
+    # minimum must win, and on the improved constructions at n = 32
+    from turan_workbench import constructions as c
+    from turan_workbench.zarankiewicz import z_lower_construction
+    rng = random.Random(27)
+    hosts = []
+    for r, k, n in ((1, 3, 3), (2, 3, 4), (2, 4, 5), (3, 4, 5), (3, 5, 6),
+                    (3, 6, 4), (4, 6, 5), (4, 7, 4), (4, 7, 10)):
+        for _ in range(3):
+            hosts.append((planted_template(rng, r, k, n), r))
+        hosts.append((PartitionedGraph([n] * k), r))
+        hosts.append((PartitionedGraph.complete([n] * k), r))
+        host = PartitionedGraph([2] * k)
+        hosts.append((PartitionedGraph([2] * k, [
+            (u, v) for u in range(2 * k) for v in range(u + 1, 2 * k)
+            if host.part_of[u] != host.part_of[v] and rng.random() < 0.5]), r))
+    class1 = z_lower_construction(32, 2).witness
+    for r, k in ((3, 5), (4, 6), (4, 7)):
+        hosts.append((c.improved_construction(c.ConstructionParams(32, r, k, 2), class1), r))
+    for g, r in hosts:
+        res = closest_template(g, AnalysisParams(r, 2))
+        assert (res.distance, res.class_of, res.spec) == naive_closest_template(g, r)
 
 
 def _brute_force_distance(g, r, k, n):
