@@ -1,13 +1,14 @@
 """The north star's fixed CLI panel, each command in a fresh process.
 
-    python3 panel/run.py [--runs 3] [--out BENCH.json] [LABEL=CHECKOUT ...]
+    python3 panel/run.py [--out BENCH.json] [LABEL=CHECKOUT ...]
 
 Each LABEL=CHECKOUT names the root of a checkout to run (default: this
-one, labelled ``change``).  Every command runs ``--runs`` times per
-checkout, in a process of its own with ``PYTHONPATH=<checkout>/src`` and a
-fresh result cache, so no answer is a cache hit.  The runs are interleaved
+one, labelled ``change``).  Every command runs three times per checkout,
+in a process of its own with ``PYTHONPATH=<checkout>/src`` and a fresh
+result cache, so no answer is a cache hit.  The runs are interleaved
 (command by command, run by run, checkout by checkout), so a drift of the
-host's speed falls on every checkout alike.
+host's speed falls on every checkout alike, and every other run takes the
+checkouts in reverse order, so no checkout always runs first.
 
 For each command and checkout the output records the median wall time of
 the runs and what the command prints: its exit code and, from its JSON
@@ -41,6 +42,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 N = 32
+RUNS = 3
 # the answer fields a command prints that the panel keeps
 ANSWER_KEYS = ("value", "status", "upper_bound", "holds", "search_value", "verdict",
                "nodes", "edges", "distance", "gap", "heuristic")
@@ -110,22 +112,11 @@ def run_one(checkout: Path, work: Path, argv: list[str]) -> tuple[float, dict]:
     return wall, answer
 
 
-def dump(doc: dict) -> str:
-    """The panel's JSON, one line per field and one per command."""
-    head = [f"{json.dumps(key)}: {json.dumps(value)}"
-            for key, value in doc.items() if key != "commands"]
-    rows = ",\n  ".join(json.dumps(row) for row in doc["commands"])
-    return "{\n " + ",\n ".join(head) + ',\n "commands": [\n  ' + rows + "\n ]\n}\n"
-
-
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("checkouts", nargs="*", metavar="LABEL=CHECKOUT")
-    ap.add_argument("--runs", type=int, default=3)
     ap.add_argument("--out", help="write the JSON here (default: stdout)")
     args = ap.parse_args()
-    if args.runs < 1:
-        ap.error("--runs must be at least 1")
     checkouts = {}
     for item in args.checkouts or [f"change={ROOT}"]:
         label, sep, path = item.partition("=")
@@ -147,8 +138,9 @@ def main() -> int:
         for name, argv in panel():
             walls = {label: [] for label in checkouts}
             answers = {label: [] for label in checkouts}
-            for _ in range(args.runs):
-                for label, checkout in checkouts.items():
+            for run in range(RUNS):
+                order = list(checkouts.items())
+                for label, checkout in order[::-1] if run % 2 else order:
                     wall, answer = run_one(checkout, works[label], argv)
                     walls[label].append(wall)
                     answers[label].append(answer)
@@ -168,7 +160,7 @@ def main() -> int:
         "panel": "north-star CLI panel, cold processes, no counters",
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
-        "runs": args.runs,
+        "runs": RUNS,
         "checkouts": list(checkouts),
         "total_wall_s": {label: round(sum(r[label]["wall_s"] for r in rows), 3)
                          for label in checkouts},
@@ -178,7 +170,7 @@ def main() -> int:
             for r in rows for label in checkouts),
         "commands": rows,
     }
-    text = dump(doc)
+    text = json.dumps(doc, indent=1) + "\n"
     if args.out:
         Path(args.out).write_text(text)
     else:

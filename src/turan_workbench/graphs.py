@@ -274,14 +274,17 @@ class PartitionedGraph:
         The vertex ids are formatted once per call.  A row's ids above the
         diagonal are picked from that list: a dense row compresses a slice of
         it with the row's flag bytes, a sparse one indexes it bit by bit, so
-        no row with few bits costs time in the vertex count."""
+        no row with few bits for its length costs time in the vertex count."""
         ids = list(map(str, range(self.num_vertices)))
         segments = []
         for u, row in enumerate(self._rows):
             higher = row >> (u + 1)
             if not higher:
                 continue
-            if higher.bit_count() <= _FEW_BITS:
+            # walk a row of at most 2 + 1/16 of its length in set bits: fitted
+            # to where the walk (one list index per bit) gets slower than the
+            # flags, from 5 set bits of 24, 10 of 64, 17 of 224, 64 of 1,024
+            if higher.bit_count() <= 2 + (higher.bit_length() >> 4):
                 picked = [ids[u + 1 + v] for v in _walk(higher)]
             else:
                 flags = _flags(higher)
