@@ -4,10 +4,11 @@ Exit codes are uniform across subcommands: 0 = success / pattern-free,
 1 = witness found or assertion failed, 2 = search budget exhausted,
 3 = usage error, a search nested past the recursion limit included.  Every
 artifact written with --out gets a manifest sidecar (<out>.manifest.json)
-recording the command line, parameters, input/output hashes, wall time,
-budget counters and seed; identical manifests reproduce byte-identical
-outputs (all searches are deterministic, randomized procedures take an
-explicit seed with a fixed default).
+recording the command line, parameters, input/output hashes, wall time and
+the budget counters (null for a verb without --budget); identical
+manifests reproduce byte-identical outputs, since every builder and search
+is deterministic (the one randomized procedure, ``zar lower``'s greedy,
+takes an explicit --seed and writes no file).
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ def _sha256_file(path: "str | Path") -> str:
 
 def write_manifest(out_path: "str | Path", out_sha256: str, command: Sequence[str],
                    params: dict, inputs: dict, wall_time: float,
-                   budget: Optional[Budget], seed: Optional[int]) -> None:
+                   budget: Optional[Budget]) -> None:
     manifest = {
         "command": list(command),
         "parameters": params,
@@ -80,7 +81,6 @@ def write_manifest(out_path: "str | Path", out_sha256: str, command: Sequence[st
         "outputs": {str(out_path): out_sha256},
         "wall_time_s": round(wall_time, 6),
         "budget": {"limit": budget.limit, "used": budget.used} if budget else None,
-        "seed": seed,
     }
     Path(str(out_path) + ".manifest.json").write_text(
         canonical_json(manifest), encoding="utf-8")
@@ -133,14 +133,15 @@ def _formula_chromatic(args, argv):
 def _writes_graph(build):
     """A construct verb from ``build(args, budget)``, which returns the graph,
     its manifest parameters and the hashes of the files it read: the verb
-    writes the graph to --out with its manifest."""
+    writes the graph to --out with its manifest.  ``budget`` is None for a
+    verb without --budget."""
     def run(args, argv):
         t0 = time.time()
-        budget = Budget(args.budget)
+        budget = Budget(args.budget) if "budget" in args else None
         g, params, inputs = build(args, budget)
         digest = save_graph(g, args.out)
         write_manifest(args.out, digest, argv, {"kind": args.kind, **params}, inputs,
-                       time.time() - t0, budget, args.seed)
+                       time.time() - t0, budget)
         return {"out": args.out, "edges": g.edge_count(),
                 "parts": list(g.part_sizes)}, EXIT_OK
     return run
@@ -264,11 +265,13 @@ def _ex_compare(args, argv):
 
 
 def _analysis(args):
-    """The graph and the analysis constants every analyze verb reads."""
+    """The graph and the analysis constants every analyze verb reads;
+    closest-template and classify read no t and take --t's default, 2."""
     g = load_graph(args.graph)
     given = {"gamma": args.gamma, "epsilon": args.epsilon}
     return g, stability.AnalysisParams(
-        args.r, args.t, **{name: Fraction(v) for name, v in given.items() if v})
+        args.r, args.t if "t" in args else 2,
+        **{name: Fraction(v) for name, v in given.items() if v})
 
 
 def _spec_analysis(args):
@@ -358,7 +361,7 @@ def build_parser() -> _Parser:
     for kind, run in (("template", _construct_template), ("basic", _construct_basic),
                       ("improved", _construct_improved), ("c4free", _construct_c4free),
                       ("stack", _construct_stack)):
-        p = _verb(construct, kind, run, budget=True, seed=True)
+        p = _verb(construct, kind, run, budget=kind == "stack")
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--out", required=True)
         if kind == "template":
@@ -405,7 +408,8 @@ def build_parser() -> _Parser:
         p = _verb(analyze, verb, run)
         p.add_argument("graph")
         p.add_argument("--r", type=int, required=True)
-        p.add_argument("--t", type=int, default=2)
+        if verb in ("core", "structure"):
+            p.add_argument("--t", type=int, default=2)
         p.add_argument("--epsilon")
         p.add_argument("--gamma")
         if verb != "closest-template":

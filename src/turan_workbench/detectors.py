@@ -187,37 +187,40 @@ def find_biclique(g: PartitionedGraph, t: int, s: "int | None" = None,
                   budget: "int | Budget | None" = None) -> Optional[Witness]:
     """First K_{s,t} (s defaults to t) with both sides inside ``within``;
     s = 1 gives the first K_{1,t} (None iff every vertex of ``within`` has
-    fewer than t neighbours in it).
+    fewer than t neighbours in it).  The witness lists the s-class first.
 
-    Enumerates s-subsets A in ascending (canonical) order, intersecting
-    neighbour rows as it goes; a witness needs >= t common neighbours
-    outside A.  Internal edges of either side are irrelevant.
+    Enumerates the subsets A of the smaller side's size, min(s, t), in
+    ascending (canonical) order, intersecting neighbour rows as it goes, so
+    it nests min(s, t) calls deep; a witness needs as many common
+    neighbours outside A as the larger side has vertices, and takes the
+    lowest of them.  Internal edges of either side are irrelevant.
     """
     if t < 1 or (s is not None and s < 1):
         raise ValueError("pattern sizes must be >= 1")
     if s is None:
         s = t
+    small, big = min(s, t), max(s, t)
     wm = g.universe_mask if within is None else g.mask(within)
     verts = list(bits(wm))
     bud = as_budget(budget)
 
     def extend(start: int, amask: int, depth: int, common: int) -> Optional[Witness]:
         bud.spend()
-        if depth == s:
+        if depth == small:
             avail = common & ~amask
-            if avail.bit_count() >= t:
+            if avail.bit_count() >= big:
                 a = tuple(bits(amask))
                 b = []
                 for u in bits(avail):
                     b.append(u)
-                    if len(b) == t:
+                    if len(b) == big:
                         break
-                return Witness((a, tuple(b)))
+                return Witness((a, tuple(b)) if s <= t else (tuple(b), a))
             return None
         for i in range(start, len(verts)):
             v = verts[i]
             nc = common & g.neighbors(v) if depth else g.neighbors(v) & wm
-            if (nc & ~(amask | (1 << v))).bit_count() < t:
+            if (nc & ~(amask | (1 << v))).bit_count() < big:
                 continue
             found = extend(i + 1, amask | (1 << v), depth + 1, nc)
             if found is not None:

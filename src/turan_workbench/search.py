@@ -8,7 +8,10 @@ any new copy must use the new edge between two classes, so feasibility is a
 K_q(t) search anchored at that edge (``contains_uniform_pattern``).  The
 probe runs on the search's own adjacency rows before the edge is added, and
 pays only for its yes/no answer: popcount pretests on the common
-neighbourhoods settle most probes before they spend a node.
+neighbourhoods settle most probes before they spend a node.  A probe
+spends its first node only after fixing u's and v's classes with (q-2)t
+common neighbours left for the others, qt distinct vertices in all, so on
+a host of fewer than qt vertices every probe answers no without a node.
 
 Vertices of one host part are interchangeable, so the search skips every
 graph that swapping two consecutive vertices of a part makes lex-larger
@@ -28,30 +31,34 @@ x-1 >= row x over the columns in that order.  The lex-max member of every
 orbit satisfies all these constraints, so every value is unchanged; only
 which optimal witness is found first may differ.
 
-For K_2(t) (the multipartite Zarankiewicz case) three counting bounds
-prune the tree: per part-pair block the bipartite restriction obeys the
-Kovari--Sos--Turan convexity bound, the whole vertex set obeys the
-all-graph star count sum_v C(d_v, t) <= (t-1) C(N, t), and each part's cut
-obeys the bipartite bound against the rest (applied recursively).  The
+For K_2(t) (the multipartite Zarankiewicz case) the tree is pruned by the
+Kovari--Sos--Turan star count: a K_{t,t}-free graph has sum_v C(d_v, t)
+<= (t-1) C(n, t) over any n columns, and for a fixed edge count the sum is
+least with degrees as equal as possible.  ``max_edges_for_budget`` solves
+that bound for the edge count, and every K_2(t) cap here and in the
+bipartite row engine is read from it.  Per part-pair block the bipartite
+restriction obeys the bound in both orientations (``kst_upper``).  The
 pair order takes the blocks one after another, so at any index the blocks
 before the current one are decided and those after it untouched: the
 per-block headroom is the current block's room plus a precomputed suffix
-sum of the later blocks' caps (the convexity bound for K_2(t), the block's
-pair count otherwise; the bound never exceeds the pair count).
+sum of the later blocks' caps (``kst_upper`` for K_2(t), the block's pair
+count otherwise; the bound never exceeds the pair count).
 
-Every search also has a static cap on the whole host (``static_cap``): the
-recursive K_2(t) bound above for q = 2; for t = 1 and 3 <= q <= N, Turan's
-theorem (1941), by which a K_q-free graph on N vertices has at most
-t_{q-1}(N) edges, taken with the cross-pair count; otherwise the cross-pair
-count, which bounds nothing.  On k parts of n with r dividing k, Turan's
-bound t_r(kn) equals the value t_r(k) n^2, so the Turan identity is proven
-as soon as its first optimum is found.  The search ends once the incumbent
-meets the cap.  Neither the cap nor the stop changes a witness: while the
-incumbent is below the true value, which is at most the cap,
-``min(cur + headroom, cap) <= best`` holds only where ``cur + headroom <=
-best`` does, so no branch is cut before the first optimum is found, and
-the witness is that first optimum (later graphs replace it only when
-strictly larger).
+Every search also has a static cap on the whole host (``static_cap``).  For
+q = 2 it is the least of the star count over all N vertices, sum_v C(d_v,
+t) <= (t-1) C(N, t), and, for each part, the bound on its cut to the rest
+plus the cap of the rest, taken recursively (``biclique_host_cap``).  For
+t = 1 and 3 <= q <= N it is Turan's theorem (1941), by which a K_q-free
+graph on N vertices has at most t_{q-1}(N) edges, taken with the
+cross-pair count; otherwise it is the cross-pair count, which bounds
+nothing.  On k parts of n with r dividing k, Turan's bound t_r(kn) equals
+the value t_r(k) n^2, so the Turan identity is proven as soon as its first
+optimum is found.  The search ends once the incumbent meets the cap.
+Neither the cap nor the stop changes a witness: while the incumbent is
+below the true value, which is at most the cap, ``min(cur + headroom, cap)
+<= best`` holds only where ``cur + headroom <= best`` does, so no branch is
+cut before the first optimum is found, and the witness is that first
+optimum (later graphs replace it only when strictly larger).
 
 The tree is walked with an explicit stack, one entry per level (the pair
 index), not one Python frame per node.  Its depth is the pair count, 48 on
@@ -70,6 +77,7 @@ those with two parts and q = 2, which go to the bipartite row engine
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import cache
 from itertools import combinations
 from math import comb
@@ -88,27 +96,29 @@ def min_star_cost(edges: int, rows: int, t: int) -> int:
     return s * comb(d + 1, t) + (rows - s) * comb(d, t)
 
 
+@cache
+def _star_costs(rows: int, cols: int, t: int) -> tuple[int, ...]:
+    """``min_star_cost(e, rows, t)`` for e = 0..rows*cols, which never
+    decreases in e, memoised per process."""
+    return tuple(min_star_cost(e, rows, t) for e in range(rows * cols + 1))
+
+
 def max_edges_for_budget(rows: int, cols: int, t: int, star_budget: int) -> int:
-    """Largest e <= rows*cols whose equal-degree star cost is within budget."""
-    if star_budget < 0:
-        return -1
-    lo, hi = 0, rows * cols
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if min_star_cost(mid, rows, t) <= star_budget:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+    """Largest e <= rows*cols whose equal-degree star cost is within budget,
+    -1 when the budget is negative."""
+    return bisect_right(_star_costs(rows, cols, t), star_budget) - 1
 
 
-def kst_upper_raw(m: int, n: int, t: int) -> int:
-    """Both-orientation integer convexity bound for z_t(m, n)."""
+def kst_upper(m: int, n: int, t: int) -> int:
+    """Explicit upper bound for z_t(m, n): the integer convexity form of the
+    Kovari--Sos--Turan bound, taken in both orientations.  Returns m*n when
+    no K_{t,t} fits."""
+    if m < 1 or n < 1 or t < 1:
+        raise ValueError("m, n, t must be >= 1")
     if m < t or n < t:
         return m * n
-    left = max_edges_for_budget(m, n, t, (t - 1) * comb(n, t))
-    right = max_edges_for_budget(n, m, t, (t - 1) * comb(m, t))
-    return min(m * n, left, right)
+    return min(max_edges_for_budget(m, n, t, (t - 1) * comb(n, t)),
+               max_edges_for_budget(n, m, t, (t - 1) * comb(m, t)))
 
 
 def whole_graph_cap(num_vertices: int, t: int) -> int:
@@ -128,22 +138,22 @@ def biclique_host_cap(part_sizes: Sequence[int], t: int) -> int:
 @cache
 def _biclique_cap(sizes: tuple[int, ...], t: int) -> int:
     """``biclique_host_cap`` on descending sizes, memoised per process: the
-    recursion meets the same sub-hosts many times, and so do the searches."""
+    recursion meets the same sub-hosts many times, and so do the searches.
+
+    The sum of the part-pair blocks' ``kst_upper`` bounds is no cap of its
+    own: the convexity bound is subadditive in its column count, so a cut's
+    bound is at most the sum of its blocks' bounds and the cut chain is
+    never above the block sum (the tests check this on every host within
+    the pair engine's guard, t = 1..10)."""
     if len(sizes) == 1:
         return 0
     if len(sizes) == 2:
-        return kst_upper_raw(sizes[0], sizes[1], t)
+        return kst_upper(sizes[0], sizes[1], t)
     total = sum(sizes)
     best = whole_graph_cap(total, t)
-    blocks = 0
     for i in range(len(sizes)):
-        for j in range(i + 1, len(sizes)):
-            blocks += kst_upper_raw(sizes[i], sizes[j], t)
-    best = min(best, blocks)
-    for i in range(len(sizes)):
-        rest = sizes[:i] + sizes[i + 1:]
-        cut = kst_upper_raw(sizes[i], total - sizes[i], t)
-        best = min(best, cut + _biclique_cap(rest, t))
+        cut = kst_upper(sizes[i], total - sizes[i], t)
+        best = min(best, cut + _biclique_cap(sizes[:i] + sizes[i + 1:], t))
     return best
 
 
@@ -181,7 +191,7 @@ def maximize_free(part_sizes: Sequence[int], q: int, t: int,
     for b, (i, j) in enumerate(combinations(range(len(part_sizes)), 2)):
         pairs += [(u, v, b) for u in host.part_vertices(i) for v in host.part_vertices(j)]
         m, n = part_sizes[i], part_sizes[j]
-        block_cap.append(kst_upper_raw(m, n, t) if q == 2 else m * n)
+        block_cap.append(kst_upper(m, n, t) if q == 2 else m * n)
         block_end.append(len(pairs))
     total = len(pairs)
     cap = static_cap(part_sizes, q, t)
@@ -193,7 +203,6 @@ def maximize_free(part_sizes: Sequence[int], q: int, t: int,
     best = -1
     best_rows: list[int] = [0] * host.num_vertices
     exact = True
-    pattern_fits = q * t <= host.num_vertices
     used_block = [0] * len(block_cap)
     # tied[x]: x - 1 lies in x's part and their rows agree on every pair
     # decided so far (see the module docstring)
@@ -230,8 +239,7 @@ def maximize_free(part_sizes: Sequence[int], q: int, t: int,
                     ended[idx] = (1 if tie_u else 0) | (2 if tie_v else 0)
                     if (used_block[b] < block_cap[b] and (tie_u or not tied[u])
                             and (tie_v or not tied[v])
-                            and (not pattern_fits
-                                 or not contains_uniform_pattern(rows, u, v, q, t, bud))):
+                            and not contains_uniform_pattern(rows, u, v, q, t, bud)):
                         rows[u] |= 1 << v
                         rows[v] |= 1 << u
                         used_block[b] += 1

@@ -14,16 +14,22 @@ satisfies both, and the edge count is invariant: no value is lost.
 
 The search prunes with the remaining star budget: a K_{t,t}-free bipartite
 graph satisfies sum_v C(d_v, t) <= (t-1) C(n, t), and for a fixed edge count
-the left side minimizes that sum with degrees as equal as possible.  That
-bound depends on a candidate row only through its popcount, so each node
-bounds whole popcount classes at once and walks only the rows of the
-admissible ones.  K_{t,t} feasibility is kept as, for every column t-subset,
-the number of chosen rows containing it: a row fits iff it contains no
-saturated subset (one in t-1 chosen rows), a single AND.  The per-(n, t)
-tables behind both (t-subsets of each row, rows by popcount) are built once
-per process.  ``kst_upper`` is the same convexity bound solved for the edge
-count (an explicit, checkable form of the Kovari--Sos--Turan inequality),
-taken in both orientations.
+the left side minimizes that sum with degrees as equal as possible.  One
+solver, ``search.max_edges_for_budget``, turns that bound into an edge
+count, here as in the pair engine's K_2(t) caps; ``kst_upper`` (an
+explicit, checkable form of the Kovari--Sos--Turan inequality, taken in
+both orientations) is read from it too.  The bound depends on a candidate
+row only through its popcount, so each node bounds whole popcount classes
+at once and walks only the rows of the admissible ones.  K_{t,t}
+feasibility is kept as, for every column t-subset, the number of chosen
+rows containing it: a row fits iff it contains no saturated subset (one in
+t-1 chosen rows), a single AND.  The per-(n, t) tables behind both
+(t-subsets of each row, rows by popcount) are built once per process.
+
+The walk keeps one entry per chosen row on an explicit stack, as the pair
+engine keeps one per pair, not one Python frame: a key of 1,024 rows is
+inside the size guard, and a recursion would pass the interpreter's
+recursion limit on it.
 
 z_t^(a) is exactly ex(n_1..n_a; K_2(t)), so there is one instance type,
 ``ExInstance``, and a z key is an instance with q = 2 (``ZarKey.of``).  One
@@ -47,6 +53,7 @@ from math import comb
 from typing import Optional, Sequence
 
 from . import detectors, search
+from .search import kst_upper   # re-exported: the bound on z_t(m, n)
 from .detectors import (Budget, BudgetExhausted, as_budget, contains_uniform_pattern,
                         find_biclique)
 from .graphs import PartitionedGraph, bits, check_vertex_count
@@ -134,18 +141,6 @@ class Record:
         (``search.static_cap``): what a record cut short by the budget
         reports beside its lower bound."""
         return search.static_cap(self.key.part_sizes, self.key.q, self.key.t)
-
-
-# ---------------------------------------------------------------------------
-# the Kovari--Sos--Turan convexity bound
-
-
-def kst_upper(m: int, n: int, t: int) -> int:
-    """Explicit upper bound for z_t(m, n): the integer convexity form of KST,
-    taken in both orientations.  Returns m*n when no K_{t,t} fits."""
-    if m < 1 or n < 1 or t < 1:
-        raise OracleError("m, n, t must be >= 1")
-    return search.kst_upper_raw(m, n, t)
 
 
 # ---------------------------------------------------------------------------
@@ -258,19 +253,6 @@ def _z_bipartite(m: int, n: int, t: int,
     tsub, popcount, by_popcount = tables.tsub, tables.popcount, tables.by_popcount
     star_cap = (t - 1) * comb(n, t)
     cost_of = [comb(p, t) for p in range(n + 1)]
-    # cost_table[q][e] = min star cost of e edges over q rows, bisected for
-    # bounds; a row is built on first use, so the work before the first
-    # spend() does not grow with m
-    cost_table: list[Optional[list[int]]] = [None] * (m + 1)
-
-    def max_edges(q: int, cap: int) -> int:
-        if cap < 0:
-            return -1
-        costs = cost_table[q]
-        if costs is None:
-            costs = cost_table[q] = [search.min_star_cost(e, q, t)
-                                     for e in range(q * n + 1)]
-        return bisect_right(costs, cap) - 1
 
     # (rows_left, stars_left, best - cur) -> (admissible flag per popcount,
     # ascending rows of the admissible popcounts)
@@ -280,7 +262,8 @@ def _z_bipartite(m: int, n: int, t: int,
         key = (rows_left, stars_left, gap)
         entry = classes.get(key)
         if entry is None:
-            ok = [p + max_edges(rows_left - 1, stars_left - cost_of[p]) > gap
+            ok = [p + search.max_edges_for_budget(rows_left - 1, n, t,
+                                                  stars_left - cost_of[p]) > gap
                   for p in range(n + 1)]
             rows = sorted(chain.from_iterable(
                 by_popcount[p] for p in range(n + 1) if ok[p]))
@@ -296,47 +279,55 @@ def _z_bipartite(m: int, n: int, t: int,
         greedy.push(c)
         best_rows.append(c)
     best = sum(popcount[c] for c in best_rows)
-    exact = True
 
     chosen: list[int] = []
     counts = _TSubsetCounts(tables, t)
     planes = counts.planes
     spend = budget.spend
     push, pop = counts.push, counts.pop
-
-    def rec(prev: int, cur: int, stars_left: int, tied: int) -> None:
-        nonlocal best, best_rows
-        spend()
-        rows_left = m - len(chosen)
-        if rows_left == 0:
-            if cur > best:
-                best = cur
-                best_rows = list(chosen)
-            return
-        if cur + max_edges(rows_left, stars_left) <= best:
-            return
-        ok, rows = popcount_classes(rows_left, stars_left, best - cur)
-        saturated = planes[-1]
-        seen_best = best
-        for c in reversed(rows[:bisect_right(rows, prev)]):
-            pc = popcount[c]
-            if best != seen_best:        # the incumbent moved: re-test the bound
+    # one entry per chosen row, not one Python frame (module docstring): the
+    # parent node's candidate iterator, edge count, stars left, column ties,
+    # admissible popcounts and the incumbent they were worked out for
+    stack: list[tuple] = []
+    cur, stars_left, tied, c = 0, star_cap, full >> 1, full
+    try:
+        while True:
+            # enter the node of the rows in ``chosen``, the last of them c
+            spend()
+            rows_left = m - len(chosen)
+            if rows_left:
+                ok, rows = popcount_classes(rows_left, stars_left, best - cur)
+                cands = reversed(rows[:bisect_right(rows, c)])
                 seen_best = best
-                ok = popcount_classes(rows_left, stars_left, best - cur)[0]
-            if not ok[pc] or tsub[c] & saturated or c & tied & ~(c >> 1):
-                continue
+            else:
+                if cur > best:
+                    best, best_rows = cur, list(chosen)
+                cands = ()
+            # the next child: the node's next fitting candidate, or once
+            # those are done its parent's, and so on up
+            while True:
+                for c in cands:
+                    if best != seen_best:    # the incumbent moved: re-test the bound
+                        seen_best = best
+                        ok = popcount_classes(m - len(chosen), stars_left, best - cur)[0]
+                    if ok[popcount[c]] and not (tsub[c] & planes[-1]
+                                                or c & tied & ~(c >> 1)):
+                        break
+                else:
+                    if not stack:
+                        return best, witness(best_rows), True
+                    pop(chosen.pop())
+                    cands, cur, stars_left, tied, ok, seen_best = stack.pop()
+                    continue
+                break
+            stack.append((cands, cur, stars_left, tied, ok, seen_best))
             push(c)
             chosen.append(c)
-            rec(c, cur + pc, stars_left - cost_of[pc], tied & ~(c ^ (c >> 1)))
-            chosen.pop()
-            pop(c)
-
-    try:
-        rec(full, 0, star_cap, full >> 1)
+            pc = popcount[c]
+            cur, stars_left = cur + pc, stars_left - cost_of[pc]
+            tied &= ~(c ^ (c >> 1))
     except BudgetExhausted:
-        exact = False
-    del rec   # rec refers to itself; drop the cycle so the memo is freed now
-    return best, witness(best_rows), exact
+        return best, witness(best_rows), False
 
 
 # ---------------------------------------------------------------------------

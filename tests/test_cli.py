@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import random
+import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -141,7 +142,21 @@ def test_no_verb_accepts_an_option_it_does_not_read(tmp_path, capsys):
             (["analyze", "closest-template", g, "--r", "2"], ["--spec", "x.json"]),
             (["analyze", "classify", g, "--r", "2", "--spec", "x.json"], ["--z", "0"]),
             (["analyze", "core", g, "--r", "2", "--spec", "x.json"], ["--budget", "1"]),
-            (["analyze", "structure", g, "--r", "2", "--spec", "x.json"], ["--seed", "1"])):
+            (["analyze", "structure", g, "--r", "2", "--spec", "x.json"], ["--seed", "1"]),
+            # options no builder or analysis reads: no construct verb is
+            # randomised, only stack searches, and neither closest-template
+            # nor classify reads t
+            *[(["construct", "template", "--n", "4", "--r", "2", "--k", "3", "--out", out],
+               extra) for extra in (["--seed", "1"], ["--budget", "1"])],
+            *[(["construct", "c4free", "--n", "4", "--t", "2", "--out", out], extra)
+              for extra in (["--seed", "1"], ["--budget", "1"])],
+            *[(["construct", kind, "--n", "4", "--r", "2", "--k", "3", "--class1", g,
+                "--out", out], extra)
+              for kind in ("basic", "improved")
+              for extra in (["--seed", "1"], ["--budget", "1"])],
+            (["construct", "stack", "--n", "2", "--a", "2", "--out", out], ["--seed", "1"]),
+            (["analyze", "closest-template", g, "--r", "2"], ["--t", "2"]),
+            (["analyze", "classify", g, "--r", "2", "--spec", "x.json"], ["--t", "2"])):
         code = cli_dispatch(argv + extra + ["--json", "--cache", str(tmp_path / "c.jsonl")])
         captured = capsys.readouterr()
         assert (code, captured.out) == (EXIT_USAGE, ""), argv + extra
@@ -259,7 +274,7 @@ def test_construct_and_check_free(tmp_path, capsys):
     assert code == EXIT_OK
     manifest = json.loads((tmp_path / "c4.json.manifest.json").read_text())
     assert manifest["outputs"][str(out)]
-    assert manifest["seed"] == 0
+    assert "seed" not in manifest and manifest["budget"] is None
     code, _ = run(capsys, "check-free", str(out), "--pattern", "ktt", "--t", "2")
     assert code == EXIT_OK
     # an octahedron yields exit 1 plus a witness
@@ -511,26 +526,54 @@ def test_truncated_answers_report_an_upper_bound(tmp_path, capsys):
     assert rep["upper_bound"] == 54 >= rep["ex_value"]
 
 
-def test_searches_past_the_recursion_limit_are_usage_errors(tmp_path, capsys):
-    # the row engine nests one frame per row and the biclique detector one
-    # per vertex: past the interpreter's limit the command answers nothing,
-    # which is exit 3 with an error line, not exit 1 (witness found) with a
-    # traceback; (1024, 4) is inside the row engine's size guard
+def test_deep_inputs_inside_the_size_guards_answer(tmp_path, capsys):
+    # the row engine keeps one stack entry per row, not one Python frame, and
+    # the biclique detector nests min(s, t) calls, so neither input reaches
+    # the interpreter's recursion limit; (1024, 4) is inside the row
+    # engine's size guard, and the star's K_{1000,1} is found by fixing its
+    # centre, the s-class listed first
     star = tmp_path / "star.json"
     save_graph(PartitionedGraph([1, 1001], [(0, v) for v in range(1, 1002)]), star)
-    cache = tmp_path / "c.jsonl"
-    for argv in (["check-free", str(star), "--pattern", "ktt", "--s", "1000", "--t", "1"],
-                 ["zar", "exact", "--sizes", "1024,4", "--t", "2", "--cache", str(cache)]):
-        code = cli_dispatch(argv + ["--json"])
-        captured = capsys.readouterr()
-        assert (code, captured.out) == (EXIT_USAGE, ""), argv
-        assert captured.err.startswith("error: ") and "recursion" in captured.err, argv
-        assert "Traceback" not in captured.err, argv
-    assert not cache.exists()
-    # the process stays fit for the next command: a shallower search answers
-    code, text = run(capsys, "check-free", str(star), "--pattern", "ktt", "--s", "9",
+    code, text = run(capsys, "check-free", str(star), "--pattern", "ktt", "--s", "1000",
                      "--t", "1", "--json")
-    assert code == EXIT_FOUND and json.loads(text)["classes"] == [list(range(1, 10)), [0]]
+    assert code == EXIT_FOUND and json.loads(text) == {
+        "verdict": "witness", "classes": [list(range(1, 1001)), [0]], "nodes": 2}
+    code, text = run(capsys, "zar", "exact", "--sizes", "1024,4", "--t", "2",
+                     "--cache", str(tmp_path / "c.jsonl"), "--json")
+    rep = json.loads(text)
+    assert code == EXIT_OK and (rep["value"], rep["status"]) == (1030, "exact")
+
+
+def test_searches_past_the_recursion_limit_are_usage_errors(tmp_path, capsys):
+    # the K_q(t) detector nests about one call per vertex it places; under a
+    # recursion limit 30 frames above this test's, the K_20(2) of twenty
+    # parts of two is past it: the command answers nothing, which is exit 3
+    # with an error line, not exit 1 (witness found) with a traceback
+    g = tmp_path / "k20.json"
+    save_graph(PartitionedGraph([2] * 20, [(u, v) for u in range(40) for v in range(u + 1, 40)
+                                           if u // 2 != v // 2]), g)
+    argv = ["check-free", str(g), "--pattern", "kqt", "--q", "20", "--t", "2", "--json"]
+    code, text = run(capsys, *argv)           # builds the shared parser, too
+    assert code == EXIT_FOUND and json.loads(text)["classes"] == [
+        [2 * i, 2 * i + 1] for i in range(20)]
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 30)
+    try:
+        code = cli_dispatch(argv)
+    finally:
+        sys.setrecursionlimit(limit)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_USAGE, "")
+    assert captured.err.startswith("error: ") and "recursion" in captured.err
+    assert "Traceback" not in captured.err
+    # the process stays fit for the next command
+    code, text = run(capsys, *argv)
+    assert code == EXIT_FOUND and json.loads(text)["verdict"] == "witness"
 
 
 def test_zar_exact_t1_cli(capsys):
@@ -591,7 +634,7 @@ def test_analyze_cli(tmp_path, capsys):
     assert code == EXIT_OK and (doc["distance"], doc["lower_bound"], doc["gap"]) == (0, 0, 0)
     assert doc["heuristic"] is False
     code, text = run(capsys, "analyze", "classify", str(gpath), "--r", "2",
-                     "--t", "2", "--spec", str(spath), "--epsilon", "1/2", "--json")
+                     "--spec", str(spath), "--epsilon", "1/2", "--json")
     doc = json.loads(text)
     assert code == EXIT_OK and doc["ambiguous"] == []
     code, text = run(capsys, "analyze", "structure", str(gpath), "--r", "2",

@@ -2,12 +2,14 @@
 every value of the unconstrained search, and its witnesses are lex-leaders."""
 
 import sys
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
+from math import comb
 
 from naive_oracles import naive_contains_kqt, naive_ex
 from turan_workbench.constructions import turan_count
-from turan_workbench.search import maximize_free, static_cap
-from turan_workbench.zarankiewicz import ZarKey, z_exact
+from turan_workbench.search import (biclique_host_cap, kst_upper, max_edges_for_budget,
+                                   maximize_free, static_cap)
+from turan_workbench.zarankiewicz import PAIR_LIMIT, ZarKey, z_exact
 
 # part sizes -> {(q, t): ex(part sizes; K_q(t))}, as the search computed them
 # before it broke any symmetry, on every host it solved within 300k nodes
@@ -142,3 +144,39 @@ def test_stack_depth_does_not_grow_with_the_pair_count():
         sys.setrecursionlimit(limit)
     assert (value, exact) == (46, False)
     assert g.edge_count() == 46
+
+
+def test_block_sum_is_never_below_the_host_cap():
+    # biclique_host_cap takes no block-sum term: on every descending host of
+    # three or more parts within the pair engine's guard the sum of the
+    # blocks' KST bounds is at least the cap, so the term never cut
+    shapes = []
+
+    def extend(sizes):
+        if len(sizes) >= 3:
+            shapes.append(sizes)
+        for s in range(sizes[-1], 0, -1):
+            if sum(a * b for a, b in combinations(sizes + (s,), 2)) <= PAIR_LIMIT:
+                extend(sizes + (s,))
+
+    for first in range(1, PAIR_LIMIT + 1):
+        extend((first,))
+    assert len(shapes) == 383
+    for sizes in shapes:
+        for t in range(1, 11):
+            blocks = sum(kst_upper(a, b, t) for a, b in combinations(sizes, 2))
+            assert blocks >= biclique_host_cap(sizes, t), (sizes, t)
+
+
+def test_max_edges_for_budget_against_a_scan_of_degree_sequences():
+    # the most edges over ``rows`` degrees of at most ``cols`` whose star
+    # cost sum C(d_i, t) is within the budget, -1 below budget 0
+    for rows in range(7):
+        for cols in range(7):
+            degrees = list(combinations_with_replacement(range(cols + 1), rows))
+            for t in range(1, 5):
+                costs = [(sum(comb(d, t) for d in ds), sum(ds)) for ds in degrees]
+                for budget in range(-1, max(c for c, _ in costs) + 2):
+                    best = max((e for c, e in costs if c <= budget), default=-1)
+                    assert max_edges_for_budget(rows, cols, t, budget) == best, \
+                        (rows, cols, t, budget)

@@ -271,6 +271,21 @@ def test_row_engine_pinned_outputs(m, n, t):
         assert [g.neighbors(i) >> m for i in range(m)] == rows
 
 
+def test_row_engine_pinned_node_total_on_the_small_grid():
+    # every key n <= m <= 7, t = 2..5: the same values as the naive oracle
+    # where it reaches, and 11,182 nodes in all
+    from turan_workbench.detectors import Budget
+    from turan_workbench.zarankiewicz import _z_bipartite
+    budget = Budget(None)
+    keys = [(m, n, t) for n in range(1, 8) for m in range(n, 8) for t in range(2, 6)]
+    for m, n, t in keys:
+        value, g, exact = _z_bipartite(m, n, t, budget)
+        assert exact and value == g.edge_count(), (m, n, t)
+        if m <= 4:
+            assert value == naive_z(m, n, t), (m, n, t)
+    assert (len(keys), budget.used) == (112, 11182)
+
+
 def test_z2_diagonal_matches_oeis_a001197():
     # n = 9 is exact only with the column symmetry breaking; the row-only
     # search had a lower bound of 25 after 5M nodes
