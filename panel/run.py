@@ -18,7 +18,7 @@ search commands print no node counts yet.
 
 The cases: ``zar exact`` 9,9 and 4,4,4 at t = 2 and 7,7 at t = 3; ``ex
 exact`` (3,3,3,2)/K_3(2) and (2,2,2,2,2,2)/K_4(2); the three Turan-identity
-hosts that 2M nodes do not settle, at that budget; ``construct`` and
+hosts of the frontier, at a 2M-node budget; ``construct`` and
 ``check-free`` of every t = 2 and t = 3 build at n = 32; and ``analyze
 closest-template`` of the improved (4,7) build.  The class-1 graphs the
 builds plug in are written once per checkout, untimed.

@@ -23,7 +23,10 @@ bound and two checks in its candidate loop:
   vertex falls out of it or fewer than total vertices remain.  A dropped
   vertex lies in no copy of the subtree, so the filter cuts only subtrees
   the DFS would have left empty-handed, and the first set found is the
-  same;
+  same.  Hosts whose complement splits skip it: there the region supplies
+  cut first, and on the n = 32 t = 2 constructions, the n = 72 t = 3
+  improved builds and a seeded panel of split hosts it cut no node while
+  taking a third of their DFS time;
 * neighbourhood core: the same core one level down.  Let x be a vertex of
   a copy inside the available vertices A.  The copy minus x's class is a
   K_{q-1}(t) inside N(x) & A, each of its vertices has (q - 2) t
@@ -242,13 +245,13 @@ class PackingContext:
     non-neighbours of v), the host parts, which give the per-part
     pigeonhole caps, and the regions.
 
-    The complement's components are computed first.  If the graph is one
-    component and one cross-part blob, the whole vertex set is one region
-    with no supply (ascending order; ``split`` is False): the DFS bounds it
-    by the part cap and, for q >= 3, prunes it by the neighbourhood-core
-    test (``nbhd_core``).  Otherwise the vertices are split once
-    into *regions*: non-adjacency components, each further split into
-    cross-part non-adjacency blobs when that lowers the bound (any
+    The cross-part blobs are computed first.  If the graph is one blob (so
+    one complement component too), the whole vertex set is one region with
+    no supply (ascending order; ``split`` is False): the DFS bounds it by
+    the part cap and prunes it by the degree filter and, for q >= 3, the
+    neighbourhood-core test (``nbhd_core``).  Otherwise the vertices are
+    split once into *regions*: non-adjacency components, each further split
+    into cross-part non-adjacency blobs when that lowers the bound (any
     partition gives a sound bound, since a valid set restricted to a region
     is still valid there).  Vertices are enumerated region-by-region,
     scarcest supply first, so the tightest decisions are made at the top of
@@ -264,17 +267,17 @@ class PackingContext:
     lowest bit first, region by region; a child taken at vertex v in region
     r gets ``(r, v + 1)``.  A node's candidates lie inside the pool its
     parent passed down: the parent's filtered available vertices, or at
-    the root ``root_pool()``.  Before bounding, each node runs the degree
-    filter of the module docstring on the chosen vertices plus the
-    candidates, then, when ``nbhd_core`` is set, the neighbourhood-core
-    test on its newest chosen vertex; its candidate loop skips the children
-    that cannot fill the copy.  None of these spends budget or changes the
-    witness.
+    the root ``root_pool()``.  Before bounding, each node on a one-region
+    host runs the degree filter of the module docstring on the chosen
+    vertices plus the candidates, then, when ``nbhd_core`` is set, the
+    neighbourhood-core test on its newest chosen vertex; its candidate loop
+    skips the children that cannot fill the copy.  None of these spends
+    budget or changes the witness.
 
-    Why split hosts skip the neighbourhood-core test: its proof holds on
-    any host, but there the region supplies already decide at or near the
-    root.  On the 18 n = 32 constructions it cut no node and doubled their
-    DFS time.
+    Why split hosts skip both core filters: their proofs hold on any host,
+    but there the region supplies already decide at or near the root.  On
+    the 18 n = 32 constructions neither cut a node; the neighbourhood-core
+    test doubled their DFS time, and the degree filter took a third of it.
     """
 
     def __init__(self, g: PartitionedGraph, q: int, t: int,
@@ -295,11 +298,12 @@ class PackingContext:
         self._supply_memo: dict[int, int] = {}
         self.regions = [universe]
         self.region_supply = [universe.bit_count()]
-        comps = self._components(universe, cross_part_only=False)
-        # one region: its supply only relaxes the DFS, so none is built
-        self.split = len(comps) > 1 or len(self._components(universe, True)) > 1
+        # one region: its supply only relaxes the DFS, so none is built.  The
+        # cross-part complement spans the complement, so it splits whenever
+        # the complement does, and one search of it decides
+        self.split = len(self._components(universe, cross_part_only=True)) > 1
         if self.split:
-            self._build_regions(comps)
+            self._build_regions(self._components(universe, cross_part_only=False))
         # what bounds a region's available vertices in the DFS: the supply
         # on split hosts, else the part cap
         self.region_bound = self._supply if self.split else self._part_cap
@@ -555,8 +559,12 @@ class PackingContext:
         # the blocked ones)
         avail = (((regions[r0] & -(1 << lo)) | self.later[r0]) & pool & ~blocked) | smask
         # degree filter: a copy vertex has (q - 1) t neighbours in the copy
-        avail = self._core(avail, total - t, total)
-        if avail.bit_count() < total or smask & ~avail:
+        # (on split hosts the region supplies cut first, and it cuts nothing)
+        if not self.split:
+            avail = self._core(avail, total - t, total)
+            if smask & ~avail:
+                return None
+        if avail.bit_count() < total:
             return None
         if self.nbhd_core and chosen and not self._nbhd_ok(chosen[-1], avail):
             return None

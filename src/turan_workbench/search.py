@@ -27,9 +27,32 @@ the pair vector, include (1) before exclude (0): the transposition only
 swaps (x-1, w) with (x, w), in the canonical order (x-1, w) is always
 decided before (x, w), and both rows meet their columns w in the same
 increasing order, so the swapped vector is lex-smaller or equal iff row
-x-1 >= row x over the columns in that order.  The lex-max member of every
-orbit satisfies all these constraints, so every value is unchanged; only
-which optimal witness is found first may differ.
+x-1 >= row x over the columns in that order.
+
+Two consecutive parts s, s+1 of one size are interchangeable too (canonical
+sizes are sorted descending, so equal parts are next to each other), and
+the search also keeps the lex-leader constraint X >= sigma_s(X) for the
+swap sigma_s of those parts (Crawford, Ginsberg, Luks and Roy, KR 1996),
+with one tie per swap, kept as a bit of an int.  The swap moves block
+(h, s) to (h, s+1), block (s, j) to (s+1, j), and block (s, s+1) to its own
+transpose; each pair it moves to an earlier pair meets that image, already
+decided, when the walk reaches it (``_pair_order`` tabulates the images
+once per part-size tuple).  While the swap is tied, excluding the pair when
+its image is in ends the tie, and including it when its image is out is
+skipped.  The skip is sound only when the two vectors' first difference
+would be at that image, so only when no pair the walk decides later has an
+earlier image ("strict"); a pair that is not strict ends the tie when it
+differs from its image.  The later pairs' images come in the walk's own
+order except in the transposed block, and there from parts of four
+vertices on: on (4,4,4), two pairs are not strict.  The within-part ties
+work the same way, with every pair strict.
+
+Every constraint here is implied by X >= tau(X) in the one pair order, for
+tau the swap it breaks, so the lex-max member of every orbit satisfies them
+all at once, and every value is unchanged.  The include-first walk reaches
+leaves in decreasing lex order and no bound cuts a branch before the first
+optimum is found (below), so the witness is the lex-max optimum with or
+without the constraints: witnesses do not move either.
 
 For K_2(t) (the multipartite Zarankiewicz case) the tree is pruned by the
 Kovari--Sos--Turan star count: a K_{t,t}-free graph has sum_v C(d_v, t)
@@ -171,6 +194,50 @@ def static_cap(part_sizes: Sequence[int], q: int, t: int) -> int:
     return pairs
 
 
+@cache
+def _pair_order(sizes: tuple[int, ...]) -> tuple:
+    """The pair walk's tables for one part-size tuple, memoised per process
+    so that a small query does not rebuild them:
+
+    * ``pairs``: (u, v, block) in the canonical order, block by block;
+    * ``block_end``: the index after each block's last pair;
+    * ``tied``: the within-part ties at the root (x - 1 lies in x's part);
+    * ``swaps[p]``: for each swap of two consecutive equal parts that moves
+      pair p to an earlier pair, (bit, that pair, strict), where bit is the
+      swap's bit in the tie mask (4 << s) and strict says whether the pair
+      may forbid its include while the swap is tied (module docstring);
+    * ``swap_mask``: every swap's bit, the tie mask at the root."""
+    host = PartitionedGraph(sizes)
+    pairs: list[tuple[int, int, int]] = []
+    block_end: list[int] = []
+    for b, (i, j) in enumerate(combinations(range(len(sizes)), 2)):
+        pairs += [(u, v, b) for u in host.part_vertices(i) for v in host.part_vertices(j)]
+        block_end.append(len(pairs))
+    index = {(u, v): p for p, (u, v, _) in enumerate(pairs)}
+    swaps: list[list[tuple[int, int, bool]]] = [[] for _ in pairs]
+    swap_mask = 0
+    for s in range(len(sizes) - 1):
+        if sizes[s] != sizes[s + 1]:
+            continue
+        bit = 4 << s
+        swap_mask |= bit
+        swapped = list(range(host.num_vertices))
+        for x, y in zip(host.part_vertices(s), host.part_vertices(s + 1)):
+            swapped[x], swapped[y] = y, x
+        # the pairs the swap moves to an earlier pair, with that image, in
+        # the order the walk decides them
+        moved = [(p, image) for p, (u, v, _) in enumerate(pairs)
+                 if (image := index[tuple(sorted((swapped[u], swapped[v])))]) < p]
+        earliest = len(pairs)   # the least image of the pairs decided after p
+        for p, image in reversed(moved):
+            swaps[p].append((bit, image, image < earliest))
+            earliest = min(earliest, image)
+    tied = tuple(x > 0 and host.part_of[x - 1] == host.part_of[x]
+                 for x in range(host.num_vertices))
+    return (tuple(pairs), tuple(block_end), tied,
+            tuple(tuple(entries) for entries in swaps), swap_mask)
+
+
 def maximize_free(part_sizes: Sequence[int], q: int, t: int,
                   budget: "int | Budget | None" = None
                   ) -> tuple[int, PartitionedGraph, bool]:
@@ -179,41 +246,37 @@ def maximize_free(part_sizes: Sequence[int], q: int, t: int,
     Returns (value, the best graph found, exact); ``exact`` is False when
     the budget ran out first (the value is then only a lower bound).
     """
-    host = PartitionedGraph(part_sizes)
-    rows = [0] * host.num_vertices
+    sizes = tuple(part_sizes)
+    pairs, block_end, root_tied, swaps, swap_mask = _pair_order(sizes)
+    rows = [0] * len(root_tied)
     bud = as_budget(budget)
 
-    # the pairs block by block (one block per part pair), each block's cap
-    # for the K_2(t) counting bounds and the index after its last pair
-    pairs: list[tuple[int, int, int]] = []
-    block_cap: list[int] = []
-    block_end: list[int] = []
-    for b, (i, j) in enumerate(combinations(range(len(part_sizes)), 2)):
-        pairs += [(u, v, b) for u in host.part_vertices(i) for v in host.part_vertices(j)]
-        m, n = part_sizes[i], part_sizes[j]
-        block_cap.append(kst_upper(m, n, t) if q == 2 else m * n)
-        block_end.append(len(pairs))
+    # each block's cap for the K_2(t) counting bounds
+    block_cap = [kst_upper(m, n, t) if q == 2 else m * n for m, n in combinations(sizes, 2)]
     total = len(pairs)
-    cap = static_cap(part_sizes, q, t)
+    cap = static_cap(sizes, q, t)
     # later_room[b]: room in the (untouched) blocks after b
     later_room = [0] * len(block_cap)
     for b in range(len(block_cap) - 2, -1, -1):
         later_room[b] = later_room[b + 1] + block_cap[b + 1]
 
     best = -1
-    best_rows: list[int] = [0] * host.num_vertices
+    best_rows = list(rows)
     exact = True
     used_block = [0] * len(block_cap)
     # tied[x]: x - 1 lies in x's part and their rows agree on every pair
-    # decided so far (see the module docstring)
-    tied = [x > 0 and host.part_of[x - 1] == host.part_of[x]
-            for x in range(host.num_vertices)]
+    # decided so far; tied_swaps: the bits of the part swaps whose pairs
+    # agree with their images so far (see the module docstring)
+    tied = list(root_tied)
+    tied_swaps = swap_mask
+    wide = swap_mask.bit_length()
 
     # the tree is walked with one entry per level (the pair index) instead
     # of one Python frame per node (see the module docstring): included[i]
     # says whether the child being searched below level i is its include
-    # child, ended[i] the ties that level's exclude child ends (bit 0: u's,
-    # bit 1: v's)
+    # child, ended[i] the ties that level's children end: bit 0 u's and
+    # bit 1 v's, the swap bits those the exclude child ends, and the swap
+    # bits shifted left by ``wide`` those the include child ends
     included = [False] * total
     ended = [0] * total
     idx = cur = 0
@@ -236,22 +299,36 @@ def maximize_free(part_sizes: Sequence[int], q: int, t: int,
                     # (likewise v with (u, v - 1))
                     tie_u = tied[u] and rows[u - 1] >> v & 1
                     tie_v = tied[v] and rows[v - 1] >> u & 1
-                    ended[idx] = (1 if tie_u else 0) | (2 if tie_v else 0)
-                    if (used_block[b] < block_cap[b] and (tie_u or not tied[u])
-                            and (tie_v or not tied[v])
-                            and not contains_uniform_pattern(rows, u, v, q, t, bud)):
+                    end = (1 if tie_u else 0) | (2 if tie_v else 0)
+                    free = (used_block[b] < block_cap[b] and (tie_u or not tied[u])
+                            and (tie_v or not tied[v]))
+                    if tied_swaps:
+                        # a tied swap's image of the pair was decided earlier
+                        for bit, image, strict in swaps[idx]:
+                            if tied_swaps & bit:
+                                if included[image]:
+                                    end |= bit
+                                elif strict:
+                                    free = False
+                                else:
+                                    end |= bit << wide
+                    ended[idx] = end
+                    if free and not contains_uniform_pattern(rows, u, v, q, t, bud):
                         rows[u] |= 1 << v
                         rows[v] |= 1 << u
                         used_block[b] += 1
+                        tied_swaps &= ~(end >> wide)
                         included[idx] = True
                         idx += 1
                         cur += 1
                         continue
-                    # excluding the pair ends a tie whose predecessor has the edge
+                    # excluding the pair ends a tie whose predecessor or
+                    # image has the edge
                     if tie_u:
                         tied[u] = False
                     if tie_v:
                         tied[v] = False
+                    tied_swaps &= ~end
                     included[idx] = False
                     idx += 1
                     continue
@@ -261,25 +338,28 @@ def maximize_free(part_sizes: Sequence[int], q: int, t: int,
             while idx > 0:
                 idx -= 1
                 u, v, b = pairs[idx]
+                end = ended[idx]
                 if included[idx]:
                     used_block[b] -= 1
                     rows[u] &= ~(1 << v)
                     rows[v] &= ~(1 << u)
-                    if ended[idx] & 1:
+                    if end & 1:
                         tied[u] = False
-                    if ended[idx] & 2:
+                    if end & 2:
                         tied[v] = False
+                    tied_swaps = (tied_swaps | end >> wide) & ~end
                     included[idx] = False
                     cur -= 1
                     idx += 1
                     break
-                if ended[idx] & 1:
+                if end & 1:
                     tied[u] = True
-                if ended[idx] & 2:
+                if end & 2:
                     tied[v] = True
+                tied_swaps |= end & swap_mask
             else:
                 break
     except BudgetExhausted:
         exact = False
 
-    return max(best, 0), PartitionedGraph.from_rows(part_sizes, best_rows), exact
+    return max(best, 0), PartitionedGraph.from_rows(sizes, best_rows), exact

@@ -650,11 +650,17 @@ def test_analyze_rejects_nonpositive_t_and_r(tmp_path, capsys):
     save_graph(build_template(spec), gpath)
     spath = tmp_path / "spec.json"
     spath.write_text(canonical_json(spec.to_document()))
-    for verb in ("closest-template", "core"):
-        for extra in (["--t", "0"], ["--t", "-1"], ["--r", "0"]):
-            argv = ["analyze", verb, str(gpath), "--r", "2", "--spec", str(spath),
-                    "--json"] + extra
-            assert run(capsys, *argv) == (EXIT_USAGE, ""), argv
+    # closest-template reads no --t and no --spec; the message tells the
+    # check from a parse error, which exits 3 too
+    cases = [["core", "--spec", str(spath)] + extra
+             for extra in (["--t", "0"], ["--t", "-1"], ["--r", "0"])]
+    cases.append(["closest-template", "--r", "0"])
+    for verb, *extra in cases:
+        argv = ["analyze", verb, str(gpath), "--r", "2", "--json"] + extra
+        code = cli_dispatch(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_USAGE, ""), argv
+        assert "need r >= 1 and t >= 1" in captured.err, argv
     # without --t the analysis runs with t = 2
     code, text = run(capsys, "analyze", "core", str(gpath), "--r", "2",
                      "--spec", str(spath), "--json")

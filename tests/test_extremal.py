@@ -108,11 +108,11 @@ def test_an_int_budget_is_shared_like_a_budget_object():
     # every search of one compare_with_g or gap_checks call draws on the one
     # budget, an int as much as a Budget: 30,000 nodes prove ex_2(8, K_2(2))
     # = 24 (28,149 nodes) and leave z_2(8, 8) a lower bound; the gap report's
-    # grid takes 19 nodes, so 150 do not leave its (E1) search the 146 it needs
+    # grid takes 19 nodes, so 80 do not leave its (E1) search the 76 it needs
     for budget in (30_000, Budget(30_000)):
         rep = compare_with_g(8, 1, 2, 2, budget=budget)
         assert (rep["ex_status"], rep["g_z_provenance"]) == ("exact", "lower_bound_only")
-    for budget in (150, Budget(150)):
+    for budget in (80, Budget(80)):
         with pytest.raises(BudgetExhausted, match=r"z_2\(2,2,2\)"):
             gap_checks(2, 4, budget=budget)
 

@@ -1,14 +1,18 @@
-"""The cross-pair branch and bound with within-part symmetry breaking keeps
-every value of the unconstrained search, and its witnesses are lex-leaders."""
+"""The cross-pair branch and bound with its symmetry breaking (swaps of two
+vertices of one part, and of two consecutive parts of one size) keeps every
+value of the unconstrained search, its witnesses are lex-leaders under each
+of those swaps, and they are the witnesses of the search before it broke
+part swaps."""
 
+import hashlib
 import sys
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
 from naive_oracles import naive_contains_kqt, naive_ex
 from turan_workbench.constructions import turan_count
-from turan_workbench.search import (biclique_host_cap, kst_upper, max_edges_for_budget,
-                                   maximize_free, static_cap)
+from turan_workbench.search import (_pair_order, biclique_host_cap, kst_upper,
+                                   max_edges_for_budget, maximize_free, static_cap)
 from turan_workbench.zarankiewicz import PAIR_LIMIT, ZarKey, z_exact
 
 # part sizes -> {(q, t): ex(part sizes; K_q(t))}, as the search computed them
@@ -86,8 +90,22 @@ def _rows_lex_ordered(g, x):
     return not diff or bool(g.neighbors(x - 1) & diff & -diff)
 
 
+def _parts_lex_ordered(g, s):
+    """The pair vector is at least its image under the swap of parts s and
+    s + 1, comparing pairs in the search's order (part pair, then local
+    indices)."""
+    image = list(range(g.num_vertices))
+    for x, y in zip(g.part_vertices(s), g.part_vertices(s + 1)):
+        image[x], image[y] = y, x
+    order = [(u, v) for i, j in combinations(range(len(g.part_sizes)), 2)
+             for u in g.part_vertices(i) for v in g.part_vertices(j)]
+    vector = [g.neighbors(u) >> v & 1 for u, v in order]
+    return vector >= [g.neighbors(image[u]) >> image[v] & 1 for u, v in order]
+
+
 def test_sweep_matches_the_unconstrained_search():
     assert sum(len(cases) for cases in SWEEP_VALUES.values()) == 215
+    witnesses = []
     for sizes, cases in SWEEP_VALUES.items():
         small = sum(a * b for a, b in combinations(sizes, 2)) <= 12
         for (q, t), value in cases.items():
@@ -96,8 +114,73 @@ def test_sweep_matches_the_unconstrained_search():
             assert not naive_contains_kqt(g, q, t), (sizes, q, t)
             assert all(_rows_lex_ordered(g, x) for x in range(1, g.num_vertices)
                        if g.part_of[x - 1] == g.part_of[x]), (sizes, q, t)
+            assert all(_parts_lex_ordered(g, s) for s in range(len(sizes) - 1)
+                       if sizes[s] == sizes[s + 1]), (sizes, q, t)
             if small:
                 assert naive_ex(sizes, q, t) == value, (sizes, q, t)
+            witnesses.append((sizes, q, t, g.rows()))
+    # the witnesses of the search with within-part ties alone
+    assert hashlib.sha256(repr(witnesses).encode()).hexdigest() == \
+        "5924315ca25617634b3bc770f34e5d6d01d8511d6ea356f361f7384436473f4a"
+
+
+def test_the_walk_constraints_keep_every_orbit_leader_on_two_parts_of_four():
+    # (4,4) is the least host whose part swap has a pair that is not strict,
+    # so the sweep never reaches that case.  Every one of its 2^16 graphs is
+    # walked through the constraints as the search applies them from
+    # _pair_order's tables; the lex-largest graph of each orbit under the
+    # host's symmetries must pass.  A graph is an int whose bit P - 1 - p is
+    # pair p, so a larger int is lex-larger in the pair order.
+    pairs, _, root_tied, swaps, swap_mask = _pair_order((4, 4))
+    P = len(pairs)
+    assert any(not strict for entries in swaps for _, _, strict in entries)
+    index = {(u, v): p for p, (u, v, _) in enumerate(pairs)}
+
+    def kept(X):
+        bits = [X >> (P - 1 - p) & 1 for p in range(P)]
+        tied, tied_swaps = list(root_tied), swap_mask
+        for p, (u, v, _) in enumerate(pairs):
+            for x, pred in ((u, (u - 1, v)), (v, (u, v - 1))):
+                if tied[x] and bits[p] != bits[index[pred]]:
+                    if bits[p]:
+                        return False
+                    tied[x] = False
+            for bit, image, strict in swaps[p]:
+                if tied_swaps & bit and bits[p] != bits[image]:
+                    if bits[p] and strict:
+                        return False
+                    tied_swaps &= ~bit
+        return True
+
+    # the host's symmetries: adjacent transpositions in a part, the part swap
+    gens = []
+    for image in ([1, 0, 2, 3, 4, 5, 6, 7], [0, 2, 1, 3, 4, 5, 6, 7], [0, 1, 3, 2, 4, 5, 6, 7],
+                  [0, 1, 2, 3, 5, 4, 6, 7], [0, 1, 2, 3, 4, 6, 5, 7], [0, 1, 2, 3, 4, 5, 7, 6],
+                  [4, 5, 6, 7, 0, 1, 2, 3]):
+        moved = [index[tuple(sorted((image[u], image[v])))] for u, v, _ in pairs]
+
+        def permuted(X):
+            return sum(1 << (P - 1 - moved[p]) for p in range(P) if X >> (P - 1 - p) & 1)
+
+        # the permuted graph of X is low[X & 255] | high[X >> 8]
+        gens.append(([permuted(byte) for byte in range(256)],
+                     [permuted(byte << 8) for byte in range(256)]))
+    seen = bytearray(1 << P)
+    orbits = 0
+    for start in range(1 << P):
+        if seen[start]:
+            continue
+        orbits += 1
+        orbit = [start]
+        seen[start] = 1
+        for X in orbit:
+            for low, high in gens:
+                Y = low[X & 255] | high[X >> 8]
+                if not seen[Y]:
+                    seen[Y] = 1
+                    orbit.append(Y)
+        assert kept(max(orbit)), max(orbit)
+    assert orbits == 192
 
 
 def test_tripartite_zarankiewicz_is_exact():
