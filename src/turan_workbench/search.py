@@ -100,7 +100,6 @@ those with two parts and q = 2, which go to the bipartite row engine
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from functools import cache
 from itertools import combinations
 from math import comb
@@ -119,17 +118,28 @@ def min_star_cost(edges: int, rows: int, t: int) -> int:
     return s * comb(d + 1, t) + (rows - s) * comb(d, t)
 
 
-@cache
-def _star_costs(rows: int, cols: int, t: int) -> tuple[int, ...]:
-    """``min_star_cost(e, rows, t)`` for e = 0..rows*cols, which never
-    decreases in e, memoised per process."""
-    return tuple(min_star_cost(e, rows, t) for e in range(rows * cols + 1))
-
-
 def max_edges_for_budget(rows: int, cols: int, t: int, star_budget: int) -> int:
     """Largest e <= rows*cols whose equal-degree star cost is within budget,
-    -1 when the budget is negative."""
-    return bisect_right(_star_costs(rows, cols, t), star_budget) - 1
+    -1 when the budget is negative.
+
+    ``min_star_cost(e, rows, t)`` never decreases in e, and with e = d*rows
+    + s (0 <= s < rows) it is rows*C(d, t) + s*C(d, t-1).  So the answer
+    takes the largest d <= cols with rows*C(d, t) within budget, then as
+    many rows of degree d+1 as the rest of the budget pays for; fewer than
+    all of them, or d+1 would have fitted.
+    """
+    if star_budget < 0:
+        return -1
+    if rows * comb(cols, t) <= star_budget:
+        return rows * cols
+    lo, hi = 0, cols          # rows*C(lo, t) fits and rows*C(hi, t) does not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if rows * comb(mid, t) <= star_budget:
+            lo = mid
+        else:
+            hi = mid
+    return lo * rows + (star_budget - rows * comb(lo, t)) // comb(lo, t - 1)
 
 
 def kst_upper(m: int, n: int, t: int) -> int:

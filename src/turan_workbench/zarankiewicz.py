@@ -12,9 +12,11 @@ matrix in the same direction, so the lex-largest member of every orbit
 under row and column permutations (rows read in turn, from column n-1)
 satisfies both, and the edge count is invariant: no value is lost.
 
-The search prunes with the remaining star budget: a K_{t,t}-free bipartite
-graph satisfies sum_v C(d_v, t) <= (t-1) C(n, t), and for a fixed edge count
-the left side minimizes that sum with degrees as equal as possible.  One
+The search starts from a greedy incumbent whose rows are capped near the
+equal degrees of the star bound below (``_z_bipartite``), and prunes with
+the remaining star budget: a K_{t,t}-free bipartite graph satisfies
+sum_v C(d_v, t) <= (t-1) C(n, t), and for a fixed edge count the left side
+minimizes that sum with degrees as equal as possible.  One
 solver, ``search.max_edges_for_budget``, turns that bound into an edge
 count, here as in the pair engine's K_2(t) caps; ``kst_upper`` (an
 explicit, checkable form of the Kovari--Sos--Turan inequality, taken in
@@ -152,11 +154,12 @@ class _RowTables:
 
     Column t-subset i is the i-th of ``combinations(range(n), t)``.
     ``tsub[c]`` has bit i set when row c contains t-subset i, ``popcount[c]``
-    is the row's degree, and ``by_popcount[p]`` lists the rows of popcount p
-    in ascending order.
+    is the row's degree, ``by_popcount[p]`` lists the rows of popcount p
+    in ascending order, and ``descending`` lists every row by popcount and
+    then value, both descending (the greedy's order).
     """
 
-    __slots__ = ("tsub", "popcount", "by_popcount")
+    __slots__ = ("tsub", "popcount", "by_popcount", "descending")
 
     def __init__(self, n: int, t: int):
         full = (1 << n) - 1
@@ -173,6 +176,8 @@ class _RowTables:
         for c in range(full + 1):
             by_popcount[self.popcount[c]].append(c)
         self.by_popcount = tuple(tuple(rows) for rows in by_popcount)
+        self.descending = tuple(chain.from_iterable(
+            reversed(rows) for rows in reversed(by_popcount)))
 
 
 @functools.cache
@@ -219,6 +224,33 @@ class _TSubsetCounts:
         planes[top] &= ~s
 
 
+def _greedy_rows(tables: _RowTables, t: int, m: int, top: int,
+                 fresh: bool) -> list[int]:
+    """m rows of a K_{t,t}-free graph, each the first fitting row of
+    ``tables.descending`` whose popcount is at most ``top``; with ``fresh``,
+    the first fitting row not taken yet, and a repeat only when no such row
+    fits.  A row that stops fitting never fits again, so both scans resume
+    where they stopped, and the empty row always fits."""
+    order = tables.descending
+    counts = _TSubsetCounts(tables, t)
+    fits = counts.fits
+    i = j = sum(map(len, tables.by_popcount[top + 1:]))   # the first row of popcount <= top
+    rows: list[int] = []
+    for _ in range(m):
+        while not fits(order[i]):
+            i += 1
+        c = order[i]
+        if fresh:
+            while j < len(order) and not fits(order[j]):
+                j += 1
+            if j < len(order):
+                c = order[j]
+                j += 1
+        counts.push(c)
+        rows.append(c)
+    return rows
+
+
 def _z_bipartite(m: int, n: int, t: int,
                  budget: Budget) -> tuple[int, PartitionedGraph, bool]:
     """Max edges of a K_{t,t}-free bipartite graph with m rows over n columns.
@@ -239,6 +271,18 @@ def _z_bipartite(m: int, n: int, t: int,
     incumbent improved inside the loop.  Feasibility is one AND against the
     saturated column t-subsets (``_TSubsetCounts``); the per-(n, t) tables
     come from ``_row_tables``.
+
+    The search starts from the best of up to three greedy graphs
+    (``_greedy_rows``), the first of them on ties.  The first takes the
+    fitting row of most bits each time, which puts the full row first and
+    leaves the rest little room (13 edges on z_2(7,7) = 21).  When it falls
+    short of U, the root's row-side star cap (``max_edges_for_budget`` on m
+    rows), the other two cap the rows at floor(U/m) and ceil(U/m) bits, near
+    the equal degrees that reach U, and take rows not taken yet before they
+    repeat one; their rows are listed in non-increasing order, as the
+    search lists its own.  The incumbent only ever grows, so no value
+    changes, and the search itself is the same; on z_2(7,7) the capped
+    greedy already meets U and the search ends at the root.
     """
     def witness(rows: Sequence[int]) -> PartitionedGraph:
         return PartitionedGraph([m, n], [(i, m + j) for i, row in enumerate(rows)
@@ -270,15 +314,16 @@ def _z_bipartite(m: int, n: int, t: int,
             entry = classes[key] = (ok, rows)
         return entry
 
-    # greedy incumbent: best rows first (popcount, then value, descending)
-    greedy = _TSubsetCounts(tables, t)
-    best_rows: list[int] = []
-    for _ in range(m):
-        c = next(c for p in range(n, -1, -1) for c in reversed(by_popcount[p])
-                 if greedy.fits(c))               # row 0 always fits
-        greedy.push(c)
-        best_rows.append(c)
+    # the incumbent: the best of the greedy passes (docstring), the first on ties
+    cap = search.max_edges_for_budget(m, n, t, star_cap)
+    best_rows = _greedy_rows(tables, t, m, n, False)
     best = sum(popcount[c] for c in best_rows)
+    if best < cap:
+        for top in sorted({cap // m, -(-cap // m)}):
+            capped = _greedy_rows(tables, t, m, top, True)
+            edges = sum(popcount[c] for c in capped)
+            if edges > best:
+                best_rows, best = sorted(capped, reverse=True), edges
 
     chosen: list[int] = []
     counts = _TSubsetCounts(tables, t)

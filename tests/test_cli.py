@@ -416,11 +416,11 @@ def test_construct_stack_writes_nothing_from_a_truncated_search(tmp_path, capsys
 
 def test_zar_gaps_exits_2_when_its_budget_runs_out(tmp_path, capsys):
     # a truncated grid cell is a search cut short, not a usage error
-    code = cli_dispatch(["zar", "gaps", "--t", "2", "--max", "5", "--budget", "10",
+    code = cli_dispatch(["zar", "gaps", "--t", "2", "--max", "5", "--budget", "3",
                          "--cache", str(tmp_path / "c.jsonl"), "--json"])
     captured = capsys.readouterr()
     assert (code, captured.out) == (EXIT_BUDGET, "")
-    assert captured.err.startswith("budget exhausted: ") and "z_2(4,3)" in captured.err
+    assert captured.err.startswith("budget exhausted: ") and "z_2(5,2)" in captured.err
 
 
 def test_zar_gaps_exits_2_when_an_e1_search_is_cut_short(tmp_path, capsys):

@@ -87,11 +87,11 @@ def test_compare_with_g_raises_on_a_closed_form_mismatch(monkeypatch):
 
 
 def test_ex_exact_on_two_parts_runs_the_row_engine():
-    # the row engine proves z_2(8,8) = 24 in 28,149 nodes; the cross-pair
+    # the row engine proves z_2(8,8) = 24 in 9,807 nodes; the cross-pair
     # engine reaches only a lower bound within this budget
     budget = Budget(30_000)
     rec = ex_exact(ExInstance.of((8, 8), 2, 2), budget=budget)
-    assert (rec.value, rec.status, budget.used) == (24, "exact", 28_149)
+    assert (rec.value, rec.status, budget.used) == (24, "exact", 9_807)
     rec.check()
 
 
@@ -106,10 +106,10 @@ def test_compare_with_g_on_the_bipartite_case():
 
 def test_an_int_budget_is_shared_like_a_budget_object():
     # every search of one compare_with_g or gap_checks call draws on the one
-    # budget, an int as much as a Budget: 30,000 nodes prove ex_2(8, K_2(2))
-    # = 24 (28,149 nodes) and leave z_2(8, 8) a lower bound; the gap report's
-    # grid takes 19 nodes, so 80 do not leave its (E1) search the 76 it needs
-    for budget in (30_000, Budget(30_000)):
+    # budget, an int as much as a Budget: 15,000 nodes prove ex_2(8, K_2(2))
+    # = 24 (9,807 nodes) and leave z_2(8, 8) a lower bound; the gap report's
+    # grid takes 6 nodes, so 80 do not leave its (E1) search the 76 it needs
+    for budget in (15_000, Budget(15_000)):
         rep = compare_with_g(8, 1, 2, 2, budget=budget)
         assert (rep["ex_status"], rep["g_z_provenance"]) == ("exact", "lower_bound_only")
     for budget in (80, Budget(80)):

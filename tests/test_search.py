@@ -251,6 +251,22 @@ def test_block_sum_is_never_below_the_host_cap():
             assert blocks >= biclique_host_cap(sizes, t), (sizes, t)
 
 
+def test_max_edges_for_budget_against_the_star_cost_table():
+    # the closed form is the last e of min_star_cost(e, rows, t), e = 0..
+    # rows*cols (which never decreases in e) within the budget, on a grid
+    # past the degree-sequence scan below
+    from bisect import bisect_right
+    from turan_workbench.search import min_star_cost
+    for rows in range(0, 40, 3):
+        for cols in range(0, 30, 4):
+            for t in range(1, 8):
+                table = [min_star_cost(e, rows, t) for e in range(rows * cols + 1)]
+                for budget in sorted({-1, 0, *range(0, table[-1] + 3, max(1, table[-1] // 50)),
+                                      *table}):
+                    assert max_edges_for_budget(rows, cols, t, budget) == \
+                        bisect_right(table, budget) - 1, (rows, cols, t, budget)
+
+
 def test_max_edges_for_budget_against_a_scan_of_degree_sequences():
     # the most edges over ``rows`` degrees of at most ``cols`` whose star
     # cost sum C(d_i, t) is within the budget, -1 below budget 0

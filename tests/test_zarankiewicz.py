@@ -159,10 +159,45 @@ def test_z_lower_construction_t3_pinned_witness(n, seed, digest):
 
 
 def test_row_engine_spends_before_tabulating_every_row_count():
-    # the star-cost bound of q rows is built when q is first reached, so a
-    # budget of one node stops a long thin key at its greedy lower bound
-    rec = z_exact(ZarKey.of((1024, 4), 2), budget=1)
-    assert (rec.status, rec.value) == ("lower_bound_only", 1027)
+    # a budget of one node stops a long thin key at its greedy lower bound.
+    # The degree-capped passes raise the one-pass greedy's bounds (1027 and
+    # 352), and they must not make the greedy slow: that pass alone took
+    # about 0.24 s on the two keys together on a 2-core x86-64 host, and all
+    # passes must stay within twice that
+    from turan_workbench.zarankiewicz import _row_tables
+    _row_tables(4, 2), _row_tables(12, 2)      # built once per process anyway
+    start = time.perf_counter()
+    recs = [z_exact(ZarKey.of(sizes, 2), budget=1) for sizes in ((1024, 4), (341, 12))]
+    elapsed = time.perf_counter() - start
+    assert [(rec.status, rec.value) for rec in recs] == \
+        [("lower_bound_only", 1029), ("lower_bound_only", 406)]
+    assert elapsed < 0.48
+
+
+def test_row_engine_incumbent_is_at_least_the_one_pass_greedy():
+    # at a budget of 0 the row engine returns its incumbent before any node:
+    # on every key of the small grid it is at least the edge count of the
+    # one greedy pass (the fitting row of most bits, then highest value, as
+    # often as there are rows) and at most the exact value
+    from itertools import combinations
+    from functools import reduce
+    from turan_workbench.detectors import Budget
+    from turan_workbench.zarankiewicz import _z_bipartite
+
+    def fits(rows, c, t):       # no t-1 chosen rows share t columns with c
+        return all(reduce(int.__and__, group, c).bit_count() < t
+                   for group in combinations(rows, t - 1))
+
+    for n in range(1, 8):
+        for m in range(n, 8):
+            for t in range(2, 6):
+                rows = []
+                for _ in range(m):
+                    rows.append(max((c for c in range(1 << n) if fits(rows, c, t)),
+                                    key=lambda c: (c.bit_count(), c)))
+                value, _, _ = _z_bipartite(m, n, t, Budget(0))
+                exact, _, _ = _z_bipartite(m, n, t, Budget(None))
+                assert sum(c.bit_count() for c in rows) <= value <= exact, (m, n, t)
 
 
 def test_gap_checks_e3():
@@ -195,9 +230,9 @@ def test_exact_mode_guard():
 
 
 def test_budget_exhaustion_degrades_to_lower_bound():
-    rec = z_exact(ZarKey.of((6, 6), 2), budget=5)
+    rec = z_exact(ZarKey.of((8, 8), 2), budget=5)
     assert rec.status == "lower_bound_only"
-    assert rec.value <= 16
+    assert rec.value <= 24
     rec.check()                       # the degraded witness is still valid
     assert find_biclique(rec.witness, 2) is None
 
@@ -247,15 +282,15 @@ def test_multipartite_z_against_naive():
 # order may move the node counts; it re-pins them, old and new, and must not
 # move a value.
 ROW_ENGINE_PINS = {
-    (7, 7, 2): (21, 1887, [112, 76, 67, 42, 37, 25, 22]),
-    (6, 6, 3): (26, 185, [62, 61, 51, 43, 23, 15]),
-    (7, 6, 4): (36, 85, None),
-    (7, 7, 5): (44, 36, None),
-    (8, 7, 2): (22, 2194, None),
-    (8, 6, 3): (32, 1853, None),
-    (7, 7, 4): (42, 1197, [126, 125, 123, 119, 111, 95, 63]),
-    (8, 8, 2): (24, 28149, [240, 140, 131, 74, 69, 41, 38, 24]),
-    (7, 7, 3): (33, 6540, [126, 121, 103, 85, 75, 51, 31]),
+    (7, 7, 2): (21, 1, [112, 76, 67, 42, 37, 25, 22]),
+    (6, 6, 3): (26, 18, [62, 61, 51, 43, 23, 15]),
+    (7, 6, 4): (36, 1, None),
+    (7, 7, 5): (44, 15, None),
+    (8, 7, 2): (22, 1, None),
+    (8, 6, 3): (32, 677, None),
+    (7, 7, 4): (42, 1, [126, 125, 123, 119, 111, 95, 63]),
+    (8, 8, 2): (24, 9807, [240, 140, 131, 74, 69, 41, 38, 24]),
+    (7, 7, 3): (33, 3388, [126, 121, 103, 85, 75, 51, 31]),
 }
 
 
@@ -273,7 +308,7 @@ def test_row_engine_pinned_outputs(m, n, t):
 
 def test_row_engine_pinned_node_total_on_the_small_grid():
     # every key n <= m <= 7, t = 2..5: the same values as the naive oracle
-    # where it reaches, and 11,182 nodes in all
+    # where it reaches, and 4,002 nodes in all
     from turan_workbench.detectors import Budget
     from turan_workbench.zarankiewicz import _z_bipartite
     budget = Budget(None)
@@ -283,14 +318,15 @@ def test_row_engine_pinned_node_total_on_the_small_grid():
         assert exact and value == g.edge_count(), (m, n, t)
         if m <= 4:
             assert value == naive_z(m, n, t), (m, n, t)
-    assert (len(keys), budget.used) == (112, 11182)
+    assert (len(keys), budget.used) == (112, 4002)
 
 
 def test_z2_diagonal_matches_oeis_a001197():
-    # n = 9 is exact only with the column symmetry breaking; the row-only
-    # search had a lower bound of 25 after 5M nodes
-    assert [z_exact(ZarKey.of((n, n), 2)).value for n in range(1, 10)] == \
-        [1, 3, 6, 9, 12, 16, 21, 24, 29]
+    # n = 9 is exact only with the column symmetry breaking (the row-only
+    # search had a lower bound of 25 after 5M nodes), and n = 10 only with
+    # the degree-capped greedy incumbent (10M nodes did not settle it)
+    assert [z_exact(ZarKey.of((n, n), 2)).value for n in range(1, 11)] == \
+        [1, 3, 6, 9, 12, 16, 21, 24, 29, 34]
 
 
 def test_tsubset_counts_against_brute_force():
